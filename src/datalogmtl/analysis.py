@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .syntax import Bottom, Program, Rule
+from .syntax import Program
 
 
 @dataclass(frozen=True)
@@ -23,15 +23,11 @@ class DependencyInfo:
     topo: tuple[frozenset[str], ...]  # condensation order, sources first
 
 
-def _head_predicate(rule: Rule) -> str | None:
-    return rule.head_predicate()  # None for BOTTOM heads
-
-
 def dependency_info(program: Program) -> DependencyInfo:
     g = nx.DiGraph()
     g.add_nodes_from(program.predicates())
     for rule in program.rules:
-        head = _head_predicate(rule)
+        head = rule.head_predicate()  # None for BOTTOM heads
         if head is None:
             continue
         for pred in rule.body_predicates():
@@ -71,10 +67,8 @@ def relevant_rules(program: Program, predicate: str) -> Program:
     # predicates from which some target body-predicate is reachable
     targets = set()
     for rule in program.rules:
-        head = _head_predicate(rule)
-        if head == predicate or isinstance(rule.head, Bottom) or (
-            head is None
-        ):
+        head = rule.head_predicate()
+        if head is None or head == predicate:
             targets |= rule.body_predicates()
     sources = set(targets)
     for t in targets:
@@ -82,24 +76,12 @@ def relevant_rules(program: Program, predicate: str) -> Program:
             sources |= nx.ancestors(g, t)
     picked = []
     for rule in program.rules:
-        head = _head_predicate(rule)
+        head = rule.head_predicate()
         if head is None or head == predicate:
             picked.append(rule)
         elif head in sources:
             picked.append(rule)
     return Program(tuple(picked))
-
-
-def nonrecursive_head_rules(program: Program) -> Program:
-    info = dependency_info(program)
-    return Program(
-        tuple(
-            r
-            for r in program.rules
-            if _head_predicate(r) is not None
-            and _head_predicate(r) not in info.recursive
-        )
-    )
 
 
 def to_dot(info: DependencyInfo) -> str:

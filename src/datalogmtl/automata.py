@@ -21,15 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dense_grid import instance_granularity, total_reach
 from .evaluation import apply_operator, merge_intervals, reverse_head
-from .intervals import interval_op
 from .intervals import (
     Interval,
     POS_INF,
     intersect,
+    interval_op,
     is_finite,
     make,
     normalize,
@@ -47,12 +47,9 @@ from .syntax import (
     Rel,
     RelationalAtom,
     Rule,
-    Top,
     UnaryOp,
-    atom_variables,
     ground,
     relational_atoms,
-    substitute,
 )
 
 
@@ -122,39 +119,6 @@ def entail_to_inconsist(
     )
 
 
-# ---------------------------------------------------------------- universe
-
-
-def literal_universe(program: Program, dataset: Sequence[Fact]) -> set[MetricAtom]:
-    """Ground literals whose subsets label ruler cells: TOP, all groundings
-    of the program's head and body literals, and the four unbounded box
-    forms over each dataset atom."""
-    consts = sorted(
-        program.constants() | {a.name for f in dataset for a in f.atom.args}
-    )
-    out: set[MetricAtom] = {Top()}
-    for r in program.rules:
-        for lit in (r.head, *r.body):
-            if isinstance(lit, (Top, Bottom)):
-                continue
-            vs = sorted(atom_variables(lit), key=lambda v: v.name)
-            if not vs:
-                out.add(lit)
-                continue
-            from .syntax import Constant
-
-            for combo in itertools.product(consts, repeat=len(vs)):
-                sigma = {v: Constant(c) for v, c in zip(vs, combo)}
-                out.add(substitute(lit, sigma))
-    inf_iv = lambda lo_open: make(Fraction(0), POS_INF, lo_open, True)
-    for f in dataset:
-        a = Rel(f.atom)
-        for op in ("BOXMINUS", "BOXPLUS"):
-            for lo_open in (False, True):
-                out.add(UnaryOp(op, inf_iv(lo_open), a))
-    return out
-
-
 # ---------------------------------------------------------------- ruler grid
 
 
@@ -220,9 +184,6 @@ class RulerGrid:
                 out.append(c)
         return out
 
-    def covered_cells(self, iv: Interval) -> list[int]:
-        return [c for c in self.cells_in(iv) if subset(self.cell_interval(c), iv)]
-
 
 def ruler_grid(program: Program, dataset: Sequence[Fact]) -> RulerGrid:
     d = instance_granularity(program, list(dataset))
@@ -246,32 +207,13 @@ def ruler_grid(program: Program, dataset: Sequence[Fact]) -> RulerGrid:
 Letter = frozenset  # of AtomKey
 
 
-@dataclass(frozen=True)
-class Window:
-    grid: RulerGrid
-    lo: int
-    letters: tuple[Letter, ...]
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.letters) - 1
-
-    def interval(self) -> Interval:
-        a = self.grid.cell_interval(self.lo)
-        b = self.grid.cell_interval(self.hi)
-        return normalize(a.left, b.right, a.left_open, b.right_open)
-
-    def assignment(self) -> dict[int, Letter]:
-        return {self.lo + i: l for i, l in enumerate(self.letters)}
-
-
 def _letters_store(grid: RulerGrid, lo: int, letters: Sequence[Letter]) -> FactStore:
-    s = FactStore()
+    by_key: dict[AtomKey, list[Interval]] = {}
     for i, letter in enumerate(letters):
         civ = grid.cell_interval(lo + i)
         for key in letter:
-            s.insert_interval(key, civ)
-    return s
+            by_key.setdefault(key, []).append(civ)
+    return FactStore.from_intervals(by_key)
 
 
 def _check_window(
@@ -345,9 +287,6 @@ class Obligation:
     atom: AtomKey
     min_cell: int
     direction: int  # +1 right, -1 left
-
-
-AcceptingConditions = tuple  # of Obligation
 
 
 def _contains_unbounded(m: MetricAtom) -> bool:
@@ -424,14 +363,10 @@ def _extract_obligations(
 
 
 def _clip_store(store: FactStore, horizon: Interval) -> FactStore:
-    s = FactStore()
-    for key, lst in store.atoms.items():
-        for iv in lst:
-            part = intersect(iv, horizon)
-            if not part.is_empty:
-                s.insert_interval(key, part)
-    for iv in store.bottom_intervals:
-        s.mark_bottom(iv)
+    s = FactStore.from_intervals(
+        {key: [intersect(iv, horizon) for iv in lst] for key, lst in store.atoms.items()}
+    )
+    s.bottom_intervals = list(store.bottom_intervals)
     return s
 
 
@@ -443,7 +378,6 @@ class _Engine:
         *,
         prune_letters: bool = True,
         cancelled=None,
-        trace=None,
         max_states: int = 200_000,
     ):
         self.program = program
@@ -456,7 +390,6 @@ class _Engine:
         self.grid = ruler_grid(program, self.facts)
         self.obligations = _extract_obligations(program, self.facts, self.grid)
         self.cancelled = cancelled
-        self.trace = trace
         self.states_left = max_states
         self.span_fixable = False
 
@@ -649,8 +582,6 @@ class _Engine:
         pending: frozenset,
     ) -> bool:
         g = self.grid
-        zc = g.z_cells
-        width = len(init_letters)
 
         def key(lo, letters, pend):
             if direction == 1 and lo > g.span_hi_cell:
@@ -756,7 +687,6 @@ def consistent(
         dataset,
         prune_letters=prune_letters,
         cancelled=cancelled,
-        trace=trace,
         max_states=max_states,
     )
     if eng.inconsistent_in_span:
@@ -787,88 +717,3 @@ def consistent(
             return False
         first = False
     return False
-
-
-# ---------------------------------------------------------------- spec API
-
-
-def check_satisfiability(
-    window: Window, program: Program, dataset: Sequence[Fact]
-) -> bool:
-    """Dataset facts installed where they overlap the window, and every rule
-    satisfied on cells whose whole z-neighbourhood lies inside the window."""
-    g = window.grid
-    assign = window.assignment()
-    wiv = window.interval()
-    for f in dataset:
-        ov = intersect(f.interval, wiv)
-        if ov.is_empty:
-            continue
-        for c in g.cells_in(ov):
-            if window.lo <= c <= window.hi:
-                if not intersect(g.cell_interval(c), ov).is_empty:
-                    if f.atom.key() not in assign[c]:
-                        return False
-    consts = program.constants() | {a.name for f in dataset for a in f.atom.args}
-    rules = tuple(
-        r for r in ground(program, consts) if not any(map(_contains_unbounded, r.body))
-    )
-    zc = g.z_cells
-    committed = {
-        c for c in assign if c - zc >= window.lo and c + zc <= window.hi
-    }
-    ok, _ = _check_window(g, rules, window.lo, window.letters, committed)
-    return ok
-
-
-def search_window(
-    window: Window, program: Program, dataset: Sequence[Fact]
-) -> tuple[bool, Window]:
-    """Extend the window rightward, one ruler cell at a time, until it
-    reaches x+z; returns the first satisfiable full-span window."""
-    eng = _Engine(program, dataset)
-    if eng.inconsistent_in_span:
-        return False, window
-    g = eng.grid
-    zc = g.z_cells
-
-    def rec(letters: list[Letter]):
-        hi = window.lo + len(letters) - 1
-        if hi >= g.span_hi_cell:
-            return tuple(letters)
-        nxt = hi + 1
-        for letter in eng._letters(
-            eng._cell_must(nxt, 1), new_cell=nxt, lo=window.lo, letters=tuple(letters)
-        ):
-            cand = letters + [letter]
-            committed = set()
-            c = nxt - zc
-            if c - zc >= window.lo:
-                committed.add(c)
-            ok, _ = _check_window(g, eng.ground_rules, window.lo, cand, committed)
-            if ok:
-                found = rec(cand)
-                if found is not None:
-                    return found
-        return None
-
-    found = rec(list(window.letters))
-    if found is None:
-        return False, window
-    return True, Window(g, window.lo, found)
-
-
-def buchi_emptiness(
-    direction: str,
-    w0: Window,
-    program: Program,
-    dataset: Sequence[Fact],
-    conditions: AcceptingConditions = (),
-) -> bool:
-    """True iff an accepting infinite run extends w0 in the given direction."""
-    eng = _Engine(program, dataset)
-    if eng.inconsistent_in_span:
-        return False
-    d = 1 if direction == "right" else -1
-    pend = frozenset(ob for ob in conditions if ob.direction == d)
-    return eng.tail_ok(w0.lo, w0.letters, d, pend)

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intervals import Interval, make, normalize
-from .pipeline import check_entailment, pre_materialise
+from .intervals import Interval, make
+from .pipeline import check_entailment
 from .store import FactStore
 from .syntax import Constant, Fact, Program, RelationalAtom
 
@@ -91,11 +91,7 @@ def census(
     round_budget: int = 1000,
 ) -> dict:
     """T1..T5 histogram from sequential-mode entailment per query."""
-    counts = {t: 0 for t in ("T1", "T2", "T3", "T4", "T5")}
-    for q in queries:
-        r = check_entailment(program, store, q, sequential=True, round_budget=round_budget)
-        counts[r.fact_type] += 1
-    return counts
+    return bench_report(program, store, queries, round_budget)["census"]
 
 
 def bench_report(
@@ -107,10 +103,12 @@ def bench_report(
     """Timing table: per-query totals plus rounds, coalescing and
     pre-materialisation durations, and the census histogram."""
     rows = []
+    hist = {t: 0 for t in ("T1", "T2", "T3", "T4", "T5")}
     for q in queries:
         t0 = time.perf_counter()
         r = check_entailment(program, store, q, sequential=True, round_budget=round_budget)
         total = time.perf_counter() - t0
+        hist[r.fact_type] += 1
         rows.append(
             {
                 "query": str(q),
@@ -123,7 +121,4 @@ def bench_report(
                 "inconsistent": r.inconsistent,
             }
         )
-    hist = {t: 0 for t in ("T1", "T2", "T3", "T4", "T5")}
-    for row in rows:
-        hist[row["fact_type"]] += 1
     return {"queries": rows, "census": hist}

@@ -32,7 +32,7 @@ file formats:
   .dmtl (programs)  one rule per line block, terminated by '.':
       Head :- Body1, Body2 .
     metric atoms: P(a,X) | TOP | BOTTOM | DIAMONDMINUS[1,2] P(X)
-      | BOXPLUS(0,inf) P(X) | P(X) SINCE[0,3] Q(X) | parentheses for grouping
+      | BOXPLUS(0,+inf) P(X) | P(X) SINCE[0,3] Q(X) | parentheses for grouping
     operators: DIAMONDMINUS DIAMONDPLUS BOXMINUS BOXPLUS SINCE UNTIL
     intervals: [a,b] (a,b] [a,b) (a,b) with rationals 3, 1.5, 7/2, -inf, +inf
     variables start uppercase, constants lowercase or numeric; comments: #

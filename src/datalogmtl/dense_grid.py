@@ -15,16 +15,13 @@ from typing import Iterable, Optional, Sequence
 
 from .intervals import (
     Interval,
-    bound_lt,
     coalesce,
-    contains_point,
     gcd_rationals,
     intersect,
     is_finite,
     normalize,
     point,
     subset,
-    union_if_coalescable,
 )
 from .syntax import (
     BinaryOp,
@@ -33,11 +30,9 @@ from .syntax import (
     MetricAtom,
     Program,
     Rel,
-    RelationalAtom,
     Rule,
     Top,
     UnaryOp,
-    relational_atoms,
 )
 
 # A cell is (k, kind): kind 0 = the point k*d, kind 1 = the segment

@@ -9,10 +9,9 @@ substitution search and reverse head application.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .intervals import (
-    EMPTY,
     FULL_LINE,
     Interval,
     NEG_INF,
@@ -20,6 +19,7 @@ from .intervals import (
     coalesce,
     intersect,
     interval_op,
+    is_finite,
     normalize,
 )
 from .store import FactStore
@@ -127,9 +127,7 @@ def _until(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
 def _inf_open(bound) -> bool:
     """Boundary endpoints of the witness/result ranges are inclusive when
     finite (the open gap tolerates touching them) and open at infinities."""
-    from .intervals import _Infinity
-
-    return isinstance(bound, _Infinity)
+    return not is_finite(bound)
 
 
 def merge_intervals(lists: list[IntervalList]) -> IntervalList:

@@ -106,10 +106,6 @@ def bound_lt(a: Bound, b: Bound) -> bool:
     return _bound_key(a) < _bound_key(b)
 
 
-def bound_le(a: Bound, b: Bound) -> bool:
-    return _bound_key(a) <= _bound_key(b)
-
-
 @dataclass(frozen=True)
 class Interval:
     left: Bound

@@ -4,7 +4,8 @@ Fast path over the stored dataset, relevant-rule extraction, a plain
 materialisation loop for non-recursive subprograms, and for recursive ones a
 pre-materialisation followed by either a two-worker race (continued
 materialisation vs. the automata decision) or, in sequential test mode, a
-bounded materialisation run with an automata fallback.
+bounded materialisation run with an automata fallback.  Both modes bound
+materialisation by the same round budget.
 
 Fact types mirror the answering code path: T1 dataset fast path, T2
 non-recursive loop, T3 fixpoint during recursive materialisation, T4 target
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .analysis import dependency_info, is_recursive, relevant_rules
-from .automata import Cancelled, consistent, entail_to_inconsist
+from .automata import consistent, entail_to_inconsist
 from .materialisation import apply_rules, materialise
 from .store import FactStore
 from .syntax import Fact, Program
@@ -74,6 +75,27 @@ def _grew_on_nonrecursive(old: FactStore, new: FactStore, recursive) -> bool:
     return False
 
 
+def _materialisation_result(
+    status: str, rounds: int, timings: dict, recursive: bool = True
+) -> EntailmentResult | None:
+    """The answer a materialisation status gives, or None for statuses that
+    give none (PreDone, RoundLimit, Cancelled)."""
+    if status not in ("Inconsistent", "TargetEntailed", "Fixpoint"):
+        return None
+    if not recursive:
+        fact_type = "T2"
+    else:
+        fact_type = "T3" if status == "Fixpoint" else "T4"
+    return EntailmentResult(
+        status != "Fixpoint",
+        fact_type,
+        rounds,
+        "materialisation",
+        timings,
+        status == "Inconsistent",
+    )
+
+
 def check_entailment(
     program: Program,
     store: FactStore,
@@ -99,27 +121,17 @@ def check_entailment(
         t0 = time.perf_counter()
         out = materialise(sub, store.snapshot(), target=query)
         timings["materialisation"] = time.perf_counter() - t0
-        if out.status == "Inconsistent":
-            return EntailmentResult(True, "T2", out.rounds, "materialisation", timings, True)
-        return EntailmentResult(
-            out.status == "TargetEntailed", "T2", out.rounds, "materialisation", timings
-        )
+        return _materialisation_result(out.status, out.rounds, timings, recursive=False)
 
     t0 = time.perf_counter()
     dpre, status, pre_rounds = pre_materialise(sub, store.snapshot(), target=query)
     timings["pre_materialisation"] = time.perf_counter() - t0
-    if status == "Inconsistent":
-        return EntailmentResult(True, "T4", pre_rounds, "materialisation", timings, True)
-    if status == "TargetEntailed":
-        return EntailmentResult(True, "T4", pre_rounds, "materialisation", timings)
-    if status == "Fixpoint":
-        return EntailmentResult(False, "T3", pre_rounds, "materialisation", timings)
+    result = _materialisation_result(status, pre_rounds, timings)
+    if result is not None:
+        return result
 
-    if sequential:
-        return _sequential_finish(
-            sub, dpre, query, pre_rounds, timings, round_budget, max_states
-        )
-    return _race_finish(sub, dpre, query, pre_rounds, timings, max_states)
+    finish = _sequential_finish if sequential else _race_finish
+    return finish(sub, dpre, query, pre_rounds, timings, round_budget, max_states)
 
 
 def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget, max_states):
@@ -127,12 +139,9 @@ def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget, max_
     out = materialise(sub, dpre.snapshot(), max_rounds=round_budget, target=query)
     timings["materialisation"] = time.perf_counter() - t0
     rounds = pre_rounds + out.rounds
-    if out.status == "Inconsistent":
-        return EntailmentResult(True, "T4", rounds, "materialisation", timings, True)
-    if out.status == "TargetEntailed":
-        return EntailmentResult(True, "T4", rounds, "materialisation", timings)
-    if out.status == "Fixpoint":
-        return EntailmentResult(False, "T3", rounds, "materialisation", timings)
+    result = _materialisation_result(out.status, rounds, timings)
+    if result is not None:
+        return result
     t0 = time.perf_counter()
     red = entail_to_inconsist(sub, list(dpre.facts()), query)
     answer = not consistent(red.program, list(red.dataset), max_states=max_states)
@@ -140,23 +149,29 @@ def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget, max_
     return EntailmentResult(answer, "T5", rounds, "automata", timings)
 
 
-def _race_finish(sub, dpre, query, pre_rounds, timings, max_states):
-    """Race continued materialisation against the automata decision; the
-    first definitive answer wins and cancels the other worker."""
+def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget, max_states):
+    """Race continued materialisation, under the round budget, against the
+    automata decision; the first answer wins and cancels the other worker.
+
+    A worker that raises or runs out of rounds reports that instead of an
+    answer.  When neither worker answers, the automata's error is raised.
+    """
     stop = threading.Event()
     results: queue.Queue = queue.Queue()
 
     def run_materialisation():
-        out = materialise(
-            sub, dpre.snapshot(), target=query, cancelled=stop.is_set
-        )
-        if out.status == "Inconsistent":
-            results.put((True, "T4", pre_rounds + out.rounds, "materialisation", True))
-        elif out.status == "TargetEntailed":
-            results.put((True, "T4", pre_rounds + out.rounds, "materialisation", False))
-        elif out.status == "Fixpoint":
-            results.put((False, "T3", pre_rounds + out.rounds, "materialisation", False))
-        # Cancelled: no answer
+        try:
+            out = materialise(
+                sub,
+                dpre.snapshot(),
+                max_rounds=round_budget,
+                target=query,
+                cancelled=stop.is_set,
+            )
+            result = _materialisation_result(out.status, pre_rounds + out.rounds, timings)
+            results.put(("materialisation", result))
+        except Exception as e:
+            results.put(("materialisation", e))
 
     def run_automata():
         try:
@@ -167,9 +182,10 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, max_states):
                 cancelled=stop.is_set,
                 max_states=max_states,
             )
-            results.put((answer, "T5", pre_rounds, "automata", False))
-        except Cancelled:
-            pass
+            result = EntailmentResult(answer, "T5", pre_rounds, "automata", timings)
+            results.put(("automata", result))
+        except Exception as e:
+            results.put(("automata", e))
 
     t0 = time.perf_counter()
     threads = [
@@ -178,9 +194,18 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, max_states):
     ]
     for t in threads:
         t.start()
-    answer, fact_type, rounds, winner, inconsistent = results.get()
+    winner = automata_error = None
+    for _ in threads:
+        engine, outcome = results.get()
+        if isinstance(outcome, EntailmentResult):
+            winner = outcome
+            break
+        if engine == "automata":
+            automata_error = outcome
     stop.set()
     for t in threads:
         t.join()
     timings["race"] = time.perf_counter() - t0
-    return EntailmentResult(answer, fact_type, rounds, winner, timings, inconsistent)
+    if winner is None:
+        raise automata_error
+    return winner

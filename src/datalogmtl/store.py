@@ -12,7 +12,7 @@ from bisect import bisect_right
 from typing import Iterable, Iterator, Optional
 
 from .intervals import Interval, coalesce, subset, union_if_coalescable
-from .syntax import Constant, Fact, Program, RelationalAtom, Variable
+from .syntax import Constant, Fact, RelationalAtom, Variable
 
 AtomKey = tuple[str, tuple[str, ...]]
 
@@ -33,23 +33,9 @@ class FactStore:
 
     # -- mutation
 
-    def insert(self, fact: Fact) -> bool:
-        """Insert and coalesce; True iff coverage strictly grew."""
-        return self.insert_interval(fact.atom.key(), fact.interval)
-
-    def insert_interval(self, key: AtomKey, interval: Interval) -> bool:
-        if interval.is_empty:
-            raise ValueError("cannot insert an empty interval")
-        lst = self.atoms.get(key)
-        if lst is None:
-            self.atoms[key] = [interval]
-            self._index(key)
-            return True
-        changed, merged = _merge_into(lst, interval)
-        return changed
-
     def insert_intervals(self, key: AtomKey, intervals: Iterable[Interval]) -> bool:
-        """Bulk insert: coalesce the union into the stored list in one pass."""
+        """Coalesce the union into the stored list in one pass; True iff
+        coverage strictly grew."""
         extra = [iv for iv in intervals if not iv.is_empty]
         if not extra:
             return False
@@ -61,21 +47,14 @@ class FactStore:
         self._index(key)
         return True
 
-    def mark_bottom(self, interval: Interval) -> bool:
-        changed, _ = _merge_into(self.bottom_intervals, interval)
-        return changed
+    def mark_bottom(self, interval: Interval):
+        self.bottom_intervals = coalesce(self.bottom_intervals + [interval])
 
     def _index(self, key: AtomKey):
         pred, consts = key
         self.by_predicate.setdefault(pred, set()).add(key)
         for pos, c in enumerate(consts):
             self.arg_index.setdefault((pred, pos, c), set()).add(key)
-
-    def bulk_insert(self, facts: Iterable[Fact]) -> bool:
-        changed = False
-        for f in facts:
-            changed |= self.insert(f)
-        return changed
 
     # -- queries
 
@@ -88,8 +67,7 @@ class FactStore:
             return False
         # binary search: the only candidate is the last interval whose sort
         # key is <= the fact's (store is coalesced and sorted)
-        keys = [iv.sort_key() for iv in lst]
-        i = bisect_right(keys, fact.interval.sort_key())
+        i = bisect_right(lst, fact.interval.sort_key(), key=Interval.sort_key)
         for j in (i - 1, i):
             if 0 <= j < len(lst) and subset(fact.interval, lst[j]):
                 return True
@@ -168,18 +146,6 @@ class FactStore:
         s.bottom_intervals = list(self.bottom_intervals)
         return s
 
-    def restrict_to_body_predicates(self, program: Program) -> "FactStore":
-        preds = set()
-        for r in program.rules:
-            preds |= r.body_predicates()
-        s = FactStore()
-        for key, lst in self.atoms.items():
-            if key[0] in preds:
-                s.atoms[key] = list(lst)
-                s._index(key)
-        s.bottom_intervals = list(self.bottom_intervals)
-        return s
-
     def equals(self, other: "FactStore") -> bool:
         """Point-set equality; valid because coalesced lists are canonical."""
         return (
@@ -209,38 +175,20 @@ class FactStore:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_facts(cls, facts: Iterable[Fact]) -> "FactStore":
+    def from_intervals(cls, by_key: dict[AtomKey, Iterable[Interval]]) -> "FactStore":
+        """Store holding, per key, the coalesced union of the given intervals;
+        keys whose intervals are all empty are left out."""
         s = cls()
-        s.bulk_insert(facts)
+        for key, intervals in by_key.items():
+            lst = coalesce(intervals)
+            if lst:
+                s.atoms[key] = lst
+                s._index(key)
         return s
 
-
-def _merge_into(lst: list[Interval], interval: Interval) -> tuple[bool, Interval]:
-    """Insert `interval` into a sorted coalesced list, in place.
-
-    Returns (strictly_grew, resulting_interval_covering_it).
-    """
-    keys = [iv.sort_key() for iv in lst]
-    i = bisect_right(keys, interval.sort_key())
-    # containment check against the neighbours
-    for j in (i - 1, i):
-        if 0 <= j < len(lst) and subset(interval, lst[j]):
-            return False, lst[j]
-    # coalesce leftwards then rightwards
-    lo = i
-    merged = interval
-    while lo > 0:
-        u = union_if_coalescable(lst[lo - 1], merged)
-        if u is None:
-            break
-        merged = u
-        lo -= 1
-    hi = i
-    while hi < len(lst):
-        u = union_if_coalescable(lst[hi], merged)
-        if u is None:
-            break
-        merged = u
-        hi += 1
-    lst[lo:hi] = [merged]
-    return True, merged
+    @classmethod
+    def from_facts(cls, facts: Iterable[Fact]) -> "FactStore":
+        by_key: dict[AtomKey, list[Interval]] = {}
+        for f in facts:
+            by_key.setdefault(f.atom.key(), []).append(f.interval)
+        return cls.from_intervals(by_key)

@@ -18,16 +18,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .intervals import (
-    EMPTY,
     NEG_INF,
     POS_INF,
-    Fraction as _Fraction,  # re-export convenience
     Interval,
     _Infinity,
-    _fmt_bound,
     bound_lt,
     normalize,
 )
@@ -163,16 +160,6 @@ def relational_atoms(m: MetricAtom) -> list[RelationalAtom]:
     if isinstance(m, BinaryOp):
         return relational_atoms(m.left) + relational_atoms(m.right)
     return []
-
-
-def subformulas(m: MetricAtom) -> list[MetricAtom]:
-    """m and all of its sub-atoms."""
-    out = [m]
-    if isinstance(m, UnaryOp):
-        out += subformulas(m.sub)
-    elif isinstance(m, BinaryOp):
-        out += subformulas(m.left) + subformulas(m.right)
-    return out
 
 
 def substitute(m: MetricAtom, sigma: dict[Variable, Constant]) -> MetricAtom:
@@ -488,7 +475,7 @@ def parse_program(text: str) -> Program:
     while not p.at_eof():
         rules.append(p.parse_rule())
     program = Program(tuple(rules))
-    _check_arities(program, ())
+    check_arities(program, ())
     return program
 
 
@@ -517,7 +504,8 @@ def parse_fact(text: str) -> Fact:
     return fact
 
 
-def _check_arities(program: Program, facts: Sequence[Fact]):
+def check_arities(program: Program, facts: Sequence[Fact]):
+    """Load-time arity consistency check across a program and a dataset."""
     arity: dict[str, int] = {}
 
     def check(atom: RelationalAtom):
@@ -535,11 +523,6 @@ def _check_arities(program: Program, facts: Sequence[Fact]):
         check(f.atom)
 
 
-def check_arities(program: Program, facts: Sequence[Fact]):
-    """Load-time arity consistency check across a program and a dataset."""
-    _check_arities(program, facts)
-
-
 def print_program(program: Program) -> str:
     return "\n".join(str(r) for r in program.rules) + ("\n" if program.rules else "")
 
@@ -555,8 +538,8 @@ def print_dataset(facts: Sequence[Fact]) -> str:
 def ground(program: Program, constants: set[str]) -> set[Rule]:
     """All substitutions of rule variables by the given constants.
 
-    Eager grounding exists for tests and the automata literal universe;
-    rule evaluation grounds lazily via index joins instead.
+    Eager grounding serves the automata, which check every ground rule
+    over each window; rule evaluation grounds lazily via index joins instead.
     """
     from itertools import product
 

@@ -3,7 +3,6 @@
 from datalogmtl.analysis import (
     dependency_info,
     is_recursive,
-    nonrecursive_head_rules,
     relevant_rules,
     to_dot,
 )
@@ -69,17 +68,6 @@ def test_relevant_rules_pull_in_bottom_feeders():
     sub = relevant_rules(prog, "U")
     heads = sorted(str(r.head_predicate()) for r in sub.rules)
     assert heads == ["None", "R", "U"]
-
-
-def test_nonrecursive_head_rules():
-    prog = load_program("professor")
-    sub = nonrecursive_head_rules(prog)
-    heads = sorted(r.head_predicate() for r in sub.rules)
-    assert heads == ["AssistantProfessor", "AssociateProfessor"]
-    acyclic = load_program("immune")
-    assert nonrecursive_head_rules(acyclic).rules == acyclic.rules
-    loop = parse_program("P(X) :- P(X) .")
-    assert nonrecursive_head_rules(loop).rules == ()
 
 
 def test_to_dot_marks_recursive_nodes():

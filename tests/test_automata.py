@@ -1,6 +1,6 @@
-"""Automata-based consistency decision: entailment reduction, literal
-universe, ruler grid, window satisfiability, span search, tail loops, and
-the top-level consistency check."""
+"""Automata-based consistency decision: entailment reduction, ruler grid,
+window checks, span search, tail loops, and the top-level consistency
+check."""
 
 from fractions import Fraction
 
@@ -9,21 +9,17 @@ import pytest
 from datalogmtl.automata import (
     ReductionOutput,
     SearchBudgetExceeded,
-    Window,
-    buchi_emptiness,
-    check_satisfiability,
+    _check_window,
+    _Engine,
     consistent,
     entail_to_inconsist,
-    literal_universe,
     ruler_grid,
-    search_window,
 )
 from datalogmtl.intervals import POS_INF, make, point, subset
 from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
     Rel,
-    Top,
     UnaryOp,
     parse_dataset,
     parse_fact,
@@ -90,30 +86,6 @@ def test_reduction_fresh_predicate_avoids_collisions():
     assert red.fresh_predicate not in {"QF", "QF1"}
 
 
-# -- literal universe
-
-
-def test_literal_universe_example():
-    prog = parse_program("B(a) :- DIAMONDMINUS[1,2] A(a) .")
-    uni = literal_universe(prog, facts_of("A(a)@[0,1]"))
-    assert Top() in uni
-    assert Rel(parse_fact("B(a)@[0,0]").atom) in uni
-    diamonds = [m for m in uni if isinstance(m, UnaryOp) and m.op == "DIAMONDMINUS"]
-    assert len(diamonds) == 1
-    boxes = [m for m in uni if isinstance(m, UnaryOp) and m.interval.right is POS_INF]
-    assert len(boxes) == 4
-    assert len(uni) == 7
-
-
-def test_literal_universe_trivial_cases():
-    assert literal_universe(parse_program(""), []) == {Top()}
-    prog = parse_program("P(X) :- Q(X) .")
-    uni = literal_universe(prog, facts_of("Q(a)@[0,1]\nQ(b)@[0,1]"))
-    for c in ("a", "b"):
-        assert Rel(parse_fact(f"Q({c})@[0,0]").atom) in uni
-        assert Rel(parse_fact(f"P({c})@[0,0]").atom) in uni
-
-
 # -- ruler grid
 
 
@@ -129,7 +101,6 @@ def test_ruler_grid_geometry():
     assert grid.cell_interval(-1) == make("-1/2", 0, True, True)
     assert grid.point_cell(Fraction(3, 2)) == 6
     assert grid.z_cells == 4
-    assert grid.covered_cells(make(0, 1)) == [0, 1, 2, 3, 4]
 
 
 def test_ruler_grid_rejects_off_grid_points():
@@ -138,86 +109,87 @@ def test_ruler_grid_rejects_off_grid_points():
         grid.point_cell(Fraction(1, 3))
 
 
-# -- window satisfiability
+# -- window checks
+
+P_A, Q_A = ("P", ("a",)), ("Q", ("a",))
 
 
-def _single_cell_window(prog_text, data_text, keys):
-    prog = parse_program(prog_text)
-    data = facts_of(data_text)
-    grid = ruler_grid(prog, data)
-    return Window(grid, 0, (frozenset(keys),)), prog, data
+def _point_engine(prog_text):
+    """Engine over the single-cell span [0,0], with P(a) holding there."""
+    eng = _Engine(parse_program(prog_text), facts_of("P(a)@[0,0]"))
+    assert (eng.grid.span_lo_cell, eng.grid.span_hi_cell, eng.grid.z_cells) == (0, 0, 0)
+    return eng
 
 
-def test_check_satisfiability_missing_dataset_fact():
-    w, prog, data = _single_cell_window("", "P(a)@[0,0]", [])
-    assert not check_satisfiability(w, prog, data)
+def test_check_window_missing_dataset_fact():
+    # dataset atoms are forced into the span's letters, so no span
+    # assignment can leave P(a) out of its cell
+    eng = _point_engine("Q(a) :- P(a) .")
+    assert eng.must == {0: frozenset({P_A, Q_A})}
+    assignments = list(eng.span_assignments())
+    assert assignments and all(P_A in letters[0] for letters in assignments)
 
 
-def test_check_satisfiability_unsatisfied_rule():
-    w, prog, data = _single_cell_window(
-        "Q(a) :- P(a) .", "P(a)@[0,0]", [("P", ("a",))]
-    )
-    assert not check_satisfiability(w, prog, data)
-    w_ok = Window(w.grid, 0, (frozenset({("P", ("a",)), ("Q", ("a",))}),))
-    assert check_satisfiability(w_ok, prog, data)
+def test_check_window_unsatisfied_rule():
+    eng = _point_engine("Q(a) :- P(a) .")
+    # the missing head lies in the span, so another assignment could fix it
+    assert _check_window(eng.grid, eng.ground_rules, 0, (frozenset({P_A}),), {0}) == (False, True)
+    ok = _check_window(eng.grid, eng.ground_rules, 0, (frozenset({P_A, Q_A}),), {0})
+    assert ok == (True, False)
 
 
-def test_check_satisfiability_exact_dataset():
-    w, prog, data = _single_cell_window("", "P(a)@[0,0]", [("P", ("a",))])
-    assert check_satisfiability(w, prog, data)
+def test_check_window_exact_dataset():
+    grid = ruler_grid(parse_program(""), facts_of("P(a)@[0,0]"))
+    assert _check_window(grid, (), 0, (frozenset({P_A}),), {0}) == (True, False)
+    red = entail_to_inconsist(parse_program(""), facts_of("P(a)@[0,0]"), parse_fact("P(a)@[0,0]"))
+    assert not consistent(red.program, list(red.dataset))
 
 
-def test_check_satisfiability_fired_bottom():
-    w, prog, data = _single_cell_window(
-        "BOTTOM :- P(a) .", "P(a)@[0,0]", [("P", ("a",))]
-    )
-    assert not check_satisfiability(w, prog, data)
+def test_check_window_fired_bottom():
+    eng = _point_engine("BOTTOM :- P(a) .")
+    assert _check_window(eng.grid, eng.ground_rules, 0, (frozenset({P_A}),), {0}) == (False, False)
+    assert not consistent(eng.program, facts_of("P(a)@[0,0]"))
 
 
 # -- span search
 
 
-def test_search_window_trivial():
-    prog = parse_program("")
-    grid = ruler_grid(prog, [])
-    found, w = search_window(Window(grid, 0, (frozenset(),)), prog, [])
-    assert found
+def test_span_assignments_trivial():
+    eng = _Engine(parse_program(""), [])
+    assert next(eng.span_assignments()) == (frozenset(),)
 
 
-def test_search_window_matches_materialised_model():
+def test_first_span_assignment_matches_materialised_model():
     prog = parse_program("Immune(X) :- BOXMINUS[0,2] NoSympt(X) .")
     data = facts_of("NoSympt(j)@[0,3]")
-    grid = ruler_grid(prog, data)
-    start = grid.span_lo_cell
-    found, w = search_window(Window(grid, start, (frozenset(),)), prog, data)
-    assert found
+    eng = _Engine(prog, data)
+    first = next(eng.span_assignments())
+    g = eng.grid
+    assert len(first) == g.span_hi_cell - g.span_lo_cell + 1
     out = materialise(prog, FactStore.from_facts(data))
-    for cell, letter in w.assignment().items():
-        civ = grid.cell_interval(cell)
+    for cell, letter in enumerate(first, start=g.span_lo_cell):
+        civ = g.cell_interval(cell)
         for key in (("NoSympt", ("j",)), ("Immune", ("j",))):
             want = any(subset(civ, iv) for iv in out.store.intervals_for(key))
             assert (key in letter) == want, (cell, key)
 
 
-def test_search_window_unavoidable_bottom():
+def test_span_unavoidable_bottom():
     prog = parse_program(
         "Immune(X) :- BOXMINUS[0,2] NoSympt(X) .\nBOTTOM :- Immune(X) ."
     )
     data = facts_of("NoSympt(j)@[0,3]")
-    grid = ruler_grid(prog, data)
-    found, _ = search_window(Window(grid, grid.span_lo_cell, (frozenset(),)), prog, data)
-    assert not found
+    assert _Engine(prog, data).inconsistent_in_span
+    assert not consistent(prog, data)
 
 
 # -- tail loops
 
 
-def test_buchi_emptiness_trivial():
-    prog = parse_program("")
-    grid = ruler_grid(prog, [])
-    w0 = Window(grid, 0, (frozenset(),))
-    assert buchi_emptiness("right", w0, prog, [])
-    assert buchi_emptiness("left", w0, prog, [])
+def test_tail_ok_trivial():
+    eng = _Engine(parse_program(""), [])
+    assert eng.tail_ok(0, (frozenset(),), 1, frozenset())
+    assert eng.tail_ok(0, (frozenset(),), -1, frozenset())
 
 
 # -- top-level consistency

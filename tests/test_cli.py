@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, JSON output, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import datalogmtl
 from datalogmtl.cli import main
+from datalogmtl.syntax import parse_program
 
 from helpers import FIXTURES
 
@@ -172,3 +178,28 @@ def test_help_documents_grammar(capsys):
     code = main(["--help"])
     out = capsys.readouterr().out
     assert code == 0 and ".dmtl" in out and ".dtf" in out
+    # every example metric atom in the grammar summary parses
+    examples = out.split("metric atoms:")[1].split("operators:")[0].split("|")
+    atoms = [a.strip() for a in examples if "parentheses" not in a]
+    assert len(atoms) == 6
+    for atom in atoms:
+        parse_program(f"H :- {atom} .")
+
+
+def test_race_without_an_answer_exits_3(tmp_path):
+    # the automata reject the unbounded BOXMINUS in a rule body and
+    # materialisation never reaches the query, so neither engine answers
+    prog = tmp_path / "p.dmtl"
+    prog.write_text("BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X) .\n")
+    data = tmp_path / "d.dtf"
+    data.write_text("P(a)@[0,0]\n")
+    src = str(Path(datalogmtl.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "datalogmtl.cli", "check", "--program", str(prog),
+         "--data", str(data), "--fact", "Q(a)@[5,5]", "--max-rounds", "50"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "limit:" in done.stderr

@@ -106,6 +106,16 @@ def test_race_mode_agrees_with_sequential():
         assert r.winner in ("materialisation", "automata")
 
 
+def test_race_answers_when_the_automata_reject_the_program():
+    # the automata raise on the unbounded DIAMONDMINUS; the race must still
+    # wait for materialisation, which derives the target
+    prog = parse_program(
+        "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), P(X) ."
+    )
+    r = check_entailment(prog, store_of("P(a)@[0,0]"), parse_fact("P2(a)@[5,5]"))
+    assert (r.answer, r.fact_type, r.winner) == (True, "T4", "materialisation")
+
+
 def test_irrelevant_rules_are_dropped():
     # the unrelated recursive rule must not push the query to the automata
     prog = parse_program("Loop(X) :- DIAMONDMINUS[1,1] Loop(X) .\nP(X) :- Q(X) .")

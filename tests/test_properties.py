@@ -142,7 +142,8 @@ def test_store_always_coalesced(seed):
     rng = random.Random(seed)
     s = FactStore()
     for _ in range(20):
-        s.insert(rand_fact(rng))
+        f = rand_fact(rng)
+        s.insert_intervals(f.atom.key(), [f.interval])
     s.check_invariants()
 
 

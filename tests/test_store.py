@@ -12,7 +12,6 @@ from datalogmtl.syntax import (
     Variable,
     parse_dataset,
     parse_fact,
-    parse_program,
 )
 
 from helpers import rand_fact
@@ -22,22 +21,26 @@ def fact(text):
     return parse_fact(text)
 
 
+def insert_fact(s, f):
+    return s.insert_intervals(f.atom.key(), [f.interval])
+
+
 def test_insert_disjoint():
     s = FactStore.from_facts([fact("P(a)@[3,5]")])
-    assert s.insert(fact("P(a)@[0,2]"))
+    assert insert_fact(s, fact("P(a)@[0,2]"))
     assert s.intervals_for(("P", ("a",))) == [make(0, 2), make(3, 5)]
 
 
 def test_insert_chain_coalesces():
     s = FactStore.from_facts([fact("P(a)@[0,2]"), fact("P(a)@[3,5]")])
-    assert s.insert(fact("P(a)@[2,3]"))
+    assert insert_fact(s, fact("P(a)@[2,3]"))
     assert s.intervals_for(("P", ("a",))) == [make(0, 5)]
 
 
 def test_insert_covered_is_noop():
     s = FactStore.from_facts([fact("P(a)@[0,5]")])
     before = s.intervals_for(("P", ("a",)))
-    assert not s.insert(fact("P(a)@[1,2]"))
+    assert not insert_fact(s, fact("P(a)@[1,2]"))
     assert s.intervals_for(("P", ("a",))) == before
 
 
@@ -93,27 +96,29 @@ def test_equality_detects_punctual_difference():
     assert FactStore().equals(FactStore())
 
 
-def test_restrict_to_body_predicates():
-    prog = parse_program("R(X) :- Q(X) .")
-    s = FactStore.from_facts([fact("P(a)@[0,1]"), fact("Q(a)@[0,1]")])
-    r = s.restrict_to_body_predicates(prog)
-    assert r.intervals_for(("Q", ("a",))) == [make(0, 1)]
-    assert r.intervals_for(("P", ("a",))) == []
-    empty = s.restrict_to_body_predicates(parse_program(""))
-    assert empty.fact_count() == 0
-
-
 def test_bottom_marking():
     s = FactStore()
     assert not s.contains_bottom
     s.mark_bottom(point(3))
     assert s.contains_bottom
+    s.mark_bottom(make(3, 4, True, False))
+    s.mark_bottom(point(3))
+    assert s.bottom_intervals == [make(3, 4)]
+
+
+def test_from_intervals_coalesces_and_skips_empty_keys():
+    s = FactStore.from_intervals(
+        {("P", ("a",)): [make(2, 3), make(0, 2)], ("Q", ("a",)): [make(1, 0)]}
+    )
+    assert s.intervals_for(("P", ("a",))) == [make(0, 3)]
+    assert ("Q", ("a",)) not in s.atoms
+    s.check_invariants()
 
 
 def test_snapshot_isolation():
     s = FactStore.from_facts([fact("P(a)@[0,1]")])
     snap = s.snapshot()
-    s.insert(fact("P(a)@[5,6]"))
+    insert_fact(s, fact("P(a)@[5,6]"))
     assert snap.intervals_for(("P", ("a",))) == [make(0, 1)]
     assert s.intervals_for(("P", ("a",))) == [make(0, 1), make(5, 6)]
 
@@ -125,13 +130,13 @@ def test_invariants_after_random_inserts():
         inserted = []
         for _ in range(30):
             f = rand_fact(rng)
-            s.insert(f)
+            insert_fact(s, f)
             inserted.append(f)
         s.check_invariants()
         # idempotence: re-inserting everything changes nothing
         dump = s.dump()
         for f in inserted:
-            assert not s.insert(f)
+            assert not insert_fact(s, f)
         assert s.dump() == dump
 
 
