@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("materialize", help="run materialisation to fixpoint")
     p.add_argument("--program", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=int, default=1000)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--json", action="store_true")
 

@@ -16,6 +16,7 @@ from .intervals import (
     Interval,
     NEG_INF,
     POS_INF,
+    bound_lt,
     coalesce,
     intersect,
     interval_op,
@@ -86,13 +87,13 @@ def _since(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
         out.extend(right)
     rho_pos = _positive_part(rho)
     if not rho_pos.is_empty:
-        for t1 in left:
+        for t1, near in _sweep(left, right):
             # witnesses may sit at the (possibly excluded) left endpoint of
             # t1 but strictly before its right endpoint; the result point may
             # coincide with t1's right endpoint even when t1 is right-open
             w_range = normalize(t1.left, t1.right, _inf_open(t1.left), True)
             upper = normalize(NEG_INF, t1.right, True, _inf_open(t1.right))
-            for t2 in right:
+            for t2 in near:
                 w = intersect(t2, w_range)
                 if w.is_empty:
                     continue
@@ -110,10 +111,10 @@ def _until(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
         out.extend(right)
     rho_pos = _positive_part(rho)
     if not rho_pos.is_empty:
-        for t1 in left:
+        for t1, near in _sweep(left, right):
             w_range = normalize(t1.left, t1.right, True, _inf_open(t1.right))
             lower = normalize(t1.left, POS_INF, _inf_open(t1.left), True)
-            for t2 in right:
+            for t2 in near:
                 w = intersect(t2, w_range)
                 if w.is_empty:
                     continue
@@ -122,6 +123,21 @@ def _until(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
                 if not cand.is_empty:
                     out.append(cand)
     return coalesce(out)
+
+
+def _sweep(left: IntervalList, right: IntervalList):
+    """Each left interval with the run of right intervals that can meet its
+    closure, in one pass: both lists are sorted and disjoint, so a right
+    interval that ends before one left interval starts ends before every
+    later one too."""
+    start = 0
+    for t1 in left:
+        while start < len(right) and bound_lt(right[start].right, t1.left):
+            start += 1
+        stop = start
+        while stop < len(right) and not bound_lt(t1.right, right[stop].left):
+            stop += 1
+        yield t1, right[start:stop]
 
 
 def _inf_open(bound) -> bool:
@@ -147,13 +163,13 @@ def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
     out: IntervalList = []
     i = j = 0
     while i < len(a) and j < len(b):
-        x = intersect(a[i], b[j])
-        if not x.is_empty:
-            out.append(x)
-        # advance the cursor whose interval ends first
-        ka = (a[i].sort_key()[2], a[i].sort_key()[3])
-        kb = (b[j].sort_key()[2], b[j].sort_key()[3])
-        if ka <= kb:
+        x, y = a[i], b[j]
+        both = intersect(x, y)
+        if not both.is_empty:
+            out.append(both)
+        # advance the cursor whose interval ends first; on equal right
+        # bounds either may go, as neither meets the other's successor
+        if bound_lt(x.right, y.right) or (x.right == y.right and x.right_open <= y.right_open):
             i += 1
         else:
             j += 1

@@ -42,37 +42,31 @@ def pre_materialise(
     target: Fact | None = None,
     cancelled=None,
 ) -> tuple[FactStore, str, int]:
-    """Advance materialisation until a round adds nothing over non-recursive
-    predicates; target, fixpoint and inconsistency exits still apply.
+    """Advance materialisation until a round grows no non-recursive
+    predicate; target, fixpoint and inconsistency exits still apply.  Rounds
+    are delta-driven, as in `materialise`.
 
     Returns (store, status, rounds) with status one of PreDone, Fixpoint,
     TargetEntailed, Inconsistent, Cancelled.
     """
     recursive = dependency_info(program).recursive
     rounds = 0
+    changed = None
     while True:
         if cancelled is not None and cancelled():
             return store, "Cancelled", rounds
-        new = apply_rules(program, store)
+        gained: set[str] = set()
+        new = apply_rules(program, store, changed, gained)
         rounds += 1
         if new.contains_bottom:
             return new, "Inconsistent", rounds
         if target is not None and new.entails_fact(target):
             return new, "TargetEntailed", rounds
-        if new.equals(store):
+        if not gained:
             return new, "Fixpoint", rounds
-        if not _grew_on_nonrecursive(store, new, recursive):
+        if gained <= recursive:
             return new, "PreDone", rounds
-        store = new
-
-
-def _grew_on_nonrecursive(old: FactStore, new: FactStore, recursive) -> bool:
-    for key, lst in new.atoms.items():
-        if key[0] in recursive:
-            continue
-        if old.atoms.get(key) != lst:
-            return True
-    return False
+        store, changed = new, gained
 
 
 def _materialisation_result(

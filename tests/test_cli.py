@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import datalogmtl
+from datalogmtl import cli
 from datalogmtl.cli import main
 from datalogmtl.syntax import parse_program
 
@@ -75,6 +76,27 @@ def test_materialize_round_limit_exit_code(capsys):
         "--json",
     )
     assert code == 3
+
+
+def test_materialize_has_a_default_round_budget(capsys, monkeypatch):
+    # birthday never reaches a fixpoint; record the budget materialize is
+    # given and run a short one, so the default is checked without 1000 rounds
+    budgets = []
+    real = cli.materialise
+
+    def recording(program, store, max_rounds=None):
+        budgets.append(max_rounds)
+        return real(program, store, max_rounds=3)
+
+    monkeypatch.setattr(cli, "materialise", recording)
+    code, _, _ = run(
+        capsys,
+        "materialize",
+        "--program", fix("birthday.dmtl"),
+        "--data", fix("birthday.dtf"),
+        "--json",
+    )
+    assert budgets == [1000] and code == 3
 
 
 def test_materialize_writes_output(capsys, tmp_path):

@@ -1,14 +1,20 @@
 """Forward-chaining rounds: apply_rules and the materialise loop."""
 
 import random
+from fractions import Fraction
 
+import pytest
+
+from datalogmtl import materialisation
+from datalogmtl.bench import GeneratorSpec, generate_dataset
 from datalogmtl.dense_grid import GridOracle
 from datalogmtl.intervals import coalesce, make
 from datalogmtl.materialisation import apply_rules, materialise
 from datalogmtl.store import FactStore
-from datalogmtl.syntax import ground, parse_dataset, parse_fact, parse_program
+from datalogmtl.syntax import Fact, ground, parse_dataset, parse_fact, parse_program
 
 from helpers import (
+    FIXTURES,
     clip,
     load_dataset,
     load_program,
@@ -16,6 +22,7 @@ from helpers import (
     rand_bounded_literal,
     wrap_literals_in_rules,
 )
+from test_acceptance import SCALE_PROGRAM
 
 
 def store_of(text):
@@ -117,3 +124,89 @@ def test_nonrecursive_fixpoint_matches_oracle():
                 oracle.cells_to_intervals(oracle.model.get(key, set()) & set(oracle.window_cells()))
             )
             assert got == want, (trial, lits[i])
+
+
+def naive_materialise(program, store, max_rounds=None):
+    """Reference loop: every round applies every rule, and the fixpoint is
+    a round whose output equals its input."""
+    if store.contains_bottom:
+        return store, "Inconsistent", 0
+    rounds = 0
+    while max_rounds is None or rounds < max_rounds:
+        new = apply_rules(program, store)
+        rounds += 1
+        if new.contains_bottom:
+            return new, "Inconsistent", rounds
+        if new.equals(store):
+            return new, "Fixpoint", rounds
+        store = new
+    return store, "RoundLimit", rounds
+
+
+def criterion_6_instances():
+    """The 200 (program, facts) instances of acceptance criterion 6, drawn
+    from the same random stream."""
+    rng = random.Random(606)
+    for _ in range(200):
+        facts, atoms = rand_bounded_instance(rng)
+        facts = [
+            Fact(f.atom, make(f.interval.left % 8, f.interval.left % 8 + rng.randint(0, 3)))
+            for f in facts
+        ]
+        prog = wrap_literals_in_rules([rand_bounded_literal(rng, atoms, depth=1) for _ in range(2)])
+        yield prog, facts
+        # criterion 6 draws its query from the fixpoint next; draw alike
+        fixpoint, _, _ = naive_materialise(prog, FactStore.from_facts(facts))
+        if rng.random() < 0.5:
+            rng.choice(fixpoint.atoms[rng.choice(sorted(fixpoint.atoms))])
+        else:
+            rng.choice(atoms)
+            rng.randint(0, 10)
+            rng.randint(0, 2)
+
+
+def delta_rounds_instances():
+    names = sorted(p.stem for p in FIXTURES.glob("*.dmtl"))
+    for name in names:
+        yield load_program(name), load_dataset(name)
+    yield from criterion_6_instances()
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3, 4, 5])
+def test_delta_rounds_match_naive_rounds(max_rounds):
+    for program, facts in delta_rounds_instances():
+        store = FactStore.from_facts(facts)
+        out = materialise(program, store, max_rounds=max_rounds)
+        want, status, rounds = naive_materialise(program, store, max_rounds)
+        assert (out.status, out.rounds) == (status, rounds), program
+        assert out.store.equals(want), program
+
+
+def test_scale_program_round_2_evaluates_no_rule(monkeypatch):
+    # SCALE_PROGRAM's heads feed no body, so round 2 proves the fixpoint
+    # without evaluating a rule
+    spec = GeneratorSpec(
+        predicates=tuple((f"P{i}", 1) for i in range(5)),
+        constant_pool=10,
+        fact_count=500,
+        endpoint_range=make(0, 200),
+        max_interval_length=Fraction(10),
+        granularity=Fraction(1),
+        seed=88,
+    )
+    calls_per_round = []
+    real_apply, real_evaluate = materialisation.apply_rules, materialisation.evaluate_rule
+
+    def counting_apply(*args):
+        calls_per_round.append(0)
+        return real_apply(*args)
+
+    def counting_evaluate(rule, store):
+        calls_per_round[-1] += 1
+        return real_evaluate(rule, store)
+
+    monkeypatch.setattr(materialisation, "apply_rules", counting_apply)
+    monkeypatch.setattr(materialisation, "evaluate_rule", counting_evaluate)
+    out = materialise(parse_program(SCALE_PROGRAM), FactStore.from_facts(generate_dataset(spec)))
+    assert out.status == "Fixpoint" and out.rounds == 2
+    assert calls_per_round == [5, 0]

@@ -5,15 +5,25 @@ and decision invariance under letter pruning."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from datalogmtl.analysis import is_recursive, relevant_rules
 from datalogmtl.automata import consistent, entail_to_inconsist
 from datalogmtl.dense_grid import GridOracle
-from datalogmtl.evaluation import apply_operator
+from datalogmtl.evaluation import (
+    _inf_open,
+    _intersect_lists,
+    _positive_part,
+    _since,
+    _until,
+    apply_operator,
+)
 from datalogmtl.intervals import (
     EMPTY,
+    NEG_INF,
+    POS_INF,
     coalesce,
+    interval_op,
     contains_point,
     gcd_rationals,
     intersect,
@@ -54,6 +64,95 @@ def intervals(draw, allow_empty=False):
     if iv is EMPTY and not allow_empty:
         return make(min(a, b), max(a, b) + 1)
     return iv
+
+
+@st.composite
+def unbounded_intervals(draw):
+    """Short non-empty intervals whose endpoints may be open, closed or
+    infinite, on a coarse grid where touching endpoints are common."""
+    a = draw(st.integers(0, 8)) / Fraction(2)
+    b = a + draw(st.integers(0, 2)) / Fraction(2)
+    left = NEG_INF if draw(st.integers(0, 9)) == 0 else a
+    right = POS_INF if draw(st.integers(0, 9)) == 0 else b
+    iv = make(left, right, draw(st.booleans()), draw(st.booleans()))
+    return make(a, b + 1) if iv is EMPTY else iv
+
+
+coalesced_lists = st.lists(unbounded_intervals(), max_size=8).map(coalesce)
+
+
+@st.composite
+def operator_intervals(draw):
+    """Non-empty SINCE/UNTIL operator intervals, often with a left bound of
+    0, closed or open."""
+    lo = draw(st.sampled_from([0, 0, 0, 1, 3])) / Fraction(2)
+    hi = POS_INF if draw(st.integers(0, 4)) == 0 else lo + draw(st.integers(0, 6)) / Fraction(2)
+    rho = make(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    return make(lo, lo + 1) if rho is EMPTY else rho
+
+
+def since_reference(rho, left, right):
+    """_since as an all-pairs loop over left and right intervals."""
+    out = []
+    if not rho.left_open and rho.left == 0:
+        out.extend(right)
+    rho_pos = _positive_part(rho)
+    if not rho_pos.is_empty:
+        for t1 in left:
+            w_range = normalize(t1.left, t1.right, _inf_open(t1.left), True)
+            upper = normalize(NEG_INF, t1.right, True, _inf_open(t1.right))
+            for t2 in right:
+                w = intersect(t2, w_range)
+                if w.is_empty:
+                    continue
+                cand = intersect(interval_op("plus", w, rho_pos), upper)
+                if not cand.is_empty:
+                    out.append(cand)
+    return coalesce(out)
+
+
+def until_reference(rho, left, right):
+    """_until as an all-pairs loop over left and right intervals."""
+    out = []
+    if not rho.left_open and rho.left == 0:
+        out.extend(right)
+    rho_pos = _positive_part(rho)
+    if not rho_pos.is_empty:
+        for t1 in left:
+            w_range = normalize(t1.left, t1.right, True, _inf_open(t1.right))
+            lower = normalize(t1.left, POS_INF, _inf_open(t1.left), True)
+            for t2 in right:
+                w = intersect(t2, w_range)
+                if w.is_empty:
+                    continue
+                cand = intersect(interval_op("minus", w, rho_pos), lower)
+                if not cand.is_empty:
+                    out.append(cand)
+    return coalesce(out)
+
+
+# a right interval ending where the left one starts, and one starting where
+# it ends: the sweep's skip and stop boundaries
+@example(make(0, 1, True, False), [make(2, 5)], [make(0, 2)])
+@example(make(0, 1, True, False), [make(0, 2)], [make(2, 5)])
+@given(operator_intervals(), coalesced_lists, coalesced_lists)
+@settings(max_examples=300)
+def test_since_sweep_matches_all_pairs(rho, left, right):
+    assert _since(rho, left, right) == since_reference(rho, left, right)
+
+
+@example(make(0, 1, True, False), [make(2, 5)], [make(0, 2)])
+@example(make(0, 1, True, False), [make(0, 2)], [make(2, 5)])
+@given(operator_intervals(), coalesced_lists, coalesced_lists)
+@settings(max_examples=300)
+def test_until_sweep_matches_all_pairs(rho, left, right):
+    assert _until(rho, left, right) == until_reference(rho, left, right)
+
+
+@given(coalesced_lists, coalesced_lists)
+def test_intersect_lists_matches_all_pairs(a, b):
+    want = coalesce(intersect(x, y) for x in a for y in b)
+    assert coalesce(_intersect_lists(a, b)) == want
 
 
 @given(intervals(), intervals())
