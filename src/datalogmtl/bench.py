@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intervals import Interval, make
+from .intervals import Interval, is_finite, make
 from .pipeline import check_entailment
 from .store import FactStore
 from .syntax import Constant, Fact, Program, RelationalAtom
@@ -30,6 +30,14 @@ class GeneratorSpec:
             raise ValueError("fact_count must be at least 1")
         if not self.predicates:
             raise ValueError("at least one predicate is required")
+        if self.constant_pool < 1:
+            raise ValueError("constant_pool must be at least 1")
+        if self.endpoint_range.is_empty:
+            raise ValueError("endpoint_range must be a non-empty interval")
+        if self.max_interval_length < 0:
+            raise ValueError("max_interval_length must be non-negative")
+        if self.granularity <= 0:
+            raise ValueError("granularity must be positive")
 
 
 def generate_dataset(spec: GeneratorSpec) -> list[Fact]:
@@ -66,7 +74,7 @@ def generate_queries(
         b
         for f in dataset
         for b in (f.interval.left, f.interval.right)
-        if isinstance(b, Fraction) or isinstance(b, int)
+        if is_finite(b)
     ]
     lo, hi = min(endpoints), max(endpoints)
     from .dense_grid import instance_granularity

@@ -212,15 +212,32 @@ def _dispatch(args) -> int:
     if args.command == "generate":
         with open(args.spec) as f:
             raw = json.load(f)
-        lo, hi = (Fraction(str(v)) for v in raw["endpoint_range"])
+        if not isinstance(raw, dict):
+            raise ValueError("generator spec must be a JSON object")
+
+        def field(name, convert):
+            if name not in raw:
+                raise ValueError(f"generator spec is missing field {name!r}")
+            try:
+                return convert(raw[name])
+            except (TypeError, ValueError, ZeroDivisionError) as e:
+                raise ValueError(f"generator spec field {name!r} is malformed: {e}") from None
+
+        def rational(v):
+            return Fraction(str(v))
+
+        def closed_range(v):
+            lo, hi = (rational(b) for b in v)
+            return make(lo, hi, False, False)
+
         spec = benchmod.GeneratorSpec(
-            predicates=tuple((p, int(a)) for p, a in raw["predicates"]),
-            constant_pool=int(raw["constant_pool"]),
-            fact_count=int(raw["fact_count"]),
-            endpoint_range=make(lo, hi, False, False),
-            max_interval_length=Fraction(str(raw["max_interval_length"])),
-            granularity=Fraction(str(raw["granularity"])),
-            seed=int(raw["seed"]) if args.seed is None else args.seed,
+            predicates=field("predicates", lambda v: tuple((p, int(a)) for p, a in v)),
+            constant_pool=field("constant_pool", int),
+            fact_count=field("fact_count", int),
+            endpoint_range=field("endpoint_range", closed_range),
+            max_interval_length=field("max_interval_length", rational),
+            granularity=field("granularity", rational),
+            seed=field("seed", int) if args.seed is None else args.seed,
         )
         facts = benchmod.generate_dataset(spec)
         text = print_dataset(facts)

@@ -16,7 +16,6 @@ from .intervals import (
     Interval,
     NEG_INF,
     POS_INF,
-    bound_lt,
     coalesce,
     intersect,
     interval_op,
@@ -132,10 +131,10 @@ def _sweep(left: IntervalList, right: IntervalList):
     later one too."""
     start = 0
     for t1 in left:
-        while start < len(right) and bound_lt(right[start].right, t1.left):
+        while start < len(right) and right[start].right < t1.left:
             start += 1
         stop = start
-        while stop < len(right) and not bound_lt(t1.right, right[stop].left):
+        while stop < len(right) and right[stop].left <= t1.right:
             stop += 1
         yield t1, right[start:stop]
 
@@ -169,7 +168,7 @@ def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
             out.append(both)
         # advance the cursor whose interval ends first; on equal right
         # bounds either may go, as neither meets the other's successor
-        if bound_lt(x.right, y.right) or (x.right == y.right and x.right_open <= y.right_open):
+        if (x.right, x.right_open) <= (y.right, y.right_open):
             i += 1
         else:
             j += 1

@@ -1,8 +1,9 @@
 """Exact rational intervals on the timeline.
 
-Endpoints are `fractions.Fraction` values or the infinity sentinels NEG_INF /
-POS_INF.  All interval values are immutable; the empty interval is the single
-module-level EMPTY object.
+Finite endpoints are `fractions.Fraction` values; the infinite ones are the
+two float constants NEG_INF and POS_INF, so bounds compare with the built-in
+operators.  All interval values are immutable; the empty interval is the
+single module-level EMPTY object.
 """
 
 from __future__ import annotations
@@ -13,67 +14,14 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Union
 
+POS_INF = math.inf
+NEG_INF = -math.inf
 
-class _Infinity:
-    """Signed infinity usable as an interval bound.
-
-    Addition/subtraction follows the convention that an infinite operand
-    absorbs finite ones; mixing two infinities of conflicting sign is a bug
-    in the caller and raises.
-    """
-
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __repr__(self):
-        return "+inf" if self.sign > 0 else "-inf"
-
-    def __neg__(self):
-        return NEG_INF if self.sign > 0 else POS_INF
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        return self.sign < 0
-
-    def __le__(self, other):
-        return self is other or self < other
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __ge__(self, other):
-        return self is other or self > other
-
-    def __add__(self, other):
-        if isinstance(other, _Infinity) and other.sign != self.sign:
-            raise ArithmeticError("inf + -inf is undefined")
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _Infinity) and other.sign == self.sign:
-            raise ArithmeticError("inf - inf is undefined")
-        return self
-
-    def __rsub__(self, other):
-        # other - self, with other finite (or opposite-sign infinity)
-        return -self
-
-
-POS_INF = _Infinity(1)
-NEG_INF = _Infinity(-1)
-
-Bound = Union[Fraction, _Infinity]
+Bound = Union[Fraction, float]
 
 
 def is_finite(b: Bound) -> bool:
-    return not isinstance(b, _Infinity)
+    return not isinstance(b, float)
 
 
 def bound_add(a: Bound, b: Bound) -> Bound:
@@ -81,29 +29,24 @@ def bound_add(a: Bound, b: Bound) -> Bound:
 
     The dominance rule is what the interval-operation formulas need: the
     endpoint contributed by the first interval decides when both are
-    unbounded (e.g. [3,+inf) shifted by an unbounded operator interval).
+    unbounded (e.g. [3,+inf) shifted by an unbounded operator interval);
+    float addition would give nan for inf + -inf.  Infinite results are
+    POS_INF/NEG_INF themselves, never fresh floats.
     """
-    if isinstance(a, _Infinity):
+    if not is_finite(a):
         return a
+    if not is_finite(b):
+        return b
     return a + b
 
 
 def bound_sub(a: Bound, b: Bound) -> Bound:
-    if isinstance(a, _Infinity):
+    """a - b, under bound_add's rules (circleminus needs inf - inf = inf)."""
+    if not is_finite(a):
         return a
-    if isinstance(b, _Infinity):
-        return -b
+    if not is_finite(b):
+        return NEG_INF if b > 0 else POS_INF
     return a - b
-
-
-def _bound_key(b: Bound):
-    if isinstance(b, _Infinity):
-        return (b.sign, Fraction(0))
-    return (0, b)
-
-
-def bound_lt(a: Bound, b: Bound) -> bool:
-    return _bound_key(a) < _bound_key(b)
 
 
 @dataclass(frozen=True)
@@ -123,12 +66,7 @@ class Interval:
 
     def sort_key(self):
         # left bound, closed-before-open, right bound, closed-before-open
-        return (
-            _bound_key(self.left),
-            self.left_open,
-            _bound_key(self.right),
-            self.right_open,
-        )
+        return (self.left, self.left_open, self.right, self.right_open)
 
     def __repr__(self):
         if self is EMPTY:
@@ -142,8 +80,8 @@ class Interval:
 
 
 def _fmt_bound(b: Bound) -> str:
-    if isinstance(b, _Infinity):
-        return "+inf" if b.sign > 0 else "-inf"
+    if not is_finite(b):
+        return "+inf" if b > 0 else "-inf"
     if b.denominator == 1:
         return str(b.numerator)
     return f"{b.numerator}/{b.denominator}"
@@ -155,15 +93,15 @@ EMPTY = Interval(POS_INF, NEG_INF, True, True)
 
 def normalize(left: Bound, right: Bound, left_open: bool, right_open: bool) -> Interval:
     """Canonical interval for the given endpoints, or EMPTY if degenerate."""
-    if isinstance(left, _Infinity):
-        if left.sign > 0:
+    if not is_finite(left):
+        if left > 0:
             return EMPTY
         left_open = True
-    if isinstance(right, _Infinity):
-        if right.sign < 0:
+    if not is_finite(right):
+        if right < 0:
             return EMPTY
         right_open = True
-    if bound_lt(right, left):
+    if right < left:
         return EMPTY
     if left == right and (left_open or right_open):
         return EMPTY
@@ -184,8 +122,8 @@ FULL_LINE = normalize(NEG_INF, POS_INF, True, True)
 
 
 def _coerce(v) -> Bound:
-    if isinstance(v, _Infinity):
-        return v
+    if isinstance(v, float) and math.isinf(v):
+        return POS_INF if v > 0 else NEG_INF
     return Fraction(v)
 
 
@@ -233,15 +171,15 @@ def interval_op(kind: str, i1: Interval, i2: Optional[Interval] = None) -> Inter
 def intersect(i1: Interval, i2: Interval) -> Interval:
     if i1.is_empty or i2.is_empty:
         return EMPTY
-    if bound_lt(i1.left, i2.left):
+    if i1.left < i2.left:
         left, left_open = i2.left, i2.left_open
-    elif bound_lt(i2.left, i1.left):
+    elif i2.left < i1.left:
         left, left_open = i1.left, i1.left_open
     else:
         left, left_open = i1.left, i1.left_open or i2.left_open
-    if bound_lt(i1.right, i2.right):
+    if i1.right < i2.right:
         right, right_open = i1.right, i1.right_open
-    elif bound_lt(i2.right, i1.right):
+    elif i2.right < i1.right:
         right, right_open = i2.right, i2.right_open
     else:
         right, right_open = i1.right, i1.right_open or i2.right_open
@@ -255,14 +193,14 @@ def union_if_coalescable(i1: Interval, i2: Interval) -> Optional[Interval]:
     a, b = sorted((i1, i2), key=Interval.sort_key)
     # gap iff a ends strictly before b starts, or they touch at a point
     # covered by neither side
-    if bound_lt(a.right, b.left):
+    if a.right < b.left:
         return None
     if a.right == b.left and a.right_open and b.left_open:
         return None
     left, left_open = a.left, a.left_open
-    if bound_lt(a.right, b.right):
+    if a.right < b.right:
         right, right_open = b.right, b.right_open
-    elif bound_lt(b.right, a.right):
+    elif b.right < a.right:
         right, right_open = a.right, a.right_open
     else:
         right, right_open = a.right, a.right_open and b.right_open
@@ -275,11 +213,11 @@ def subset(i1: Interval, i2: Interval) -> bool:
         return True
     if i2.is_empty:
         return False
-    if bound_lt(i1.left, i2.left):
+    if i1.left < i2.left:
         return False
     if i1.left == i2.left and i2.left_open and not i1.left_open:
         return False
-    if bound_lt(i2.right, i1.right):
+    if i2.right < i1.right:
         return False
     if i1.right == i2.right and i2.right_open and not i1.right_open:
         return False

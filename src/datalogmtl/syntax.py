@@ -24,8 +24,7 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     Interval,
-    _Infinity,
-    bound_lt,
+    is_finite,
     normalize,
 )
 
@@ -346,32 +345,36 @@ class _Parser:
         t = self.next()
         if t.kind != "number":
             raise SyntaxFault(f"expected a number, got {t.text!r}", t.line, t.column)
-        return Fraction(t.text)
+        try:
+            return Fraction(t.text)
+        except (ValueError, ZeroDivisionError):
+            # the number token also admits 1/0 and 1.5/2
+            raise SyntaxFault(f"not a rational number: {t.text!r}", t.line, t.column) from None
 
     def parse_interval(self, operator_position: bool = False) -> Interval:
         t = self.next()
         if t.text not in ("[", "("):
             raise SyntaxFault(f"expected interval, got {t.text!r}", t.line, t.column)
         left_open = t.text == "("
-        left = self._parse_bound(negative_ok=True)
-        if isinstance(left, _Infinity) and not left_open:
+        left = self._parse_bound()
+        if not is_finite(left) and not left_open:
             raise SyntaxFault("infinite endpoint requires an open bracket", t.line, t.column)
         self.expect(",")
-        right = self._parse_bound(negative_ok=True)
+        right = self._parse_bound()
         t2 = self.next()
         if t2.text not in ("]", ")"):
             raise SyntaxFault(f"expected ] or ), got {t2.text!r}", t2.line, t2.column)
         right_open = t2.text == ")"
-        if isinstance(right, _Infinity) and not right_open:
+        if not is_finite(right) and not right_open:
             raise SyntaxFault("infinite endpoint requires an open bracket", t2.line, t2.column)
         iv = normalize(left, right, left_open, right_open)
         if iv.is_empty:
             raise SyntaxFault("empty interval", t.line, t.column)
-        if operator_position and bound_lt(iv.left, Fraction(0)):
+        if operator_position and iv.left < 0:
             raise SyntaxFault("operator interval must be non-negative", t.line, t.column)
         return iv
 
-    def _parse_bound(self, negative_ok: bool):
+    def _parse_bound(self):
         t = self.peek()
         if t.kind == "inf":
             self.next()

@@ -191,6 +191,59 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "program, data, fact",
+    [
+        ("P(X) :- Q(X) .", "Q(a)@[0,1]\n", "P(a)@[0,1/0]"),
+        ("P(X) :- Q(X) .", "Q(a)@[0,1/0]\n", "P(a)@[0,1]"),
+        ("P(X) :- DIAMONDMINUS[0,1.5/2] Q(X) .", "Q(a)@[0,1]\n", "P(a)@[0,1]"),
+    ],
+    ids=["fact", "dataset", "program"],
+)
+def test_malformed_rational_exit_2(capsys, tmp_path, program, data, fact):
+    (tmp_path / "p.dmtl").write_text(program)
+    (tmp_path / "d.dtf").write_text(data)
+    code, _, err = run(capsys, "check", "--program", str(tmp_path / "p.dmtl"),
+                       "--data", str(tmp_path / "d.dtf"), "--fact", fact)
+    assert code == 2
+    assert err.startswith("error: line 1, column ") and "not a rational number" in err
+
+
+GOOD_SPEC = {
+    "predicates": [["P", 1]],
+    "constant_pool": 3,
+    "fact_count": 2,
+    "endpoint_range": [0, 5],
+    "max_interval_length": 2,
+    "granularity": 1,
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"constant_pool": None}, "constant_pool"),
+        ({"seed": None}, "seed"),
+        ({"predicates": 5}, "predicates"),
+        ({"predicates": [["P"]]}, "predicates"),
+        ({"endpoint_range": [0, 5, 6]}, "endpoint_range"),
+        ({"endpoint_range": [5, 0]}, "endpoint_range"),
+        ({"granularity": "1/0"}, "granularity"),
+        ({"granularity": 0}, "granularity"),
+        ({"fact_count": "many"}, "fact_count"),
+        ({"constant_pool": 0}, "constant_pool"),
+        ({"max_interval_length": -1}, "max_interval_length"),
+    ],
+)
+def test_generate_malformed_spec_exit_2(capsys, tmp_path, change, field):
+    spec = {k: v for k, v in {**GOOD_SPEC, **change}.items() if v is not None}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code, out, err = run(capsys, "generate", "--spec", str(tmp_path / "spec.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["check"]) == 1
     assert main([]) == 1

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no function
+takes a parameter it never reads."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,43 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """`function(parameter)` for each parameter its body never names, except
+    self/cls, `_`-prefixed names and the parameters of dunder methods."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        named = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [
+            f"{node.name}({p})"
+            for p in params
+            if p not in named and p not in ("self", "cls") and not p.startswith("_")
+        ]
+    return sorted(out)
+
+
+def test_scan_finds_unused_parameters():
+    source = (
+        "def f(a, b, _c, *args, d, **kw):\n"
+        "    def g(self, e):\n"
+        "        return a\n"
+        "    return kw\n"
+        "class K:\n"
+        "    def __init__(self, x):\n"
+        "        pass\n"
+        "    def m(self, y, cls):\n"
+        "        return y\n"
+    )
+    assert unused_parameters(source) == ["f(args)", "f(b)", "f(d)", "g(e)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

@@ -209,6 +209,22 @@ def test_coalesce_canonical(ivs):
         assert got == want
 
 
+@given(unbounded_intervals(), unbounded_intervals(), st.booleans(), st.booleans())
+def test_bounds_are_fractions_or_the_infinity_constants(i1, i2, left_open, right_open):
+    results = [
+        normalize(i1.left, i1.right, left_open, right_open),
+        intersect(i1, i2),
+        union_if_coalescable(i1, i2),
+        *(interval_op(kind, i1, i2) for kind in ("closure", "minus", "circleminus", "plus", "circleplus")),
+        *coalesce([i1, i2]),
+    ]
+    for iv in results:
+        if iv is None:
+            continue
+        for b in (iv.left, iv.right):
+            assert type(b) is Fraction or b is POS_INF or b is NEG_INF, (iv, b)
+
+
 @given(
     st.lists(
         st.fractions(min_value=Fraction(0), max_value=Fraction(10), max_denominator=6),

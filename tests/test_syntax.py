@@ -111,6 +111,22 @@ def test_parse_syntax_error_reports_position():
     assert exc.value.line >= 1
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_fact, "P(a)@[0,1/0]", "line 1, column 9"),
+        (parse_fact, "P(a)@[1.5/2,3]", "line 1, column 7"),
+        (parse_dataset, "P(a)@[0,1]\nP(a)@[-1/0,1]\n", "line 1, column 8"),
+        (parse_program, "P(X) :-\n  DIAMONDMINUS[0,2/0] Q(X) .", "line 2, column 18"),
+        (parse_program, "P(X) :- Q(X) SINCE(1.5/2,3] R(X) .", "line 1, column 20"),
+    ],
+)
+def test_malformed_rational_is_a_positioned_fault(parse, text, position):
+    with pytest.raises(SyntaxFault, match="not a rational number") as exc:
+        parse(text)
+    assert position in str(exc.value)
+
+
 def test_ground_counts():
     prog = parse_program("P(X) :- Q(X) .")
     assert len(ground(prog, {"a", "b"})) == 2
