@@ -12,7 +12,7 @@ from typing import Sequence
 from .intervals import Interval, is_finite, make
 from .pipeline import check_entailment
 from .store import FactStore
-from .syntax import Constant, Fact, Program, RelationalAtom
+from .syntax import Constant, Fact, Program, RelationalAtom, is_predicate_name
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,12 @@ class GeneratorSpec:
             raise ValueError("fact_count must be at least 1")
         if not self.predicates:
             raise ValueError("at least one predicate is required")
+        for name, arity in self.predicates:
+            if not is_predicate_name(name) or arity < 0:
+                raise ValueError(
+                    "generator spec field 'predicates' is malformed: "
+                    f"{name!r} with arity {arity} is not a predicate the parser reads"
+                )
         if self.constant_pool < 1:
             raise ValueError("constant_pool must be at least 1")
         if self.endpoint_range.is_empty:

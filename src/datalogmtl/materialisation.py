@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .evaluation import evaluate_rule
 from .store import FactStore
@@ -14,7 +14,7 @@ from .syntax import Fact, Program
 @dataclass
 class MaterialisationOutcome:
     store: FactStore
-    status: str  # Fixpoint | TargetEntailed | RoundLimit | Inconsistent | Cancelled
+    status: str  # Fixpoint | TargetEntailed | RoundLimit | Inconsistent
     rounds: int
     coalescing_time: float = 0.0
 
@@ -60,7 +60,6 @@ def materialise(
     store: FactStore,
     max_rounds: Optional[int] = None,
     target: Optional[Fact] = None,
-    cancelled: Optional[Callable[[], bool]] = None,
 ) -> MaterialisationOutcome:
     """Iterate apply_rules until a target is entailed, a fixpoint or the
     round limit is reached, or inconsistency is derived.
@@ -77,8 +76,6 @@ def materialise(
     rounds = 0
     changed = None
     while max_rounds is None or rounds < max_rounds:
-        if cancelled is not None and cancelled():
-            return MaterialisationOutcome(store, "Cancelled", rounds, coalescing_time)
         t0 = time.perf_counter()
         gained: set[str] = set()
         new = apply_rules(program, store, changed, gained)

@@ -2,10 +2,12 @@
 
 Fast path over the stored dataset, relevant-rule extraction, a plain
 materialisation loop for non-recursive subprograms, and for recursive ones a
-pre-materialisation followed by either a two-worker race (continued
-materialisation vs. the automata decision) or, in sequential test mode, a
-bounded materialisation run with an automata fallback.  Both modes bound
-materialisation by the same round budget.
+pre-materialisation followed by either a race or, in sequential test mode, a
+bounded materialisation run with an automata fallback.  The race runs
+continued materialisation in a forked child process and the automata decision
+in the calling thread, so the two engines do not share an interpreter lock;
+it needs the POSIX `fork` start method.  Both modes bound materialisation by
+the same round budget.
 
 Fact types mirror the answering code path: T1 dataset fast path, T2
 non-recursive loop, T3 fixpoint during recursive materialisation, T4 target
@@ -14,8 +16,8 @@ hit during recursive materialisation, T5 automata.
 
 from __future__ import annotations
 
-import queue
-import threading
+import multiprocessing
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -40,21 +42,18 @@ def pre_materialise(
     program: Program,
     store: FactStore,
     target: Fact | None = None,
-    cancelled=None,
 ) -> tuple[FactStore, str, int]:
     """Advance materialisation until a round grows no non-recursive
     predicate; target, fixpoint and inconsistency exits still apply.  Rounds
     are delta-driven, as in `materialise`.
 
     Returns (store, status, rounds) with status one of PreDone, Fixpoint,
-    TargetEntailed, Inconsistent, Cancelled.
+    TargetEntailed, Inconsistent.
     """
     recursive = dependency_info(program).recursive
     rounds = 0
     changed = None
     while True:
-        if cancelled is not None and cancelled():
-            return store, "Cancelled", rounds
         gained: set[str] = set()
         new = apply_rules(program, store, changed, gained)
         rounds += 1
@@ -73,7 +72,7 @@ def _materialisation_result(
     status: str, rounds: int, timings: dict, recursive: bool = True
 ) -> EntailmentResult | None:
     """The answer a materialisation status gives, or None for statuses that
-    give none (PreDone, RoundLimit, Cancelled)."""
+    give none (PreDone, RoundLimit)."""
     if status not in ("Inconsistent", "TargetEntailed", "Fixpoint"):
         return None
     if not recursive:
@@ -97,7 +96,6 @@ def check_entailment(
     *,
     sequential: bool = False,
     round_budget: int = 1000,
-    max_states: int = 200_000,
 ) -> EntailmentResult:
     timings: dict = {}
     t0 = time.perf_counter()
@@ -125,10 +123,10 @@ def check_entailment(
         return result
 
     finish = _sequential_finish if sequential else _race_finish
-    return finish(sub, dpre, query, pre_rounds, timings, round_budget, max_states)
+    return finish(sub, dpre, query, pre_rounds, timings, round_budget)
 
 
-def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget, max_states):
+def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     t0 = time.perf_counter()
     out = materialise(sub, dpre.snapshot(), max_rounds=round_budget, target=query)
     timings["materialisation"] = time.perf_counter() - t0
@@ -138,68 +136,79 @@ def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget, max_
         return result
     t0 = time.perf_counter()
     red = entail_to_inconsist(sub, list(dpre.facts()), query)
-    answer = not consistent(red.program, list(red.dataset), max_states=max_states)
+    answer = not consistent(red.program, list(red.dataset))
     timings["automata"] = time.perf_counter() - t0
     return EntailmentResult(answer, "T5", rounds, "automata", timings)
 
 
-def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget, max_states):
+def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     """Race continued materialisation, under the round budget, against the
-    automata decision; the first answer wins and cancels the other worker.
+    automata decision; the first answer wins.
 
-    A worker that raises or runs out of rounds reports that instead of an
-    answer.  When neither worker answers, the automata's error is raised.
+    Materialisation runs in a forked child, which sends back one message: its
+    answer, None when it runs out of rounds, or its exception.  The automata
+    run here and stop at the next state once the child has sent an answer.
+    When neither engine answers, the automata's error is raised.  The child is
+    killed and reaped on every way out.
     """
-    stop = threading.Event()
-    results: queue.Queue = queue.Queue()
+    t0 = time.perf_counter()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    message = []  # the child's one message, once received
 
-    def run_materialisation():
+    def receive():
         try:
-            out = materialise(
-                sub,
-                dpre.snapshot(),
-                max_rounds=round_budget,
-                target=query,
-                cancelled=stop.is_set,
-            )
-            result = _materialisation_result(out.status, pre_rounds + out.rounds, timings)
-            results.put(("materialisation", result))
-        except Exception as e:
-            results.put(("materialisation", e))
+            message.append(receiver.recv())
+        except EOFError:  # the child died without sending
+            message.append(None)
 
-    def run_automata():
+    def materialisation_answered():
+        if not message and receiver.poll():
+            receive()
+        return bool(message) and isinstance(message[0], EntailmentResult)
+
+    # the fork start method flushes stdout and stderr before it forks, so the
+    # child's exit does not write the parent's buffered output a second time
+    child = ctx.Process(
+        target=_materialisation_worker,
+        args=(sender, sub, dpre, query, pre_rounds, round_budget),
+        daemon=True,
+    )
+    child.start()
+    sender.close()
+    try:
         try:
             red = entail_to_inconsist(sub, list(dpre.facts()), query)
             answer = not consistent(
-                red.program,
-                list(red.dataset),
-                cancelled=stop.is_set,
-                max_states=max_states,
+                red.program, list(red.dataset), cancelled=materialisation_answered
             )
             result = EntailmentResult(answer, "T5", pre_rounds, "automata", timings)
-            results.put(("automata", result))
-        except Exception as e:
-            results.put(("automata", e))
-
-    t0 = time.perf_counter()
-    threads = [
-        threading.Thread(target=run_materialisation, daemon=True),
-        threading.Thread(target=run_automata, daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    winner = automata_error = None
-    for _ in threads:
-        engine, outcome = results.get()
-        if isinstance(outcome, EntailmentResult):
-            winner = outcome
-            break
-        if engine == "automata":
-            automata_error = outcome
-    stop.set()
-    for t in threads:
-        t.join()
+        except Exception:
+            # cancelled by the child's answer, or failed: wait for the child
+            if not message:
+                receive()
+            result = message[0]
+            if not isinstance(result, EntailmentResult):
+                raise
+            result.timings = timings
+    finally:
+        child.kill()
+        child.join()
+        receiver.close()
     timings["race"] = time.perf_counter() - t0
-    if winner is None:
-        raise automata_error
-    return winner
+    return result
+
+
+def _materialisation_worker(sender, sub, dpre, query, pre_rounds, round_budget):
+    """The race's child: materialise the fork's copy of `dpre` and send the
+    outcome, as an exception that pickles if it is one."""
+    try:
+        out = materialise(sub, dpre, max_rounds=round_budget, target=query)
+        message = _materialisation_result(out.status, pre_rounds + out.rounds, {})
+    except Exception as e:
+        message = e
+        try:
+            pickle.loads(pickle.dumps(e))
+        except Exception:
+            message = RuntimeError(repr(e))
+    sender.send(message)

@@ -293,9 +293,10 @@ class _Token:
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, line: int = 1) -> list[_Token]:
+    """Tokens of `text`, positioned as if it started at `line`, column 1."""
     tokens = []
-    line, col = 1, 1
+    col = 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -316,9 +317,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def is_predicate_name(name) -> bool:
+    """True iff the parser reads `name` back as a predicate name: one name
+    token that is not a keyword."""
+    m = _TOKEN_RE.fullmatch(name) if isinstance(name, str) else None
+    keywords = (*UNARY_OPS, *BINARY_OPS, "TOP", "BOTTOM")
+    return m is not None and m.lastgroup == "name" and name not in keywords
+
+
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, line: int = 1):
+        self.tokens = _tokenize(text, line)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -488,14 +497,11 @@ def parse_dataset(text: str) -> list[Fact]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        p = _Parser(stripped)
-        try:
-            fact = p.parse_fact()
-        except SyntaxFault as e:
-            raise SyntaxFault(f"{e} (dataset line {lineno})") from None
+        # each line parses on its own, its faults positioned in the dataset
+        p = _Parser(line, lineno)
+        facts.append(p.parse_fact())
         if not p.at_eof():
-            raise SyntaxFault(f"trailing input after fact (dataset line {lineno})")
-        facts.append(fact)
+            p.fail("trailing input after fact")
     return facts
 
 

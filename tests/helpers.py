@@ -3,10 +3,12 @@ bounded-instance generation for oracle comparisons."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import datalogmtl
 from datalogmtl.intervals import (
     EMPTY,
     Interval,
@@ -205,3 +207,13 @@ def wrap_literals_in_rules(literals) -> Program:
         for i, lit in enumerate(literals)
     )
     return Program(rules)
+
+
+def block_buffered_env() -> dict:
+    """Environment for a `python` subprocess that imports this checkout's
+    `datalogmtl` and block-buffers a piped stdout (no PYTHONUNBUFFERED)."""
+    src = str(Path(datalogmtl.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env

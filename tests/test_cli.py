@@ -13,7 +13,7 @@ from datalogmtl import cli
 from datalogmtl.cli import main
 from datalogmtl.syntax import parse_program
 
-from helpers import FIXTURES
+from helpers import FIXTURES, block_buffered_env
 
 
 def run(capsys, *args):
@@ -244,6 +244,25 @@ def test_generate_malformed_spec_exit_2(capsys, tmp_path, change, field):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize(
+    "predicates", [[[1, 1], ["p q", 0]], [["P", 1], ["TOP", 1]], [["P", -1]]]
+)
+def test_generate_rejects_predicates_the_parser_cannot_read(capsys, tmp_path, predicates):
+    (tmp_path / "spec.json").write_text(json.dumps({**GOOD_SPEC, "predicates": predicates}))
+    code, out, err = run(capsys, "generate", "--spec", str(tmp_path / "spec.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: generator spec field 'predicates' is malformed: ")
+
+
+def test_dataset_fault_reports_its_dataset_line(capsys, tmp_path):
+    (tmp_path / "p.dmtl").write_text("")
+    (tmp_path / "d.dtf").write_text("P(a)@[0,1]\nP(b)@[0,x]\n")
+    code, _, err = run(capsys, "materialize", "--program", str(tmp_path / "p.dmtl"),
+                       "--data", str(tmp_path / "d.dtf"))
+    assert code == 2
+    assert err.startswith("error: line 2, column 9: ")
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["check"]) == 1
     assert main([]) == 1
@@ -278,3 +297,18 @@ def test_race_without_an_answer_exits_3(tmp_path):
     )
     assert done.returncode == 3, done.stderr
     assert "limit:" in done.stderr
+
+
+def test_race_check_json_through_a_pipe_prints_one_document():
+    # stdout is a block-buffered pipe here, which the race's forked child
+    # inherits; the answer must still come out once
+    done = subprocess.run(
+        [sys.executable, "-m", "datalogmtl.cli", "check", "--program", fix("birthday.dmtl"),
+         "--data", fix("birthday.dtf"), "--fact", "Bday(a)@[1/2,1/2]", "--json"],
+        capture_output=True, text=True, env=block_buffered_env(), timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("\n") == 1
+    payload = json.loads(done.stdout)
+    assert (payload["answer"], payload["fact_type"]) == (False, "T5")
+    assert "race" in payload["timings"]

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no function
-takes a parameter it never reads."""
+"""Source hygiene: no module imports a name it never uses, no function
+takes a parameter it never reads, and every parameter default is overridden
+by some call."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,72 @@ def test_scan_finds_unused_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+# every file whose calls count: the package, its tests and the benchmark
+TESTS = Path(__file__).parent
+CALLERS = sorted({*MODULES, *TESTS.glob("*.py"), *(TESTS.parent / "benchmark").glob("*.py")})
+
+
+def never_passed_parameters(defining: str, calling: list[str]) -> list[str]:
+    """`function(parameter)` for each parameter of a function in `defining`
+    that has a default and that no call in `calling` passes, by keyword or by
+    position.  Calls match by the called name.  Skips `_`-prefixed
+    parameters, dunder methods, and calls that pass *args or **kwargs."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                continue
+            if any(k.arg is None for k in node.keywords):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            calls.setdefault(name, []).append(node)
+    tree = ast.parse(defining)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        # a call through an attribute binds a method's self/cls itself
+        shift = int(id(node) in methods and bool(positional) and positional[0].arg in ("self", "cls"))
+        first_default = len(positional) - len(a.defaults)
+        defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first_default]
+        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for p, i in defaulted:
+            if p.startswith("_"):
+                continue
+            if not any(
+                p in {k.arg for k in c.keywords}
+                or (i is not None and len(c.args) + shift * isinstance(c.func, ast.Attribute) > i)
+                for c in calls.get(node.name, [])
+            ):
+                out.append(f"{node.name}({p})")
+    return sorted(out)
+
+
+def test_scan_finds_never_passed_parameters():
+    defining = (
+        "def f(a, b=1, c=2, *, d=3, e=4, _g=5):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def m(self, x=1, y=2):\n"
+        "        pass\n"
+        "    def __init__(self, z=1):\n"
+        "        pass\n"
+    )
+    calling = ["f(0, 5, e=1)\nK().m(1)\nf(*xs, d=1)\nf(**kw)\n"]
+    assert never_passed_parameters(defining, calling) == ["f(c)", "f(d)", "m(y)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_default_is_passed_somewhere(path):
+    calling = [p.read_text() for p in CALLERS]
+    assert never_passed_parameters(path.read_text(), calling) == []

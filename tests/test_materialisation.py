@@ -86,13 +86,6 @@ def test_materialise_target_already_in_store():
     assert out.status == "TargetEntailed" and out.rounds == 0
 
 
-def test_materialise_cancellation():
-    out = materialise(
-        load_program("birthday"), store_of("Bday(t)@[0,0]"), cancelled=lambda: True
-    )
-    assert out.status == "Cancelled"
-
-
 def test_monotone_growth_across_rounds():
     prog = load_program("professor")
     store = FactStore.from_facts(load_dataset("professor"))

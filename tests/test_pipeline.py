@@ -1,12 +1,21 @@
 """End-to-end entailment: fast path, non-recursive loop, pre-materialisation,
-sequential finish, and the two-worker race."""
+sequential finish, and the race between a forked materialisation child and
+the automata."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+
+import pytest
+
+from datalogmtl import pipeline
 from datalogmtl.intervals import make
 from datalogmtl.pipeline import check_entailment, pre_materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import parse_dataset, parse_fact, parse_program
 
-from helpers import load_dataset, load_program
+from helpers import block_buffered_env, load_dataset, load_program
 
 
 def store_of(text):
@@ -114,6 +123,81 @@ def test_race_answers_when_the_automata_reject_the_program():
     )
     r = check_entailment(prog, store_of("P(a)@[0,0]"), parse_fact("P2(a)@[5,5]"))
     assert (r.answer, r.fact_type, r.winner) == (True, "T4", "materialisation")
+
+
+# the automata reject the unbounded BOXMINUS and materialisation never
+# reaches the query, so neither engine answers
+NO_ANSWER_PROGRAM = "BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X) ."
+
+
+def test_race_leaves_no_child():
+    birthday = load_program("birthday")
+    r = check_entailment(birthday, store_of("Bday(t)@[0,0]"), parse_fact("Bday(t)@[1/2,1/2]"))
+    assert r.winner == "automata" and multiprocessing.active_children() == []
+
+    prog = parse_program(
+        "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), P(X) ."
+    )
+    r = check_entailment(prog, store_of("P(a)@[0,0]"), parse_fact("P2(a)@[5,5]"))
+    assert r.winner == "materialisation" and multiprocessing.active_children() == []
+    assert {"pre_materialisation", "race"} <= set(r.timings)
+
+    with pytest.raises(NotImplementedError):
+        check_entailment(parse_program(NO_ANSWER_PROGRAM), store_of("P(a)@[0,0]"),
+                         parse_fact("Q(a)@[5,5]"), round_budget=50)
+    assert multiprocessing.active_children() == []
+
+
+def test_race_ignores_a_child_without_an_answer():
+    # the child runs out of its zero-round budget at once; the automata answer
+    r = check_entailment(load_program("birthday"), store_of("Bday(t)@[0,0]"),
+                         parse_fact("Bday(t)@[1/2,1/2]"), round_budget=0)
+    assert (r.answer, r.winner) == (False, "automata")
+
+
+def test_race_child_that_dies_gives_no_answer(monkeypatch):
+    monkeypatch.setattr(pipeline, "materialise", lambda *a, **k: os._exit(1))
+    with pytest.raises(NotImplementedError):
+        check_entailment(parse_program(NO_ANSWER_PROGRAM), store_of("P(a)@[0,0]"),
+                         parse_fact("Q(a)@[5,5]"))
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("no")
+        self.hook = lambda: None
+
+
+def test_materialisation_worker_sends_an_unpicklable_error_as_its_repr(monkeypatch):
+    def fail(*args, **kwargs):
+        raise _Unpicklable()
+
+    monkeypatch.setattr(pipeline, "materialise", fail)
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    pipeline._materialisation_worker(sender, None, None, None, 0, 10)
+    message = receiver.recv()
+    assert type(message) is RuntimeError and str(message) == repr(_Unpicklable())
+
+
+def test_race_does_not_repeat_buffered_output():
+    # output still buffered in the parent when the race forks is written
+    # once, also when the child exits on its own (here at once, with no
+    # rounds to run) instead of being killed
+    script = (
+        "from datalogmtl.pipeline import check_entailment\n"
+        "from datalogmtl.store import FactStore\n"
+        "from datalogmtl.syntax import parse_dataset, parse_fact, parse_program\n"
+        "print('before')\n"
+        "r = check_entailment(parse_program('BOXPLUS[1,1] Bday(X) :- Bday(X) .'),\n"
+        "    FactStore.from_facts(parse_dataset('Bday(t)@[0,0]')),\n"
+        "    parse_fact('Bday(t)@[1/2,1/2]'), round_budget=0)\n"
+        "print(r.winner)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=block_buffered_env(), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before\nautomata\n"
 
 
 def test_irrelevant_rules_are_dropped():

@@ -19,6 +19,7 @@ from datalogmtl.syntax import (
     Variable,
     check_arities,
     ground,
+    is_predicate_name,
     parse_dataset,
     parse_fact,
     parse_program,
@@ -116,7 +117,7 @@ def test_parse_syntax_error_reports_position():
     [
         (parse_fact, "P(a)@[0,1/0]", "line 1, column 9"),
         (parse_fact, "P(a)@[1.5/2,3]", "line 1, column 7"),
-        (parse_dataset, "P(a)@[0,1]\nP(a)@[-1/0,1]\n", "line 1, column 8"),
+        (parse_dataset, "P(a)@[0,1]\nP(a)@[-1/0,1]\n", "line 2, column 8"),
         (parse_program, "P(X) :-\n  DIAMONDMINUS[0,2/0] Q(X) .", "line 2, column 18"),
         (parse_program, "P(X) :- Q(X) SINCE(1.5/2,3] R(X) .", "line 1, column 20"),
     ],
@@ -125,6 +126,27 @@ def test_malformed_rational_is_a_positioned_fault(parse, text, position):
     with pytest.raises(SyntaxFault, match="not a rational number") as exc:
         parse(text)
     assert position in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("P(a)@[0,1]\nP(b)@[0,x]", 2, 9, "expected a number, got 'x'"),
+        ("P(a)@[0,1]\n\n  P(b)@[0,1] x\n", 3, 14, "trailing input after fact"),
+    ],
+)
+def test_dataset_faults_carry_their_dataset_position(text, line, column, message):
+    with pytest.raises(SyntaxFault) as exc:
+        parse_dataset(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_is_predicate_name():
+    for name in ("P", "p_1", "_x", "inf", "Bday"):
+        assert is_predicate_name(name), name
+    for name in (1, None, "1", "p q", "", "P(a)", "-inf", "TOP", "BOTTOM", "SINCE", "BOXPLUS"):
+        assert not is_predicate_name(name), name
 
 
 def test_ground_counts():
