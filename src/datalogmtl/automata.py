@@ -7,6 +7,10 @@ contains its whole z-neighbourhood; committed cells must satisfy every ground
 rule exactly.  Consistency = a satisfiable assignment of the span
 Q = [-x-z, x+z] that extends to infinite runs in both directions, found by
 depth-first search with cycle detection on shift-invariant window states.
+Every interval the search handles (data, horizon, span, cells, and the sums
+and intersections of them that operators and heads produce) has its
+endpoints on the d-grid, so the cells one meets are exactly the cells it
+contains, a contiguous run that RulerGrid.cells_in computes by arithmetic.
 
 Unbounded operator intervals are supported where the shipped pipeline
 produces them: the entailment reduction's rule BOTTOM :- anchor, BOX[0,inf)M
@@ -34,7 +38,6 @@ from .intervals import (
     make,
     normalize,
     point,
-    subset,
 )
 from .materialisation import apply_rules
 from .store import AtomKey, FactStore
@@ -147,10 +150,11 @@ class RulerGrid:
 
     # cell c: even -> point (c/2)*d, odd -> segment between neighbour points
     def cell_interval(self, c: int) -> Interval:
-        if c % 2 == 0:
-            return point((c // 2) * self.d)
-        k = (c - 1) // 2
-        return normalize(k * self.d, (k + 1) * self.d, True, True)
+        return self.cells_interval(c, c)
+
+    def cells_interval(self, lo: int, hi: int) -> Interval:
+        """The interval that cells lo..hi cover; EMPTY when hi < lo."""
+        return normalize(lo // 2 * self.d, (hi + 1) // 2 * self.d, lo % 2 == 1, hi % 2 == 1)
 
     def point_cell(self, t: Fraction) -> int:
         q = Fraction(t) / self.d
@@ -170,19 +174,17 @@ class RulerGrid:
     def z_cells(self) -> int:
         return int(2 * self.z / self.d)
 
-    def cells_in(self, iv: Interval) -> list[int]:
-        """Cells intersecting a bounded interval."""
+    def cells_in(self, iv: Interval) -> range:
+        """Cells meeting a bounded interval with endpoints on the grid: the
+        cells it contains, one contiguous run."""
         if iv.is_empty:
-            return []
+            return range(0)
         if not (is_finite(iv.left) and is_finite(iv.right)):
             raise ValueError("cells_in requires a bounded interval")
-        kmin = (Fraction(iv.left) / self.d).__floor__()
-        kmax = (Fraction(iv.right) / self.d).__floor__() + 1
-        out = []
-        for c in range(2 * kmin - 1, 2 * kmax + 2):
-            if not intersect(self.cell_interval(c), iv).is_empty:
-                out.append(c)
-        return out
+        return range(
+            self.point_cell(iv.left) + iv.left_open,
+            self.point_cell(iv.right) - iv.right_open + 1,
+        )
 
 
 def ruler_grid(program: Program, dataset: Sequence[Fact]) -> RulerGrid:
@@ -233,13 +235,7 @@ def _check_window(
     the span, which a different span assignment might supply.
     """
     store = _letters_store(grid, lo, letters)
-    hi = lo + len(letters) - 1
-    wiv = normalize(
-        grid.cell_interval(lo).left,
-        grid.cell_interval(hi).right,
-        grid.cell_interval(lo).left_open,
-        grid.cell_interval(hi).right_open,
-    )
+    wiv = grid.cells_interval(lo, lo + len(letters) - 1)
     for rule in ground_rules:
         lists = []
         dead = False
@@ -252,14 +248,8 @@ def _check_window(
         if dead:
             continue
         for iv in merge_intervals(lists):
-            body_part = intersect(iv, wiv)
-            if body_part.is_empty:
-                continue
-            for c in grid.cells_in(body_part):
-                civ = grid.cell_interval(c)
-                if c < lo or c > hi or intersect(civ, body_part).is_empty:
-                    continue
-                req = reverse_head(rule.head, civ)
+            for c in grid.cells_in(intersect(iv, wiv)):
+                req = reverse_head(rule.head, grid.cell_interval(c))
                 if isinstance(req, tuple):  # BOTTOM fired; never repairable
                     return False, False
                 if c in committed:
@@ -416,7 +406,7 @@ class _Engine:
         self.free_atoms: tuple[AtomKey, ...] = tuple(sorted(keys))
         self.prune_letters = prune_letters
 
-        # head key -> [(rule, box chain outermost-first, body reaches)]
+        # head key -> [(rule, box chain outermost-first, body reaches in cells)]
         self.rules_by_head: dict[AtomKey, list] = {}
         for rule in self.ground_rules:
             m = rule.head
@@ -426,7 +416,7 @@ class _Engine:
                 m = m.sub
             if not isinstance(m, Rel):
                 continue
-            reaches = tuple(_literal_reach(b) for b in rule.body)
+            reaches = tuple(int(2 * _literal_reach(b) / self.grid.d) for b in rule.body)
             self.rules_by_head.setdefault(m.atom.key(), []).append(
                 (rule, tuple(boxes), reaches)
             )
@@ -439,13 +429,12 @@ class _Engine:
 
         self.must: dict[int, Letter] = {}
         if self.base_store is not None:
-            for c in range(g.span_lo_cell, g.span_hi_cell + 1):
-                civ = g.cell_interval(c)
-                atoms = set()
-                for key, lst in self.base_store.atoms.items():
-                    if any(subset(civ, iv) for iv in lst):
-                        atoms.add(key)
-                self.must[c] = frozenset(atoms)
+            must = {c: set() for c in range(g.span_lo_cell, g.span_hi_cell + 1)}
+            for key, lst in self.base_store.atoms.items():
+                for iv in lst:
+                    for c in g.cells_in(intersect(iv, g.span)):
+                        must[c].add(key)
+            self.must = {c: frozenset(atoms) for c, atoms in must.items()}
         # unbounded dataset tails force atoms on every cell beyond the span
         self.tail_must = {1: set(), -1: set()}
         for f in self.facts:
@@ -491,6 +480,7 @@ class _Engine:
             return False
         g = self.grid
         hi = lo + len(letters) - 1
+        wiv = g.cells_interval(lo, hi)
         cell_iv = g.cell_interval(new_cell)
         for rule, boxes, reaches in rules:
             fire_iv = cell_iv
@@ -498,23 +488,20 @@ class _Engine:
                 # firing points whose head region can cover the new cell
                 kind = "plus" if op == "BOXMINUS" else "minus"
                 fire_iv = interval_op(kind, fire_iv, biv)
+            held: dict[int, set[int]] = {}  # body literal -> window cells where it holds
             for t in g.cells_in(fire_iv):
-                tiv = g.cell_interval(t)
-                if intersect(tiv, fire_iv).is_empty:
-                    continue
-                possible = True
-                for lit, reach in zip(rule.body, reaches):
-                    rc = int(2 * reach / g.d)
+                for i, (lit, rc) in enumerate(zip(rule.body, reaches)):
                     if t - rc < lo or t + rc > hi:
                         continue  # region leaves the fixed window: unknown
-                    holds = any(
-                        not intersect(tiv, iv).is_empty
-                        for iv in apply_operator(lit, store)
-                    )
-                    if not holds:
-                        possible = False
+                    if i not in held:
+                        held[i] = {
+                            c
+                            for iv in apply_operator(lit, store)
+                            for c in g.cells_in(intersect(iv, wiv))
+                        }
+                    if t not in held[i]:
                         break
-                if possible:
+                else:
                     return True
         return False
 

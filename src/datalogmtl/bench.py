@@ -1,5 +1,5 @@
-"""Synthetic benchmark generation, query generation, T-type census and a
-small timing harness."""
+"""Synthetic dataset generation, the T-type census and a small timing
+harness."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intervals import Interval, is_finite, make
+from .intervals import Interval, make
 from .pipeline import check_entailment
 from .store import FactStore
 from .syntax import Constant, Fact, Program, RelationalAtom, is_predicate_name
@@ -64,37 +64,6 @@ def generate_dataset(spec: GeneratorSpec) -> list[Fact]:
         length = rng.randint(0, max_len_steps) * g
         end = min(start + length, hi)
         out.append(Fact(RelationalAtom(pred, args), make(start, end, False, False)))
-    return out
-
-
-def generate_queries(
-    program: Program, dataset: Sequence[Fact], count: int, seed: int
-) -> list[Fact]:
-    """Query facts over atoms sampled from the dataset's signature, with
-    random intervals inside the dataset's endpoint range."""
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
-    rng = random.Random(seed)
-    atoms = sorted({f.atom for f in dataset}, key=str)
-    endpoints = [
-        b
-        for f in dataset
-        for b in (f.interval.left, f.interval.right)
-        if is_finite(b)
-    ]
-    lo, hi = min(endpoints), max(endpoints)
-    from .dense_grid import instance_granularity
-
-    g = instance_granularity(program, list(dataset))
-    steps = max(1, int((hi - lo) / g))
-    out = []
-    for _ in range(count):
-        atom = rng.choice(atoms)
-        a = lo + rng.randint(0, steps) * g
-        b = lo + rng.randint(0, steps) * g
-        if b < a:
-            a, b = b, a
-        out.append(Fact(atom, make(a, b, False, False)))
     return out
 
 

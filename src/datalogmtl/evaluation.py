@@ -207,11 +207,33 @@ def _join_order(body: tuple[MetricAtom, ...]) -> list[MetricAtom]:
     return fixed + open_
 
 
+def _needed_atoms(m: MetricAtom) -> list[RelationalAtom]:
+    """The relational atoms without whose facts m cannot hold: all of them,
+    except under the left operand of a SINCE/UNTIL whose interval contains 0,
+    which holds wherever its right operand holds."""
+    if isinstance(m, BinaryOp):
+        right = _needed_atoms(m.right)
+        if m.interval.left == 0 and not m.interval.left_open:
+            return right
+        return _needed_atoms(m.left) + right
+    if isinstance(m, UnaryOp):
+        return _needed_atoms(m.sub)
+    return relational_atoms(m)
+
+
 def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Constant]]:
-    """Backtracking index-nested-loop search over the body's relational atoms."""
+    """Backtracking index-nested-loop search over the body's needed atoms,
+    then over each other relational atom that binds a variable still open
+    (a variable that occurs only under optional atoms still needs facts)."""
     patterns: list[RelationalAtom] = []
     for literal in _join_order(rule.body):
-        patterns.extend(relational_atoms(literal))
+        patterns.extend(_needed_atoms(literal))
+    bound = set().union(*(a.variables() for a in patterns))
+    for literal in rule.body:
+        for a in relational_atoms(literal):
+            if not a.variables() <= bound:
+                patterns.append(a)
+                bound |= a.variables()
 
     def search(idx: int, sigma: dict[Variable, Constant]):
         if idx == len(patterns):

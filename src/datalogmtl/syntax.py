@@ -132,6 +132,7 @@ MetricAtom = Union[Top, Bottom, Rel, UnaryOp, BinaryOp]
 
 UNARY_OPS = ("DIAMONDMINUS", "DIAMONDPLUS", "BOXMINUS", "BOXPLUS")
 BINARY_OPS = ("SINCE", "UNTIL")
+KEYWORDS = (*UNARY_OPS, *BINARY_OPS, "TOP", "BOTTOM")
 
 
 def _paren(m: MetricAtom) -> str:
@@ -321,8 +322,7 @@ def is_predicate_name(name) -> bool:
     """True iff the parser reads `name` back as a predicate name: one name
     token that is not a keyword."""
     m = _TOKEN_RE.fullmatch(name) if isinstance(name, str) else None
-    keywords = (*UNARY_OPS, *BINARY_OPS, "TOP", "BOTTOM")
-    return m is not None and m.lastgroup == "name" and name not in keywords
+    return m is not None and m.lastgroup == "name" and name not in KEYWORDS
 
 
 class _Parser:
@@ -429,7 +429,7 @@ class _Parser:
 
     def parse_relational_atom(self) -> RelationalAtom:
         t = self.next()
-        if t.kind != "name":
+        if t.kind != "name" or t.text in KEYWORDS:
             raise SyntaxFault(f"expected predicate name, got {t.text!r}", t.line, t.column)
         args: list[Term] = []
         if self.peek().text == "(":

@@ -5,9 +5,11 @@ check."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from datalogmtl.automata import (
     ReductionOutput,
+    RulerGrid,
     SearchBudgetExceeded,
     _check_window,
     _Engine,
@@ -15,7 +17,7 @@ from datalogmtl.automata import (
     entail_to_inconsist,
     ruler_grid,
 )
-from datalogmtl.intervals import POS_INF, make, point, subset
+from datalogmtl.intervals import EMPTY, NEG_INF, POS_INF, intersect, make, point, subset
 from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
@@ -107,6 +109,43 @@ def test_ruler_grid_rejects_off_grid_points():
     grid = ruler_grid(parse_program(""), facts_of("P(a)@[0,1]"))
     with pytest.raises(ValueError):
         grid.point_cell(Fraction(1, 3))
+
+
+def _cells_meeting(d, iv):
+    """Brute force: every cell whose interval meets iv, over a generous range
+    of candidates (cell 2k is the point k*d, cell 2k+1 the segment after it)."""
+    out = []
+    for c in range(2 * int(iv.left // d) - 4, 2 * int(iv.right // d) + 5):
+        k = c // 2
+        civ = point(k * d) if c % 2 == 0 else make(k * d, (k + 1) * d, True, True)
+        if not intersect(civ, iv).is_empty:
+            out.append(c)
+    return out
+
+
+grid_steps = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+
+
+@given(grid_steps, st.integers(-8, 8), st.integers(0, 4), st.booleans(), st.booleans())
+def test_cells_in_matches_brute_force_on_grid(d, k, width, left_open, right_open):
+    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
+    iv = make(k * d, (k + width) * d, left_open, right_open)
+    want = [] if iv.is_empty else _cells_meeting(d, iv)
+    assert list(grid.cells_in(iv)) == want
+
+
+@given(grid_steps, st.integers(-8, 8), st.booleans(), st.booleans())
+def test_cells_in_rejects_off_grid_and_unbounded(d, k, left_open, right_open):
+    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
+    assert list(grid.cells_in(EMPTY)) == []
+    for iv in (
+        make(k * d + d / 3, (k + 2) * d, left_open, right_open),
+        make(k * d, (k + 1) * d + d / 2, left_open, right_open),
+        make(NEG_INF, k * d, True, right_open),
+        make(k * d, POS_INF, left_open, True),
+    ):
+        with pytest.raises(ValueError):
+            grid.cells_in(iv)
 
 
 # -- window checks

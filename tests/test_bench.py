@@ -1,4 +1,4 @@
-"""Synthetic dataset and query generation, census, and the timing report."""
+"""Synthetic dataset generation, census, and the timing report."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ from datalogmtl.bench import (
     bench_report,
     census,
     generate_dataset,
-    generate_queries,
 )
 from datalogmtl.intervals import make
 from datalogmtl.store import FactStore
@@ -61,21 +60,6 @@ def test_generated_dataset_loads_into_store():
     s = FactStore.from_facts(facts)
     s.check_invariants()
     assert FactStore.from_facts(parse_dataset(s.dump())).equals(s)
-
-
-def test_generate_queries():
-    prog = load_program("immune")
-    facts = generate_dataset(spec())
-    qs = generate_queries(prog, facts, 10, seed=7)
-    assert len(qs) == 10
-    assert qs == generate_queries(prog, facts, 10, seed=7)
-    data_preds = {f.atom.predicate for f in facts}
-    assert all(q.atom.predicate in data_preds for q in qs)
-
-
-def test_generate_queries_requires_data():
-    with pytest.raises(ValueError):
-        generate_queries(load_program("immune"), [], 1, seed=0)
 
 
 def test_census_all_t1():

@@ -263,6 +263,25 @@ def test_dataset_fault_reports_its_dataset_line(capsys, tmp_path):
     assert err.startswith("error: line 2, column 9: ")
 
 
+@pytest.mark.parametrize("mode", [[], ["--sequential"]], ids=["race", "sequential"])
+def test_check_until_with_zero_needs_no_left_facts(capsys, tmp_path, mode):
+    # Drained(X) :- LowBattery(X) UNTIL[0,2] Shutdown(X): no LowBattery facts
+    (tmp_path / "d.dtf").write_text("Shutdown(d9)@[5,5]\n")
+    code, out, _ = run(capsys, "check", "--program", fix("monitoring.dmtl"),
+                       "--data", str(tmp_path / "d.dtf"), "--fact", "Drained(d9)@[5,5]", *mode)
+    assert code == 0 and out.strip() == "true"
+
+
+@pytest.mark.parametrize("line", ["BOTTOM@[2,3]", "TOP(a)@[0,1]"])
+def test_keyword_fact_exit_2(capsys, tmp_path, line):
+    (tmp_path / "p.dmtl").write_text("")
+    (tmp_path / "d.dtf").write_text(line + "\n")
+    code, out, err = run(capsys, "materialize", "--program", str(tmp_path / "p.dmtl"),
+                         "--data", str(tmp_path / "d.dtf"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1, column 1: expected predicate name")
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["check"]) == 1
     assert main([]) == 1

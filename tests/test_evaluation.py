@@ -4,6 +4,8 @@ rule evaluation, and agreement with the dense-grid oracle."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from datalogmtl.dense_grid import GridOracle, instance_granularity, total_reach
 from datalogmtl.evaluation import (
     apply_operator,
@@ -129,6 +131,19 @@ def test_evaluate_rule_excheat():
 def test_evaluate_rule_missing_body_predicate():
     prog = parse_program("P(X) :- Q(X), R(X) .")
     assert evaluate_rule(prog.rules[0], store_of("Q(a)@[0,1]")) == []
+
+
+@pytest.mark.parametrize("op", ["SINCE", "UNTIL"])
+def test_since_until_with_zero_need_no_left_facts(op):
+    # with 0 in the interval the literal holds wherever its right operand
+    # does, so a left operand without facts must not block the join
+    prog = parse_program(f"H(X) :- P(X) {op}[0,1] Q(X) .")
+    facts = parse_dataset("Q(a)@[0,0]")
+    out = evaluate_rule(prog.rules[0], FactStore.from_facts(facts))
+    (rule,) = ground(prog, {"a"})
+    want = coalesce(GridOracle(prog, facts).holds_intervals(rule.body[0]))
+    assert want == [point(0)]
+    assert [(str(f.atom), f.interval) for f in out] == [("H(a)", iv) for iv in want]
 
 
 def test_evaluate_rule_join_across_arguments():

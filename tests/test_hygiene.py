@@ -142,3 +142,81 @@ def test_scan_finds_never_passed_parameters():
 def test_every_default_is_passed_somewhere(path):
     calling = [p.read_text() for p in CALLERS]
     assert never_passed_parameters(path.read_text(), calling) == []
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.qualname` for each function, method or class defined in
+    `sources` (module name -> source) that no source names, as a bare name,
+    an attribute or an import, outside the definition itself.  Skips dunder
+    methods, which the interpreter calls without naming them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def names(node) -> list[str]:
+        out = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.append(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.append(n.attr)
+            elif isinstance(n, ast.alias):
+                out.append(n.name)
+        return out
+
+    everywhere: dict[str, int] = {}
+    for tree in trees.values():
+        for name in names(tree):
+            everywhere[name] = everywhere.get(name, 0) + 1
+    out = []
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                own = names(child).count(child.name)
+                if not dunder and everywhere.get(child.name, 0) == own:
+                    out.append(f"{module}.{prefix}{child.name}")
+                visit(module, child, f"{prefix}{child.name}.")
+            else:
+                visit(module, child, prefix)
+
+    for module, tree in trees.items():
+        visit(module, tree, "")
+    return sorted(out)
+
+
+def test_scan_finds_unnamed_definitions():
+    sources = {
+        "a": (
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class K:\n"
+            "    def __str__(self): return ''\n"
+            "    def m(self): return K\n"
+            "    def shown(self): pass\n"
+            "def outer():\n"
+            "    def inner(): pass\n"
+            "    return inner\n"
+        ),
+        "b": "from a import used\nx.shown()\n",
+    }
+    assert unnamed_definitions(sources) == ["a.K", "a.K.m", "a.outer", "a.recursive"]
+
+
+# Definitions that only tests name, kept because tests/test_acceptance.py
+# uses them.  The reference oracle, dense_grid.py, is skipped as a whole.
+TEST_ONLY = {
+    "intervals.contains_point": "pointwise membership, the reference for interval operations",
+    "store.FactStore.check_invariants": "checks that a materialised store is sorted and coalesced",
+    "bench.census": "criterion 7's T1..T5 histogram",
+}
+
+
+def test_every_definition_is_named_in_the_package():
+    # __init__.py counts: the names it re-exports are the package's interface
+    sources = {p.stem: p.read_text() for p in Path(datalogmtl.__file__).parent.glob("*.py")}
+    flagged = [
+        name
+        for name in unnamed_definitions(sources)
+        if not name.startswith("dense_grid.") and name not in TEST_ONLY
+    ]
+    assert flagged == []

@@ -149,6 +149,24 @@ def test_is_predicate_name():
         assert not is_predicate_name(name), name
 
 
+@pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (parse_dataset, "BOTTOM@[2,3]", 1),
+        (parse_dataset, "TOP(a)@[0,1]", 1),
+        (parse_dataset, "P(a)@[0,1]\nSINCE(b)@[0,1]", 1),
+        (parse_fact, "BOXPLUS(a)@[0,1]", 1),
+        (parse_program, "P(X) :- Q(X), UNTIL(X) .", 15),
+    ],
+)
+def test_keywords_are_not_predicates(parse, text, column):
+    with pytest.raises(SyntaxFault) as exc:
+        parse(text)
+    line = text.count("\n") + 1
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert "expected predicate name" in str(exc.value)
+
+
 def test_ground_counts():
     prog = parse_program("P(X) :- Q(X) .")
     assert len(ground(prog, {"a", "b"})) == 2
