@@ -23,7 +23,7 @@ unbounded-interval literals in rules are rejected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -147,6 +147,9 @@ class RulerGrid:
     x: Fraction
     z: Fraction
     span: Interval  # Q = [-x-z, x+z]
+    # memos of cells_interval and point_cell, which live and die with the grid
+    _runs: dict = field(default_factory=dict, compare=False, repr=False)
+    _cells: dict = field(default_factory=dict, compare=False, repr=False)
 
     # cell c: even -> point (c/2)*d, odd -> segment between neighbour points
     def cell_interval(self, c: int) -> Interval:
@@ -154,13 +157,20 @@ class RulerGrid:
 
     def cells_interval(self, lo: int, hi: int) -> Interval:
         """The interval that cells lo..hi cover; EMPTY when hi < lo."""
-        return normalize(lo // 2 * self.d, (hi + 1) // 2 * self.d, lo % 2 == 1, hi % 2 == 1)
+        iv = self._runs.get((lo, hi))
+        if iv is None:
+            d = self.d
+            iv = self._runs[lo, hi] = normalize(lo // 2 * d, (hi + 1) // 2 * d, lo % 2 == 1, hi % 2 == 1)
+        return iv
 
     def point_cell(self, t: Fraction) -> int:
-        q = Fraction(t) / self.d
-        if q.denominator != 1:
-            raise ValueError(f"{t} is not on the d={self.d} grid")
-        return 2 * q.numerator
+        c = self._cells.get(t)
+        if c is None:
+            q = Fraction(t) / self.d
+            if q.denominator != 1:
+                raise ValueError(f"{t} is not on the d={self.d} grid")
+            c = self._cells[t] = 2 * q.numerator
+        return c
 
     @property
     def span_lo_cell(self) -> int:
@@ -210,12 +220,20 @@ Letter = frozenset  # of AtomKey
 
 
 def _letters_store(grid: RulerGrid, lo: int, letters: Sequence[Letter]) -> FactStore:
-    by_key: dict[AtomKey, list[Interval]] = {}
-    for i, letter in enumerate(letters):
-        civ = grid.cell_interval(lo + i)
+    """The store of a window: per key, one interval per maximal run of
+    consecutive cells whose letter holds the key (runs split by a missing
+    cell cannot coalesce, so the lists arrive coalesced)."""
+    runs: dict[AtomKey, list[list[int]]] = {}  # key -> [first, last] cells
+    for c, letter in enumerate(letters, lo):
         for key in letter:
-            by_key.setdefault(key, []).append(civ)
-    return FactStore.from_intervals(by_key)
+            r = runs.setdefault(key, [])
+            if r and r[-1][1] == c - 1:
+                r[-1][1] = c
+            else:
+                r.append([c, c])
+    return FactStore.from_intervals(
+        {key: [grid.cells_interval(a, b) for a, b in r] for key, r in runs.items()}
+    )
 
 
 def _check_window(
@@ -224,6 +242,7 @@ def _check_window(
     lo: int,
     letters: Sequence[Letter],
     committed: set[int],
+    store: Optional[FactStore] = None,
 ) -> tuple[bool, bool]:
     """Validate rules over a window.
 
@@ -232,9 +251,11 @@ def _check_window(
     bodies are monotone in the letters, so a body already true with its head
     missing inside the fixed window can never be repaired.  Returns
     (ok, fixable): fixable means the failure was a missing head overlapping
-    the span, which a different span assignment might supply.
+    the span, which a different span assignment might supply.  `store` is
+    the window's letter store, built here when not given.
     """
-    store = _letters_store(grid, lo, letters)
+    if store is None:
+        store = _letters_store(grid, lo, letters)
     wiv = grid.cells_interval(lo, lo + len(letters) - 1)
     for rule in ground_rules:
         lists = []
@@ -382,6 +403,8 @@ class _Engine:
         self.cancelled = cancelled
         self.states_left = max_states
         self.span_fixable = False
+        self._window = None  # (lo, letters) of self._store
+        self._store: Optional[FactStore] = None
 
         consts = program.constants() | {
             a.name for f in self.facts for a in f.atom.args
@@ -465,6 +488,16 @@ class _Engine:
 
     # -- letters
 
+    def _window_store(self, lo: int, letters: Sequence[Letter]) -> FactStore:
+        """The letter store of a window, remembering the last one: the
+        search expands a state right after checking the window that led to
+        it, so both ask for the same store in turn."""
+        window = (lo, tuple(letters))
+        if window != self._window:
+            self._window = window
+            self._store = _letters_store(self.grid, lo, letters)
+        return self._store
+
     def _justifiable(
         self, key: AtomKey, new_cell: int, lo: int, letters, store: FactStore
     ) -> bool:
@@ -510,7 +543,7 @@ class _Engine:
     ) -> Iterator[Letter]:
         free = [a for a in self.free_atoms if a not in must]
         if self.prune_letters and new_cell is not None and free:
-            store = _letters_store(self.grid, lo, letters)
+            store = self._window_store(lo, letters)
             free = [
                 a
                 for a in free
@@ -550,7 +583,12 @@ class _Engine:
                 if newly >= zc:
                     committed.add(cells[newly])
                 ok, fixable = _check_window(
-                    g, self.ground_rules, cells[0], cand, committed
+                    g,
+                    self.ground_rules,
+                    cells[0],
+                    cand,
+                    committed,
+                    self._window_store(cells[0], cand),
                 )
                 if ok:
                     yield from rec(cand)
@@ -619,7 +657,12 @@ class _Engine:
                 nletters = (letter,) + letters[:-1]
                 committed_cell = new_cell + zc
             ok, fixable = _check_window(
-                g, self.ground_rules, nlo, nletters, {committed_cell}
+                g,
+                self.ground_rules,
+                nlo,
+                nletters,
+                {committed_cell},
+                self._window_store(nlo, nletters),
             )
             if not ok:
                 if fixable:

@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 computed answer, 1 usage error, 2 parse/load error,
-3 internal limit reached (e.g. round limit in `materialize`).
+3 internal limit reached (e.g. round limit in `materialize`, or the
+`--timeout` wall-clock budget).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
+import signal
 import sys
 from fractions import Fraction
 
@@ -39,6 +43,44 @@ file formats:
   .dtf (datasets)   one fact per line:  P(a,b)@[0,5/2]
 """
 
+TIMEOUT_HELP = "wall-clock budget in seconds; exit 3 when it runs out"
+
+
+class WallClockExceeded(BaseException):
+    """The --timeout budget ran out.  Like KeyboardInterrupt it is no
+    Exception, so no handler on its way (the race's wait for its child)
+    takes it for an engine's failure; `finally` blocks still run."""
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
+@contextlib.contextmanager
+def _wall_clock(seconds):
+    """Raise WallClockExceeded in this thread once `seconds` of wall time
+    have passed.  The timer is not inherited by a forked child."""
+    if seconds is None:
+        yield
+        return
+
+    def expire(_signum, _frame):
+        raise WallClockExceeded(f"wall-clock budget of {seconds:g} s exhausted")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 def _load_program(path):
     with open(path) as f:
@@ -66,6 +108,7 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.add_argument("--sequential", action="store_true")
     p.add_argument("--max-rounds", type=int, default=1000)
+    p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
 
     p = sub.add_parser("materialize", help="run materialisation to fixpoint")
     p.add_argument("--program", required=True)
@@ -73,12 +116,14 @@ def main(argv=None) -> int:
     p.add_argument("--max-rounds", type=int, default=1000)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
 
     p = sub.add_parser("consistency", help="automata-based consistency check")
     p.add_argument("--program", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", default=None, help="write search trace to this file")
+    p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
 
     p = sub.add_parser("analyze", help="dependency graph, recursion, relevance")
     p.add_argument("--program", required=True)
@@ -103,12 +148,16 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
 
     try:
-        return _dispatch(args)
+        with _wall_clock(getattr(args, "timeout", None)):
+            return _dispatch(args)
     except (OSError, SyntaxFault, ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SearchBudgetExceeded, RuntimeError) as e:
         print(f"limit: {e}", file=sys.stderr)
+        return 3
+    except WallClockExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
         return 3
 
 

@@ -8,6 +8,7 @@ substitution search and reverse head application.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable
 
@@ -35,6 +36,7 @@ from .syntax import (
     Top,
     UnaryOp,
     Variable,
+    atom_variables,
     relational_atoms,
     substitute,
 )
@@ -223,24 +225,56 @@ def _needed_atoms(m: MetricAtom) -> list[RelationalAtom]:
 
 def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Constant]]:
     """Backtracking index-nested-loop search over the body's needed atoms,
-    then over each other relational atom that binds a variable still open
-    (a variable that occurs only under optional atoms still needs facts)."""
-    patterns: list[RelationalAtom] = []
+    then over the other relational atoms that have a variable still open.
+
+    Those optional atoms may lack facts while their literal holds, so each
+    may also leave its open variables unbound.  An atom with an unbound
+    variable names no stored key (variables are capitalised, stored
+    constants never are), so it holds nowhere.  A head variable left unbound
+    ranges over every constant of the store and the rule.
+    """
+    needed: list[RelationalAtom] = []
     for literal in _join_order(rule.body):
-        patterns.extend(_needed_atoms(literal))
-    bound = set().union(*(a.variables() for a in patterns))
-    for literal in rule.body:
-        for a in relational_atoms(literal):
-            if not a.variables() <= bound:
-                patterns.append(a)
-                bound |= a.variables()
+        needed.extend(_needed_atoms(literal))
+    bound = set().union(*(a.variables() for a in needed))
+    optional = [
+        a
+        for literal in rule.body
+        for a in relational_atoms(literal)
+        if not a.variables() <= bound
+    ]
+    patterns = needed + optional
+    open_head = sorted(atom_variables(rule.head) - bound, key=lambda v: v.name)
+    domain: list[Constant] = []
+    seen: set = set()  # matches and skips of optional atoms can meet
 
     def search(idx: int, sigma: dict[Variable, Constant]):
         if idx == len(patterns):
-            yield dict(sigma)
+            if optional:
+                yield from complete(sigma)
+            else:
+                yield dict(sigma)
             return
-        for extended, _intervals in store.match(patterns[idx], sigma):
-            yield from search(idx + 1, extended)
+        pattern = patterns[idx]
+        if idx < len(needed) or not pattern.variables() <= sigma.keys():
+            for extended, _intervals in store.match(pattern, sigma):
+                yield from search(idx + 1, extended)
+        if idx >= len(needed):
+            yield from search(idx + 1, sigma)
+
+    def complete(sigma: dict[Variable, Constant]):
+        missing = [v for v in open_head if v not in sigma]
+        if missing and not domain:
+            names = store.constants()
+            for m in (rule.head, *rule.body):
+                names |= {t.name for a in relational_atoms(m) for t in a.args if isinstance(t, Constant)}
+            domain.extend(Constant(c) for c in sorted(names))
+        for combo in itertools.product(domain, repeat=len(missing)):
+            full = {**sigma, **dict(zip(missing, combo))}
+            key = frozenset(full.items())
+            if key not in seen:
+                seen.add(key)
+                yield full
 
     yield from search(0, {})
 

@@ -7,17 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from datalogmtl import automata
 from datalogmtl.automata import (
     ReductionOutput,
     RulerGrid,
     SearchBudgetExceeded,
     _check_window,
     _Engine,
+    _letters_store,
     consistent,
     entail_to_inconsist,
     ruler_grid,
 )
-from datalogmtl.intervals import EMPTY, NEG_INF, POS_INF, intersect, make, point, subset
+from datalogmtl.intervals import EMPTY, NEG_INF, POS_INF, intersect, make, normalize, point, subset
 from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
@@ -146,6 +148,123 @@ def test_cells_in_rejects_off_grid_and_unbounded(d, k, left_open, right_open):
     ):
         with pytest.raises(ValueError):
             grid.cells_in(iv)
+
+
+@given(grid_steps, st.integers(-8, 8), st.integers(-1, 6))
+def test_memoised_geometry_matches_the_arithmetic(d, lo, width):
+    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
+    hi = lo + width
+    want = normalize(lo // 2 * d, (hi + 1) // 2 * d, lo % 2 == 1, hi % 2 == 1)
+    for _ in range(2):  # the second call reads the memo
+        assert grid.cells_interval(lo, hi) == want
+        assert grid.point_cell(lo * d) == 2 * lo
+    # the memo takes no part in equality or hashing
+    assert grid == RulerGrid(d, Fraction(0), Fraction(0), point(0))
+    assert hash(grid) == hash(RulerGrid(d, Fraction(0), Fraction(0), point(0)))
+
+
+def test_off_grid_point_cell_raises_every_time():
+    grid = RulerGrid(Fraction(1, 2), Fraction(0), Fraction(0), point(0))
+    for _ in range(2):  # a failure is not memoised
+        with pytest.raises(ValueError):
+            grid.point_cell(Fraction(1, 3))
+
+
+# -- window letter stores
+
+R_A = ("R", ("a",))
+
+
+def _per_cell_store(grid, lo, letters):
+    """Reference: one cell interval per cell and key, coalesced by the store."""
+    by_key = {}
+    for i, letter in enumerate(letters):
+        for key in letter:
+            by_key.setdefault(key, []).append(grid.cell_interval(lo + i))
+    return FactStore.from_intervals(by_key)
+
+
+letter_windows = st.lists(
+    st.frozensets(st.sampled_from([("P", ("a",)), ("Q", ("a",)), R_A])), max_size=9
+)
+
+
+@given(grid_steps, st.integers(-5, 5), letter_windows)
+def test_letters_store_matches_a_per_cell_store(d, lo, letters):
+    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
+    store = _letters_store(grid, lo, letters)
+    store.check_invariants()
+    assert store.atoms == _per_cell_store(grid, lo, letters).atoms
+
+
+def test_letters_store_builds_one_interval_per_run(monkeypatch):
+    grid = RulerGrid(Fraction(1), Fraction(0), Fraction(0), point(0))
+    calls = []
+    cells_interval = RulerGrid.cells_interval
+    monkeypatch.setattr(
+        RulerGrid, "cells_interval", lambda g, lo, hi: calls.append((lo, hi)) or cells_interval(g, lo, hi)
+    )
+    p, q = ("P", ("a",)), ("Q", ("a",))
+    letters = [frozenset({p}), frozenset({p}), frozenset(), frozenset({p, q}), frozenset({q})]
+    store = _letters_store(grid, -1, letters)
+    assert sorted(calls) == [(-1, 0), (2, 2), (2, 3)]
+    assert store.atoms == {p: [make(-1, 0, True, False), point(1)], q: [make(1, 2, False, True)]}
+
+
+def _periodic_reduction():
+    return entail_to_inconsist(
+        parse_program("BOXPLUS[2,2] Bday(X) :- Bday(X) ."),
+        facts_of("Bday(c1)@[0,0]\nBday(c2)@[1,1]"),
+        parse_fact("Bday(c2)@[7/2,7/2]"),
+    )
+
+
+def test_check_window_with_a_given_store_gives_the_same_verdict(monkeypatch):
+    seen = []
+
+    def check(grid, rules, lo, letters, committed, store=None):
+        verdict = _check_window(grid, rules, lo, letters, committed)
+        given = _check_window(grid, rules, lo, letters, committed, _letters_store(grid, lo, letters))
+        assert given == verdict
+        seen.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(automata, "_check_window", check)
+    red = _periodic_reduction()
+    assert consistent(red.program, list(red.dataset))
+    assert (True, False) in seen and len(set(seen)) > 1
+
+
+def test_each_window_store_is_built_once_in_turn(monkeypatch):
+    requested, built, counts = [], [], {"checks": 0, "tails": 0}
+    window_store, letters_store = _Engine._window_store, automata._letters_store
+    check_window, tail_ok = automata._check_window, _Engine.tail_ok
+
+    def count(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def record_request(eng, lo, letters):
+        requested.append((lo, tuple(letters)))
+        return window_store(eng, lo, letters)
+
+    def record_build(grid, lo, letters):
+        built.append((lo, tuple(letters)))
+        return letters_store(grid, lo, letters)
+
+    monkeypatch.setattr(_Engine, "_window_store", record_request)
+    monkeypatch.setattr(automata, "_letters_store", record_build)
+    monkeypatch.setattr(automata, "_check_window", count("checks", check_window))
+    monkeypatch.setattr(_Engine, "tail_ok", count("tails", tail_ok))
+    red = _periodic_reduction()
+    assert consistent(red.program, list(red.dataset))
+    # one build per run of equal windows asked for in sequence
+    assert built == [w for i, w in enumerate(requested) if i == 0 or requested[i - 1] != w]
+    # a state's letters reuse the store of the check that accepted it; only
+    # the first span cell and each tail search's start window are new
+    assert len(built) <= counts["checks"] + 1 + counts["tails"]
 
 
 # -- window checks

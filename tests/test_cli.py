@@ -1,15 +1,17 @@
 """Command-line interface: subcommands, JSON output, and exit codes."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import datalogmtl
-from datalogmtl import cli
+from datalogmtl import cli, pipeline
 from datalogmtl.cli import main
 from datalogmtl.syntax import parse_program
 
@@ -270,6 +272,45 @@ def test_check_until_with_zero_needs_no_left_facts(capsys, tmp_path, mode):
     code, out, _ = run(capsys, "check", "--program", fix("monitoring.dmtl"),
                        "--data", str(tmp_path / "d.dtf"), "--fact", "Drained(d9)@[5,5]", *mode)
     assert code == 0 and out.strip() == "true"
+
+
+@pytest.mark.parametrize("mode", [[], ["--sequential"]], ids=["race", "sequential"])
+def test_check_left_only_variable_needs_no_facts(capsys, tmp_path, mode):
+    (tmp_path / "p.dmtl").write_text("H(X) :- P(X,Y) SINCE[0,1] Q(X) .\n")
+    (tmp_path / "d.dtf").write_text("Q(a)@[0,0]\n")
+    code, out, _ = run(capsys, "check", "--program", str(tmp_path / "p.dmtl"),
+                       "--data", str(tmp_path / "d.dtf"), "--fact", "H(a)@[0,0]", *mode)
+    assert code == 0 and out.strip() == "true"
+
+
+def test_materialize_timeout_exits_3(capsys):
+    # birthday derives a new fact every round, for the 1000 rounds of its budget
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "materialize", "--program", fix("birthday.dmtl"),
+                         "--data", fix("birthday.dtf"), "--timeout", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: wall-clock budget of 1 s exhausted")
+    assert time.perf_counter() - t0 < 5
+
+
+def test_race_check_timeout_leaves_no_child(capsys, monkeypatch):
+    raced = []
+    race_finish = pipeline._race_finish
+    monkeypatch.setattr(pipeline, "_race_finish", lambda *a: raced.append(1) or race_finish(*a))
+    code, out, err = run(capsys, "check", "--program", fix("professor.dmtl"),
+                         "--data", fix("professor.dtf"), "--fact", "FullProfessor(a)@[0,1]",
+                         "--timeout", "0.2")
+    assert (code, out, raced) == (3, "", [1])
+    assert err.startswith("error: wall-clock budget of 0.2 s exhausted")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x"])
+def test_timeout_must_be_positive_seconds(capsys, seconds):
+    code, _, err = run(capsys, "consistency", "--program", fix("birthday.dmtl"),
+                       "--data", fix("birthday.dtf"), "--timeout", seconds)
+    assert code == 1
+    assert f"argument --timeout: expected a positive number of seconds, got '{seconds}'" in err
 
 
 @pytest.mark.parametrize("line", ["BOTTOM@[2,3]", "TOP(a)@[0,1]"])

@@ -14,6 +14,7 @@ from datalogmtl.evaluation import (
     reverse_head,
 )
 from datalogmtl.intervals import POS_INF, coalesce, make, point
+from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
     BinaryOp,
@@ -144,6 +145,27 @@ def test_since_until_with_zero_need_no_left_facts(op):
     want = coalesce(GridOracle(prog, facts).holds_intervals(rule.body[0]))
     assert want == [point(0)]
     assert [(str(f.atom), f.interval) for f in out] == [("H(a)", iv) for iv in want]
+
+
+@pytest.mark.parametrize(
+    "rule, data",
+    [
+        ("H(X) :- P(X,Y) SINCE[0,1] Q(X) .", "Q(a)@[0,0]"),
+        ("H(X) :- P(X,Y) UNTIL[0,1] Q(X) .", "Q(a)@[0,0]"),
+        ("H(X,Y) :- P(X,Y) SINCE[0,1] Q(X) .", "Q(a)@[0,0]\nR(b)@[3,3]"),
+    ],
+)
+def test_left_only_variables_of_since_until_with_zero_need_no_facts(rule, data):
+    # Y occurs only under the left operand, which may lack facts while the
+    # literal holds; in the head, Y ranges over every constant
+    prog = parse_program(rule)
+    facts = parse_dataset(data)
+    out = materialise(prog, FactStore.from_facts(facts)).store
+    rules = ground(prog, {"a", "b"})
+    oracle = GridOracle(prog, facts)
+    oracle.materialise(sorted(rules, key=str))
+    want = {(str(r.head), iv) for r in rules for iv in coalesce(oracle.holds_intervals(r.head))}
+    assert want and {(str(f.atom), f.interval) for f in out.facts() if f.atom.predicate == "H"} == want
 
 
 def test_evaluate_rule_join_across_arguments():
