@@ -11,6 +11,10 @@ Every interval the search handles (data, horizon, span, cells, and the sums
 and intersections of them that operators and heads produce) has its
 endpoints on the d-grid, so the cells one meets are exactly the cells it
 contains, a contiguous run that RulerGrid.cells_in computes by arithmetic.
+Each RulerGrid memoises its cell geometry (cells_interval, point_cell) for
+the engine's lifetime, and the engine keeps the letter store of the last
+window it built, one interval per run of cells, because the search expands
+a state right after checking the window that led to it.
 
 Unbounded operator intervals are supported where the shipped pipeline
 produces them: the entailment reduction's rule BOTTOM :- anchor, BOX[0,inf)M
@@ -160,7 +164,8 @@ class RulerGrid:
         iv = self._runs.get((lo, hi))
         if iv is None:
             d = self.d
-            iv = self._runs[lo, hi] = normalize(lo // 2 * d, (hi + 1) // 2 * d, lo % 2 == 1, hi % 2 == 1)
+            iv = normalize(lo // 2 * d, (hi + 1) // 2 * d, lo % 2 == 1, hi % 2 == 1)
+            self._runs[lo, hi] = iv
         return iv
 
     def point_cell(self, t: Fraction) -> int:
@@ -582,13 +587,9 @@ class _Engine:
                 newly = len(cand) - 1 - zc
                 if newly >= zc:
                     committed.add(cells[newly])
+                store = self._window_store(cells[0], cand)
                 ok, fixable = _check_window(
-                    g,
-                    self.ground_rules,
-                    cells[0],
-                    cand,
-                    committed,
-                    self._window_store(cells[0], cand),
+                    g, self.ground_rules, cells[0], cand, committed, store
                 )
                 if ok:
                     yield from rec(cand)
@@ -656,13 +657,9 @@ class _Engine:
                 nlo = new_cell
                 nletters = (letter,) + letters[:-1]
                 committed_cell = new_cell + zc
+            store = self._window_store(nlo, nletters)
             ok, fixable = _check_window(
-                g,
-                self.ground_rules,
-                nlo,
-                nletters,
-                {committed_cell},
-                self._window_store(nlo, nletters),
+                g, self.ground_rules, nlo, nletters, {committed_cell}, store
             )
             if not ok:
                 if fixable:

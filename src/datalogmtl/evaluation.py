@@ -267,7 +267,8 @@ def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Const
         if missing and not domain:
             names = store.constants()
             for m in (rule.head, *rule.body):
-                names |= {t.name for a in relational_atoms(m) for t in a.args if isinstance(t, Constant)}
+                for a in relational_atoms(m):
+                    names |= {t.name for t in a.args if isinstance(t, Constant)}
             domain.extend(Constant(c) for c in sorted(names))
         for combo in itertools.product(domain, repeat=len(missing)):
             full = {**sigma, **dict(zip(missing, combo))}

@@ -201,9 +201,12 @@ def test_letters_store_builds_one_interval_per_run(monkeypatch):
     grid = RulerGrid(Fraction(1), Fraction(0), Fraction(0), point(0))
     calls = []
     cells_interval = RulerGrid.cells_interval
-    monkeypatch.setattr(
-        RulerGrid, "cells_interval", lambda g, lo, hi: calls.append((lo, hi)) or cells_interval(g, lo, hi)
-    )
+
+    def record(g, lo, hi):
+        calls.append((lo, hi))
+        return cells_interval(g, lo, hi)
+
+    monkeypatch.setattr(RulerGrid, "cells_interval", record)
     p, q = ("P", ("a",)), ("Q", ("a",))
     letters = [frozenset({p}), frozenset({p}), frozenset(), frozenset({p, q}), frozenset({q})]
     store = _letters_store(grid, -1, letters)
@@ -223,9 +226,11 @@ def test_check_window_with_a_given_store_gives_the_same_verdict(monkeypatch):
     seen = []
 
     def check(grid, rules, lo, letters, committed, store=None):
+        # the engine passes the store of this very window
+        fresh = _letters_store(grid, lo, letters)
+        assert store is not None and store.atoms == fresh.atoms
         verdict = _check_window(grid, rules, lo, letters, committed)
-        given = _check_window(grid, rules, lo, letters, committed, _letters_store(grid, lo, letters))
-        assert given == verdict
+        assert _check_window(grid, rules, lo, letters, committed, fresh) == verdict
         seen.append(verdict)
         return verdict
 

@@ -165,7 +165,8 @@ def test_left_only_variables_of_since_until_with_zero_need_no_facts(rule, data):
     oracle = GridOracle(prog, facts)
     oracle.materialise(sorted(rules, key=str))
     want = {(str(r.head), iv) for r in rules for iv in coalesce(oracle.holds_intervals(r.head))}
-    assert want and {(str(f.atom), f.interval) for f in out.facts() if f.atom.predicate == "H"} == want
+    got = {(str(f.atom), f.interval) for f in out.facts() if f.atom.predicate == "H"}
+    assert want and got == want
 
 
 def test_evaluate_rule_join_across_arguments():
