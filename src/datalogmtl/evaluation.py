@@ -231,7 +231,8 @@ def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Const
     may also leave its open variables unbound.  An atom with an unbound
     variable names no stored key (variables are capitalised, stored
     constants never are), so it holds nowhere.  A head variable left unbound
-    ranges over every constant of the store and the rule.
+    ranges over every constant of the store and the rule.  A match and a skip
+    can give the same substitution; the store merges what both derive.
     """
     needed: list[RelationalAtom] = []
     for literal in _join_order(rule.body):
@@ -246,14 +247,10 @@ def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Const
     patterns = needed + optional
     open_head = sorted(atom_variables(rule.head) - bound, key=lambda v: v.name)
     domain: list[Constant] = []
-    seen: set = set()  # matches and skips of optional atoms can meet
 
     def search(idx: int, sigma: dict[Variable, Constant]):
         if idx == len(patterns):
-            if optional:
-                yield from complete(sigma)
-            else:
-                yield dict(sigma)
+            yield from complete(sigma)
             return
         pattern = patterns[idx]
         if idx < len(needed) or not pattern.variables() <= sigma.keys():
@@ -271,11 +268,7 @@ def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Const
                     names |= {t.name for t in a.args if isinstance(t, Constant)}
             domain.extend(Constant(c) for c in sorted(names))
         for combo in itertools.product(domain, repeat=len(missing)):
-            full = {**sigma, **dict(zip(missing, combo))}
-            key = frozenset(full.items())
-            if key not in seen:
-                seen.add(key)
-                yield full
+            yield {**sigma, **dict(zip(missing, combo))}
 
     yield from search(0, {})
 

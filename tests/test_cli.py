@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import datalogmtl
-from datalogmtl import cli, pipeline
+from datalogmtl import cli, materialisation, pipeline
 from datalogmtl.cli import main
 from datalogmtl.syntax import parse_program
 
@@ -283,8 +284,12 @@ def test_check_left_only_variable_needs_no_facts(capsys, tmp_path, mode):
     assert code == 0 and out.strip() == "true"
 
 
-def test_materialize_timeout_exits_3(capsys):
-    # birthday derives a new fact every round, for the 1000 rounds of its budget
+def test_materialize_timeout_exits_3(capsys, monkeypatch):
+    # birthday derives a new fact every round for the 1000 rounds of its
+    # budget; a rule evaluation that takes 0.1 s makes them outlast 1 s
+    evaluate_rule = materialisation.evaluate_rule
+    monkeypatch.setattr(materialisation, "evaluate_rule",
+                        lambda *a: time.sleep(0.1) or evaluate_rule(*a))
     t0 = time.perf_counter()
     code, out, err = run(capsys, "materialize", "--program", fix("birthday.dmtl"),
                          "--data", fix("birthday.dtf"), "--timeout", "1")
@@ -294,14 +299,22 @@ def test_materialize_timeout_exits_3(capsys):
 
 
 def test_race_check_timeout_leaves_no_child(capsys, monkeypatch):
+    # the child never answers, and the budget runs out while the automata run
+    monkeypatch.setattr(pipeline, "_materialisation_worker", lambda *a: time.sleep(60))
     raced = []
-    race_finish = pipeline._race_finish
-    monkeypatch.setattr(pipeline, "_race_finish", lambda *a: raced.append(1) or race_finish(*a))
+
+    def automata_outlast_the_budget(*a, **k):
+        raced.append(multiprocessing.active_children())
+        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        time.sleep(60)
+
+    monkeypatch.setattr(pipeline, "consistent", automata_outlast_the_budget)
     code, out, err = run(capsys, "check", "--program", fix("professor.dmtl"),
                          "--data", fix("professor.dtf"), "--fact", "FullProfessor(a)@[0,1]",
-                         "--timeout", "0.2")
-    assert (code, out, raced) == (3, "", [1])
-    assert err.startswith("error: wall-clock budget of 0.2 s exhausted")
+                         "--timeout", "60")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: wall-clock budget of 60 s exhausted")
+    assert [len(children) for children in raced] == [1]
     assert multiprocessing.active_children() == []
 
 
