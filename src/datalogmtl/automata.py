@@ -2,9 +2,10 @@
 
 Time is tiled by ruler cells at spacing d (the instance gcd): points k*d and
 open segments (k*d, (k+1)*d).  A window assigns each covered cell a letter,
-the set of ground atoms holding there.  A cell is *committed* once the window
-contains its whole z-neighbourhood; committed cells must satisfy every ground
-rule exactly.  Consistency = a satisfiable assignment of the span
+the set of ground atoms holding there.  Every literal, heads included, reads
+atoms at most z away, so when the search labels one more cell, each violation
+that cell causes shows within the window of the last 2z+1 cells, the only
+window the search keeps.  Consistency = a satisfiable assignment of the span
 Q = [-x-z, x+z] that extends to infinite runs in both directions, found by
 depth-first search with cycle detection on shift-invariant window states.
 Every interval the search handles (data, horizon, span, cells, and the sums
@@ -246,21 +247,19 @@ def _check_window(
     ground_rules: Sequence[Rule],
     lo: int,
     letters: Sequence[Letter],
-    committed: set[int],
-    store: Optional[FactStore] = None,
+    store: FactStore,
 ) -> tuple[bool, bool]:
-    """Validate rules over a window.
+    """Validate rules over a window whose letter store is `store`.
 
-    Committed cells get the full check (head must be installed over its whole
-    required region).  All other cells get the definite-violation check:
-    bodies are monotone in the letters, so a body already true with its head
-    missing inside the fixed window can never be repaired.  Returns
-    (ok, fixable): fixable means the failure was a missing head overlapping
-    the span, which a different span assignment might supply.  `store` is
-    the window's letter store, built here when not given.
+    Each cell where a rule's body holds must have the head installed over
+    the part of its required region inside the window: bodies are monotone
+    in the letters, so a body already true with its head missing inside the
+    fixed window can never be repaired.  A cell whose whole z-neighbourhood
+    lies in the window has its whole head region there, so this is the full
+    check for it.  Returns (ok, fixable): fixable means the failure was a
+    missing head overlapping the span, which a different span assignment
+    might supply.
     """
-    if store is None:
-        store = _letters_store(grid, lo, letters)
     wiv = grid.cells_interval(lo, lo + len(letters) - 1)
     for rule in ground_rules:
         lists = []
@@ -278,17 +277,12 @@ def _check_window(
                 req = reverse_head(rule.head, grid.cell_interval(c))
                 if isinstance(req, tuple):  # BOTTOM fired; never repairable
                     return False, False
-                if c in committed:
-                    if not store.entails_fact(req):
-                        fixable = not intersect(req.interval, grid.span).is_empty
-                        return False, fixable
-                else:
-                    part = intersect(req.interval, wiv)
-                    if not part.is_empty and not store.entails_fact(
-                        Fact(req.atom, part)
-                    ):
-                        fixable = not intersect(part, grid.span).is_empty
-                        return False, fixable
+                part = intersect(req.interval, wiv)
+                if not part.is_empty and not store.entails_fact(
+                    Fact(req.atom, part)
+                ):
+                    fixable = not intersect(part, grid.span).is_empty
+                    return False, fixable
     return True, False
 
 
@@ -303,6 +297,15 @@ class Obligation:
     atom: AtomKey
     min_cell: int
     direction: int  # +1 right, -1 left
+
+    def discharged_by(self, lo: int, letters: Sequence[Letter]) -> bool:
+        """Does the window (lo, letters) discharge it: has it a cell beyond
+        min_cell whose letter lacks the atom?"""
+        return any(
+            (c >= self.min_cell if self.direction == 1 else c <= self.min_cell)
+            and self.atom not in letter
+            for c, letter in enumerate(letters, lo)
+        )
 
 
 def _contains_unbounded(m: MetricAtom) -> bool:
@@ -333,21 +336,13 @@ def _extract_obligations(
         unbounded = [b for b in rule.body if _contains_unbounded(b)]
         if not unbounded:
             continue
+        box = unbounded[0]
+        anchor = next((b for b in rule.body if b is not box), None)
         ok = (
             rule.head_predicate() is None
             and isinstance(rule.head, Bottom)
             and len(rule.body) == 2
             and len(unbounded) == 1
-        )
-        if not ok:
-            raise NotImplementedError(
-                "unbounded operator intervals in rule bodies are only supported "
-                "in the entailment-reduction pattern (BOTTOM :- anchor, box M)"
-            )
-        box = unbounded[0]
-        anchor = next(b for b in rule.body if b is not box)
-        ok = (
-            ok
             and isinstance(box, UnaryOp)
             and box.op in ("BOXMINUS", "BOXPLUS")
             and isinstance(box.sub, Rel)
@@ -544,10 +539,10 @@ class _Engine:
         return False
 
     def _letters(
-        self, must: Letter, new_cell=None, lo=None, letters=None
+        self, must: Letter, new_cell: int, lo: int, letters: Sequence[Letter]
     ) -> Iterator[Letter]:
         free = [a for a in self.free_atoms if a not in must]
-        if self.prune_letters and new_cell is not None and free:
+        if self.prune_letters and free:
             store = self._window_store(lo, letters)
             free = [
                 a
@@ -565,38 +560,40 @@ class _Engine:
 
     # -- span assignments
 
+    def _slide(self, lo: int, letters: tuple, letter: Letter, direction: int):
+        """The window of at most 2z+1 cells that (lo, letters) slides to when
+        `letter` labels the next cell on `direction`'s side, or None when
+        _check_window rejects it."""
+        g = self.grid
+        width = 2 * g.z_cells + 1
+        if direction == 1:
+            hi = lo + len(letters)
+            letters = (*letters, letter)[-width:]
+            lo = hi - len(letters) + 1
+        else:
+            lo, letters = lo - 1, (letter, *letters)[:width]
+        store = self._window_store(lo, letters)
+        ok, fixable = _check_window(g, self.ground_rules, lo, letters, store)
+        if fixable:
+            self.span_fixable = True
+        return (lo, letters) if ok else None
+
     def span_assignments(self) -> Iterator[tuple[Letter, ...]]:
         g = self.grid
-        cells = list(range(g.span_lo_cell, g.span_hi_cell + 1))
-        zc = g.z_cells
 
-        def rec(chosen: list[Letter]) -> Iterator[tuple[Letter, ...]]:
-            idx = len(chosen)
-            if idx == len(cells):
-                yield tuple(chosen)
+        def rec(path, lo, window) -> Iterator[tuple[Letter, ...]]:
+            new_cell = lo + len(window)
+            if new_cell > g.span_hi_cell:
+                yield path
                 return
-            for letter in self._letters(
-                self._cell_must(cells[idx], 1),
-                new_cell=cells[idx],
-                lo=cells[0],
-                letters=tuple(chosen),
-            ):
+            must = self._cell_must(new_cell, 1)
+            for letter in self._letters(must, new_cell, lo, window):
                 self._poll()
-                cand = chosen + [letter]
-                committed = set()
-                newly = len(cand) - 1 - zc
-                if newly >= zc:
-                    committed.add(cells[newly])
-                store = self._window_store(cells[0], cand)
-                ok, fixable = _check_window(
-                    g, self.ground_rules, cells[0], cand, committed, store
-                )
-                if ok:
-                    yield from rec(cand)
-                elif fixable:
-                    self.span_fixable = True
+                slid = self._slide(lo, window, letter, 1)
+                if slid is not None:
+                    yield from rec(path + (letter,), *slid)
 
-        yield from rec([])
+        yield from rec((), g.span_lo_cell, ())
 
     # -- infinite tails
 
@@ -642,55 +639,26 @@ class _Engine:
         return False
 
     def _tail_steps(self, state, direction) -> Iterator:
-        g = self.grid
-        zc = g.z_cells
         lo, letters, pending = state
-        hi = lo + len(letters) - 1
-        new_cell = hi + 1 if direction == 1 else lo - 1
+        new_cell = lo + len(letters) if direction == 1 else lo - 1
         must = self._cell_must(new_cell, direction)
-        for letter in self._letters(must, new_cell=new_cell, lo=lo, letters=letters):
-            if direction == 1:
-                nlo = lo + 1
-                nletters = letters[1:] + (letter,)
-                committed_cell = new_cell - zc
-            else:
-                nlo = new_cell
-                nletters = (letter,) + letters[:-1]
-                committed_cell = new_cell + zc
-            store = self._window_store(nlo, nletters)
-            ok, fixable = _check_window(
-                g, self.ground_rules, nlo, nletters, {committed_cell}, store
-            )
-            if not ok:
-                if fixable:
-                    self.span_fixable = True
+        for letter in self._letters(must, new_cell, lo, letters):
+            slid = self._slide(lo, letters, letter, direction)
+            if slid is None:
                 continue
             npending = pending
             for ob in pending:
-                if ob.direction != direction:
-                    continue
-                eligible = (
-                    new_cell >= ob.min_cell if direction == 1 else new_cell <= ob.min_cell
-                )
-                if eligible and ob.atom not in letter:
+                if ob.direction == direction and ob.discharged_by(new_cell, (letter,)):
                     npending = npending - {ob}
-            yield (nlo, nletters, npending)
+            yield (*slid, npending)
 
     def edge_window(self, span_letters: tuple[Letter, ...], direction: int):
         g = self.grid
-        width = min(len(span_letters), 2 * g.z_cells + 1)
+        # the span's 4(x+z)/d+1 cells are never fewer than 2*z_cells+1
+        width = 2 * g.z_cells + 1
         if direction == 1:
             return g.span_hi_cell - width + 1, span_letters[-width:]
         return g.span_lo_cell, span_letters[:width]
-
-    def span_discharged(self, ob: Obligation, span_letters) -> bool:
-        g = self.grid
-        for i, letter in enumerate(span_letters):
-            c = g.span_lo_cell + i
-            hit = c >= ob.min_cell if ob.direction == 1 else c <= ob.min_cell
-            if hit and ob.atom not in letter:
-                return True
-        return False
 
 
 def _has_bottom_head(program: Program) -> bool:
@@ -730,7 +698,7 @@ def consistent(
                 ob
                 for ob in eng.obligations
                 if ob.direction == direction
-                and not eng.span_discharged(ob, span_letters)
+                and not ob.discharged_by(eng.grid.span_lo_cell, span_letters)
             )
             lo, letters = eng.edge_window(span_letters, direction)
             if not eng.tail_ok(lo, letters, direction, pend):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -149,7 +150,8 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     answer, None when it runs out of rounds, or its exception.  The automata
     run here and stop at the next state once the child has sent an answer.
     When neither engine answers, the automata's error is raised.  The child is
-    killed and reaped on every way out.
+    killed and reaped on every way out: SIGALRM and SIGINT, which the child
+    keeps blocked, are blocked here only until the `try` that reaps it.
     """
     t0 = time.perf_counter()
     ctx = multiprocessing.get_context("fork")
@@ -174,9 +176,13 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget):
         args=(sender, sub, dpre, query, pre_rounds, round_budget),
         daemon=True,
     )
-    child.start()
-    sender.close()
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGALRM, signal.SIGINT))
     try:
+        try:
+            child.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        sender.close()
         try:
             red = entail_to_inconsist(sub, list(dpre.facts()), query)
             answer = not consistent(
@@ -192,8 +198,9 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget):
                 raise
             result.timings = timings
     finally:
-        child.kill()
-        child.join()
+        if child.pid is not None:  # None when the fork itself failed
+            child.kill()
+            child.join()
         receiver.close()
     timings["race"] = time.perf_counter() - t0
     return result

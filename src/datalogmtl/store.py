@@ -9,7 +9,7 @@ entailment reduces to single-interval containment.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .intervals import Interval, coalesce, subset, union_if_coalescable
 from .syntax import Constant, Fact, RelationalAtom, Variable
@@ -76,10 +76,10 @@ class FactStore:
     def match(
         self,
         pattern: RelationalAtom,
-        partial: Optional[dict[Variable, Constant]] = None,
+        partial: dict[Variable, Constant],
     ) -> Iterator[tuple[dict[Variable, Constant], list[Interval]]]:
         """Extensions of `partial` grounding `pattern` to a stored atom."""
-        partial = dict(partial or {})
+        partial = dict(partial)
         bound: list[tuple[int, str]] = []
         for pos, term in enumerate(pattern.args):
             if isinstance(term, Constant):

@@ -294,7 +294,7 @@ class _Token:
     column: int
 
 
-def _tokenize(text: str, line: int = 1) -> list[_Token]:
+def _tokenize(text: str, line: int) -> list[_Token]:
     """Tokens of `text`, positioned as if it started at `line`, column 1."""
     tokens = []
     col = 1

@@ -2,6 +2,7 @@
 window checks, span search, tail loops, and the top-level consistency
 check."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from datalogmtl.automata import (
     entail_to_inconsist,
     ruler_grid,
 )
+from datalogmtl.evaluation import reverse_head
 from datalogmtl.intervals import EMPTY, NEG_INF, POS_INF, intersect, make, normalize, point, subset
 from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
@@ -31,6 +33,7 @@ from datalogmtl.syntax import (
 )
 
 from helpers import load_dataset, load_program
+from test_materialisation import fixture_and_criterion_6_instances
 
 
 def facts_of(text):
@@ -170,6 +173,33 @@ def test_off_grid_point_cell_raises_every_time():
             grid.point_cell(Fraction(1, 3))
 
 
+head_boxes = st.lists(
+    st.tuples(
+        st.sampled_from(["BOXMINUS", "BOXPLUS"]),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=3,
+)
+
+
+@given(grid_steps, head_boxes)
+def test_head_regions_lie_within_z_cells(d, boxes):
+    # z bounds every literal's reach, heads included, so a cell's head region
+    # lies in its z-neighbourhood: the window checks rely on this
+    head = Rel(parse_fact("P(a)@[0,0]").atom)
+    for op, a, width, left_open, right_open in boxes:
+        box = make(a * d, (a + width) * d, left_open and width > 0, right_open and width > 0)
+        head = UnaryOp(op, box, head)
+    grid = RulerGrid(d, Fraction(0), automata._literal_reach(head), point(0))
+    zc = grid.z_cells
+    for c in range(-8, 9):
+        req = reverse_head(head, grid.cell_interval(c))
+        assert subset(req.interval, grid.cells_interval(c - zc, c + zc)), (c, head)
+
+
 # -- window letter stores
 
 R_A = ("R", ("a",))
@@ -225,12 +255,11 @@ def _periodic_reduction():
 def test_check_window_with_a_given_store_gives_the_same_verdict(monkeypatch):
     seen = []
 
-    def check(grid, rules, lo, letters, committed, store=None):
+    def check(grid, rules, lo, letters, store):
         # the engine passes the store of this very window
         fresh = _letters_store(grid, lo, letters)
-        assert store is not None and store.atoms == fresh.atoms
-        verdict = _check_window(grid, rules, lo, letters, committed)
-        assert _check_window(grid, rules, lo, letters, committed, fresh) == verdict
+        assert store.atoms == fresh.atoms
+        verdict = _check_window(grid, rules, lo, letters, store)
         seen.append(verdict)
         return verdict
 
@@ -293,24 +322,30 @@ def test_check_window_missing_dataset_fact():
     assert assignments and all(P_A in letters[0] for letters in assignments)
 
 
+def _check_cell_0(grid, rules, letter):
+    """_check_window over the one-cell window of cell 0, labelled `letter`."""
+    letters = (frozenset(letter),)
+    return _check_window(grid, rules, 0, letters, _letters_store(grid, 0, letters))
+
+
 def test_check_window_unsatisfied_rule():
     eng = _point_engine("Q(a) :- P(a) .")
     # the missing head lies in the span, so another assignment could fix it
-    assert _check_window(eng.grid, eng.ground_rules, 0, (frozenset({P_A}),), {0}) == (False, True)
-    ok = _check_window(eng.grid, eng.ground_rules, 0, (frozenset({P_A, Q_A}),), {0})
+    assert _check_cell_0(eng.grid, eng.ground_rules, {P_A}) == (False, True)
+    ok = _check_cell_0(eng.grid, eng.ground_rules, {P_A, Q_A})
     assert ok == (True, False)
 
 
 def test_check_window_exact_dataset():
     grid = ruler_grid(parse_program(""), facts_of("P(a)@[0,0]"))
-    assert _check_window(grid, (), 0, (frozenset({P_A}),), {0}) == (True, False)
+    assert _check_cell_0(grid, (), {P_A}) == (True, False)
     red = entail_to_inconsist(parse_program(""), facts_of("P(a)@[0,0]"), parse_fact("P(a)@[0,0]"))
     assert not consistent(red.program, list(red.dataset))
 
 
 def test_check_window_fired_bottom():
     eng = _point_engine("BOTTOM :- P(a) .")
-    assert _check_window(eng.grid, eng.ground_rules, 0, (frozenset({P_A}),), {0}) == (False, False)
+    assert _check_cell_0(eng.grid, eng.ground_rules, {P_A}) == (False, False)
     assert not consistent(eng.program, facts_of("P(a)@[0,0]"))
 
 
@@ -335,6 +370,59 @@ def test_first_span_assignment_matches_materialised_model():
         for key in (("NoSympt", ("j",)), ("Immune", ("j",))):
             want = any(subset(civ, iv) for iv in out.store.intervals_for(key))
             assert (key in letter) == want, (cell, key)
+
+
+def _growing_span_assignments(eng):
+    """Reference: the span search with a window that grows over the whole
+    span, checking every prefix of the assignment."""
+    g = eng.grid
+    cells = range(g.span_lo_cell, g.span_hi_cell + 1)
+
+    def rec(chosen):
+        if len(chosen) == len(cells):
+            yield chosen
+            return
+        new_cell = cells[len(chosen)]
+        must = eng._cell_must(new_cell, 1)
+        for letter in eng._letters(must, new_cell, cells[0], chosen):
+            eng._poll()
+            cand = chosen + (letter,)
+            store = _letters_store(g, cells[0], cand)
+            ok, fixable = _check_window(g, eng.ground_rules, cells[0], cand, store)
+            if ok:
+                yield from rec(cand)
+            elif fixable:
+                eng.span_fixable = True
+
+    yield from rec(())
+
+
+def _first_assignments(eng, assignments):
+    out = []
+    try:
+        out.extend(itertools.islice(assignments, 10))
+    except SearchBudgetExceeded:
+        out.append("budget")
+    return out, eng.span_fixable, eng.states_left
+
+
+# BOTTOM fires at 0 when R(a) is guessed at 1, reading Q(a) at -1: one
+# violation spans all 2z+1 cells, so a window of 2z cells misses it (no
+# fixture or criterion-6 instance has such a violation)
+WIDE_VIOLATION = (
+    parse_program("BOTTOM :- DIAMONDMINUS[1,1] Q(a), DIAMONDPLUS[1,1] R(a) .\nR(a) :- R(a) ."),
+    facts_of("Q(a)@[-1,-1]"),
+)
+
+
+def test_sliding_span_window_matches_a_growing_window():
+    # a new cell's violations fire within z cells of it and read cells within
+    # 2z of it, so the last 2z+1 cells see what the whole prefix sees
+    for program, facts in (WIDE_VIOLATION, *fixture_and_criterion_6_instances()):
+        sliding = _Engine(program, facts, max_states=3000)
+        growing = _Engine(program, facts, max_states=3000)
+        want = _first_assignments(growing, _growing_span_assignments(growing))
+        assert _first_assignments(sliding, sliding.span_assignments()) == want, program
 
 
 def test_span_unavoidable_bottom():

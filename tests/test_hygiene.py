@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, no function
 takes a parameter it never reads, and every parameter default is overridden
-by some call."""
+by some call but not by every call."""
 
 import ast
 from pathlib import Path
@@ -80,11 +80,12 @@ TESTS = Path(__file__).parent
 CALLERS = sorted({*MODULES, *TESTS.glob("*.py"), *(TESTS.parent / "benchmark").glob("*.py")})
 
 
-def never_passed_parameters(defining: str, calling: list[str]) -> list[str]:
+def _default_passes(defining: str, calling: list[str]):
     """`function(parameter)` for each parameter of a function in `defining`
-    that has a default and that no call in `calling` passes, by keyword or by
-    position.  Calls match by the called name.  Skips `_`-prefixed
-    parameters, dunder methods, and calls that pass *args or **kwargs."""
+    that has a default, with one flag per call in `calling` of that function:
+    does the call pass it, by keyword or by position?  Calls match by the
+    called name.  Skips `_`-prefixed parameters, dunder methods, and calls
+    that pass *args or **kwargs."""
     calls: dict[str, list[ast.Call]] = {}
     for source in calling:
         for node in ast.walk(ast.parse(source)):
@@ -99,7 +100,6 @@ def never_passed_parameters(defining: str, calling: list[str]) -> list[str]:
             calls.setdefault(name, []).append(node)
     tree = ast.parse(defining)
     methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
-    out = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -115,13 +115,25 @@ def never_passed_parameters(defining: str, calling: list[str]) -> list[str]:
         for p, i in defaulted:
             if p.startswith("_"):
                 continue
-            if not any(
+            yield f"{node.name}({p})", [
                 p in {k.arg for k in c.keywords}
                 or (i is not None and len(c.args) + shift * isinstance(c.func, ast.Attribute) > i)
                 for c in calls.get(node.name, [])
-            ):
-                out.append(f"{node.name}({p})")
-    return sorted(out)
+            ]
+
+
+def never_passed_parameters(defining: str, calling: list[str]) -> list[str]:
+    """`function(parameter)` for each defaulted parameter that no call
+    passes (see `_default_passes`)."""
+    return sorted(name for name, passes in _default_passes(defining, calling) if not any(passes))
+
+
+def always_passed_parameters(defining: str, calling: list[str]) -> list[str]:
+    """`function(parameter)` for each defaulted parameter that every call,
+    and at least one, passes (see `_default_passes`): its default is dead."""
+    return sorted(
+        name for name, passes in _default_passes(defining, calling) if passes and all(passes)
+    )
 
 
 def test_scan_finds_never_passed_parameters():
@@ -138,10 +150,30 @@ def test_scan_finds_never_passed_parameters():
     assert never_passed_parameters(defining, calling) == ["f(c)", "f(d)", "m(y)"]
 
 
+def test_scan_finds_always_passed_parameters():
+    defining = (
+        "def f(a, b=1, c=2, *, d=3, e=4, _g=5):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def m(self, x=1, y=2):\n"
+        "        pass\n"
+        "def uncalled(u=1):\n"
+        "    pass\n"
+    )
+    calling = ["f(0, 5, e=1, _g=0)\nf(1, b=2, e=3)\nK().m(1)\nK().m(x=2, y=3)\nf(*xs)\n"]
+    assert always_passed_parameters(defining, calling) == ["f(b)", "f(e)", "m(x)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_default_is_passed_somewhere(path):
     calling = [p.read_text() for p in CALLERS]
     assert never_passed_parameters(path.read_text(), calling) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_default_is_passed_everywhere(path):
+    calling = [p.read_text() for p in CALLERS]
+    assert always_passed_parameters(path.read_text(), calling) == []
 
 
 def unnamed_definitions(sources: dict[str, str]) -> list[str]:

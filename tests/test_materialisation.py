@@ -158,7 +158,7 @@ def criterion_6_instances():
             rng.randint(0, 2)
 
 
-def delta_rounds_instances():
+def fixture_and_criterion_6_instances():
     names = sorted(p.stem for p in FIXTURES.glob("*.dmtl"))
     for name in names:
         yield load_program(name), load_dataset(name)
@@ -167,7 +167,7 @@ def delta_rounds_instances():
 
 @pytest.mark.parametrize("max_rounds", [1, 2, 3, 4, 5])
 def test_delta_rounds_match_naive_rounds(max_rounds):
-    for program, facts in delta_rounds_instances():
+    for program, facts in fixture_and_criterion_6_instances():
         store = FactStore.from_facts(facts)
         out = materialise(program, store, max_rounds=max_rounds)
         want, status, rounds = naive_materialise(program, store, max_rounds)

@@ -2,14 +2,16 @@
 sequential finish, and the race between a forked materialisation child and
 the automata."""
 
+import errno
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from datalogmtl import pipeline
+from datalogmtl import cli, pipeline
 from datalogmtl.intervals import make
 from datalogmtl.pipeline import check_entailment, pre_materialise
 from datalogmtl.store import FactStore
@@ -161,6 +163,40 @@ def test_race_child_that_dies_gives_no_answer(monkeypatch):
         check_entailment(parse_program(NO_ANSWER_PROGRAM), store_of("P(a)@[0,0]"),
                          parse_fact("Q(a)@[5,5]"))
     assert multiprocessing.active_children() == []
+
+
+def _blocked():
+    return signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+def test_race_reaps_a_child_that_a_signal_interrupts_mid_fork(monkeypatch):
+    # the wall-clock budget running out just after the fork, before
+    # child.start() returns, must still leave the child killed and reaped
+    process = multiprocessing.get_context("fork").Process
+    start = process.start
+
+    def interrupted_start(child):
+        start(child)
+        assert signal.SIGALRM in _blocked()
+        raise cli.WallClockExceeded("budget exhausted")
+
+    monkeypatch.setattr(process, "start", interrupted_start)
+    with pytest.raises(cli.WallClockExceeded):
+        check_entailment(load_program("birthday"), store_of("Bday(t)@[0,0]"),
+                         parse_fact("Bday(t)@[1/2,1/2]"))
+    assert multiprocessing.active_children() == []
+    assert signal.SIGALRM not in _blocked()
+
+
+def test_race_that_cannot_fork_raises_the_fork_error(monkeypatch):
+    def fork_fails(child):
+        raise OSError(errno.EAGAIN, "fork failed")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_fails)
+    with pytest.raises(OSError, match="fork failed"):
+        check_entailment(load_program("birthday"), store_of("Bday(t)@[0,0]"),
+                         parse_fact("Bday(t)@[1/2,1/2]"))
+    assert signal.SIGALRM not in _blocked()
 
 
 class _Unpicklable(Exception):
