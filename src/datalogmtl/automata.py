@@ -1,21 +1,24 @@
 """Automata-based consistency over the rational timeline.
 
 Time is tiled by ruler cells at spacing d (the instance gcd): points k*d and
-open segments (k*d, (k+1)*d).  A window assigns each covered cell a letter,
-the set of ground atoms holding there.  Every literal, heads included, reads
-atoms at most z away, so when the search labels one more cell, each violation
-that cell causes shows within the window of the last 2z+1 cells, the only
-window the search keeps.  Consistency = a satisfiable assignment of the span
-Q = [-x-z, x+z] that extends to infinite runs in both directions, found by
-depth-first search with cycle detection on shift-invariant window states.
-Every interval the search handles (data, horizon, span, cells, and the sums
-and intersections of them that operators and heads produce) has its
-endpoints on the d-grid, so the cells one meets are exactly the cells it
-contains, a contiguous run that RulerGrid.cells_in computes by arithmetic.
-Each RulerGrid memoises its cell geometry (cells_interval, point_cell) for
-the engine's lifetime, and the engine keeps the letter store of the last
-window it built, one interval per run of cells, because the search expands
-a state right after checking the window that led to it.
+open segments (k*d, (k+1)*d).  Scaling time by a positive constant leaves
+consistency unchanged, so the engine first divides every bound of the
+program and the data by d: it runs on the unit grid, where every bound is an
+int.  A window assigns each covered cell a letter, the set of ground atoms
+holding there.  Every literal, heads included, reads atoms at most z away,
+so when the search labels one more cell, each violation that cell causes
+shows within the window of the last 2z+1 cells, the only window the search
+keeps.  Consistency = a satisfiable assignment of the span Q = [-x-z, x+z]
+that extends to infinite runs in both directions, found by depth-first
+search with cycle detection on shift-invariant window states.  Every
+interval the search handles (data, horizon, span, cells, and the sums and
+intersections of them that operators and heads produce) has its endpoints
+on the d-grid, so the cells one meets are exactly the cells it contains, a
+contiguous run that RulerGrid.cells_in computes by arithmetic.  Each
+RulerGrid memoises cells_interval for the engine's lifetime, and the engine
+keeps the letter store of the last window it built, one interval per run of
+cells, because the search expands a state right after checking the window
+that led to it.
 
 Unbounded operator intervals are supported where the shipped pipeline
 produces them: the entailment reduction's rule BOTTOM :- anchor, BOX[0,inf)M
@@ -35,6 +38,7 @@ from typing import Iterator, Optional, Sequence
 from .dense_grid import instance_granularity, total_reach
 from .evaluation import apply_operator, merge_intervals, reverse_head
 from .intervals import (
+    Bound,
     Interval,
     POS_INF,
     intersect,
@@ -43,6 +47,7 @@ from .intervals import (
     make,
     normalize,
     point,
+    rational,
 )
 from .materialisation import apply_rules
 from .store import AtomKey, FactStore
@@ -107,14 +112,14 @@ def entail_to_inconsist(
             p = rho.right
             # box openness mirrors the query openness: excluding an endpoint
             # of rho drops the corresponding end of the covering requirement
-            box = make(Fraction(0), rho.right - rho.left, rho.right_open, rho.left_open)
+            box = make(0, rho.right - rho.left, rho.right_open, rho.left_open)
             b = UnaryOp("BOXMINUS", box, m)
     elif is_finite(rho.left):
         p = rho.left
-        b = UnaryOp("BOXPLUS", make(Fraction(0), POS_INF, rho.left_open, True), m)
+        b = UnaryOp("BOXPLUS", make(0, POS_INF, rho.left_open, True), m)
     elif is_finite(rho.right):
         p = rho.right
-        b = UnaryOp("BOXMINUS", make(Fraction(0), POS_INF, rho.right_open, True), m)
+        b = UnaryOp("BOXMINUS", make(0, POS_INF, rho.right_open, True), m)
     else:
         raise ValueError("query intervals unbounded on both sides are unsupported")
     fresh = _fresh_predicate(program, dataset)
@@ -130,7 +135,7 @@ def entail_to_inconsist(
 # ---------------------------------------------------------------- ruler grid
 
 
-def _literal_reach(m: MetricAtom) -> Fraction:
+def _literal_reach(m: MetricAtom) -> Bound:
     """How far (in time) the truth of m at a point can depend on atoms."""
     if isinstance(m, UnaryOp):
         return _op_extent(m.interval) + _literal_reach(m.sub)
@@ -138,23 +143,22 @@ def _literal_reach(m: MetricAtom) -> Fraction:
         return _op_extent(m.interval) + max(
             _literal_reach(m.left), _literal_reach(m.right)
         )
-    return Fraction(0)
+    return 0
 
 
-def _op_extent(iv: Interval) -> Fraction:
+def _op_extent(iv: Interval) -> Bound:
     vals = [abs(b) for b in (iv.left, iv.right) if is_finite(b)]
-    return max(vals, default=Fraction(0))
+    return max(vals, default=0)
 
 
 @dataclass(frozen=True)
 class RulerGrid:
-    d: Fraction
-    x: Fraction
-    z: Fraction
+    d: Bound
+    x: Bound
+    z: Bound
     span: Interval  # Q = [-x-z, x+z]
-    # memos of cells_interval and point_cell, which live and die with the grid
+    # memo of cells_interval, which lives and dies with the grid
     _runs: dict = field(default_factory=dict, compare=False, repr=False)
-    _cells: dict = field(default_factory=dict, compare=False, repr=False)
 
     # cell c: even -> point (c/2)*d, odd -> segment between neighbour points
     def cell_interval(self, c: int) -> Interval:
@@ -165,18 +169,17 @@ class RulerGrid:
         iv = self._runs.get((lo, hi))
         if iv is None:
             d = self.d
-            iv = normalize(lo // 2 * d, (hi + 1) // 2 * d, lo % 2 == 1, hi % 2 == 1)
+            iv = normalize(
+                rational(lo // 2 * d), rational((hi + 1) // 2 * d), lo % 2 == 1, hi % 2 == 1
+            )
             self._runs[lo, hi] = iv
         return iv
 
-    def point_cell(self, t: Fraction) -> int:
-        c = self._cells.get(t)
-        if c is None:
-            q = Fraction(t) / self.d
-            if q.denominator != 1:
-                raise ValueError(f"{t} is not on the d={self.d} grid")
-            c = self._cells[t] = 2 * q.numerator
-        return c
+    def point_cell(self, t: Bound) -> int:
+        k, off = divmod(t, self.d)
+        if off:
+            raise ValueError(f"{t} is not on the d={self.d} grid")
+        return 2 * k
 
     @property
     def span_lo_cell(self) -> int:
@@ -188,7 +191,7 @@ class RulerGrid:
 
     @property
     def z_cells(self) -> int:
-        return int(2 * self.z / self.d)
+        return 2 * self.z // self.d
 
     def cells_in(self, iv: Interval) -> range:
         """Cells meeting a bounded interval with endpoints on the grid: the
@@ -211,12 +214,31 @@ def ruler_grid(program: Program, dataset: Sequence[Fact]) -> RulerGrid:
         for b in (f.interval.left, f.interval.right)
         if is_finite(b)
     ]
-    x = max(endpoints, default=Fraction(0))
+    x = max(endpoints, default=0)
     reaches = [
         _literal_reach(lit) for r in program.rules for lit in (r.head, *r.body)
     ]
-    z = max(reaches, default=Fraction(0))
+    z = max(reaches, default=0)
     return RulerGrid(d, x, z, make(-x - z, x + z, False, False))
+
+
+def _divided(iv: Interval, d: Bound) -> Interval:
+    """iv with every finite bound divided by d."""
+    left, right = (
+        rational(Fraction(b, d)) if is_finite(b) else b for b in (iv.left, iv.right)
+    )
+    return normalize(left, right, iv.left_open, iv.right_open)
+
+
+def _rescaled(m: MetricAtom, d: Bound) -> MetricAtom:
+    """m with every operator interval divided by d."""
+    if isinstance(m, UnaryOp):
+        return UnaryOp(m.op, _divided(m.interval, d), _rescaled(m.sub, d))
+    if isinstance(m, BinaryOp):
+        return BinaryOp(
+            m.op, _divided(m.interval, d), _rescaled(m.left, d), _rescaled(m.right, d)
+        )
+    return m
 
 
 # ---------------------------------------------------------------- window
@@ -391,13 +413,23 @@ class _Engine:
         cancelled=None,
         max_states: int = 200_000,
     ):
-        self.program = program
         # facts on predicates never read by any body cannot influence
         # consistency (they feed no rule), so drop them up front
         body_preds = set()
         for r in program.rules:
             body_preds |= r.body_predicates()
-        self.facts = [f for f in dataset if f.atom.predicate in body_preds]
+        facts = [f for f in dataset if f.atom.predicate in body_preds]
+        # consistency is invariant under scaling time by a positive constant:
+        # divide every bound by the instance gcd once, so the grid has d = 1
+        # and every bound the search handles is an int
+        d = instance_granularity(program, facts)
+        self.program = program = Program(
+            tuple(
+                Rule(_rescaled(r.head, d), tuple(_rescaled(b, d) for b in r.body))
+                for r in program.rules
+            )
+        )
+        self.facts = [Fact(f.atom, _divided(f.interval, d)) for f in facts]
         self.grid = ruler_grid(program, self.facts)
         self.obligations = _extract_obligations(program, self.facts, self.grid)
         self.cancelled = cancelled
@@ -439,7 +471,7 @@ class _Engine:
                 m = m.sub
             if not isinstance(m, Rel):
                 continue
-            reaches = tuple(int(2 * _literal_reach(b) / self.grid.d) for b in rule.body)
+            reaches = tuple(2 * _literal_reach(b) // self.grid.d for b in rule.body)
             self.rules_by_head.setdefault(m.atom.key(), []).append(
                 (rule, tuple(boxes), reaches)
             )

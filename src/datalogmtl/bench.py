@@ -53,8 +53,8 @@ def generate_dataset(spec: GeneratorSpec) -> list[Fact]:
     lo = Fraction(spec.endpoint_range.left)
     hi = Fraction(spec.endpoint_range.right)
     g = Fraction(spec.granularity)
-    steps = int((hi - lo) / g)
-    max_len_steps = min(steps, int(Fraction(spec.max_interval_length) / g))
+    steps = (hi - lo) // g
+    max_len_steps = min(steps, Fraction(spec.max_interval_length) // g)
     consts = [f"c{i}" for i in range(spec.constant_pool)]
     out = []
     for _ in range(spec.fact_count):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .intervals import (
+    Bound,
     Interval,
     coalesce,
     gcd_rationals,
@@ -21,6 +22,7 @@ from .intervals import (
     is_finite,
     normalize,
     point,
+    rational,
     subset,
 )
 from .syntax import (
@@ -40,7 +42,7 @@ from .syntax import (
 Cell = tuple[int, int]
 
 
-def instance_granularity(program: Program, facts: Sequence[Fact]) -> Fraction:
+def instance_granularity(program: Program, facts: Sequence[Fact]) -> Bound:
     """gcd of all finite endpoint magnitudes and operator bounds; 1 if all zero."""
     vals = []
     for f in facts:
@@ -52,11 +54,11 @@ def instance_granularity(program: Program, facts: Sequence[Fact]) -> Fraction:
             vals.extend(_operator_bounds(m))
     vals = [v for v in vals if v != 0]
     if not vals:
-        return Fraction(1)
+        return 1
     return gcd_rationals(vals)
 
 
-def _operator_bounds(m: MetricAtom) -> list[Fraction]:
+def _operator_bounds(m: MetricAtom) -> list[Bound]:
     out = []
     if isinstance(m, (UnaryOp, BinaryOp)):
         for b in (m.interval.left, m.interval.right):
@@ -69,13 +71,13 @@ def _operator_bounds(m: MetricAtom) -> list[Fraction]:
     return out
 
 
-def total_reach(program: Program) -> Fraction:
+def total_reach(program: Program) -> Bound:
     """Sum of all finite operator bounds; pads the evaluation range."""
-    total = Fraction(0)
+    total = 0
     for r in program.rules:
         for m in (r.head, *r.body):
-            total += sum(_operator_bounds(m), Fraction(0))
-    return total
+            total += sum(_operator_bounds(m))
+    return rational(total)
 
 
 class GridOracle:
@@ -87,7 +89,8 @@ class GridOracle:
     """
 
     def __init__(self, program: Program, facts: Sequence[Fact]):
-        self.d = instance_granularity(program, facts)
+        # the oracle's own arithmetic stays on Fractions (d / 2 included)
+        self.d = Fraction(instance_granularity(program, facts))
         endpoints = []
         for f in facts:
             for b in (f.interval.left, f.interval.right):
@@ -132,8 +135,8 @@ class GridOracle:
             return []
         if not (is_finite(iv.left) and is_finite(iv.right)):
             raise ValueError("cells_covering requires a bounded interval")
-        kmin = _floor_div(iv.left, self.d)
-        kmax = _floor_div(iv.right, self.d) + 1
+        kmin = iv.left // self.d
+        kmax = iv.right // self.d + 1
         out = []
         for k in range(kmin, kmax + 1):
             for kind in (0, 1):
@@ -297,8 +300,3 @@ def _shift_future(t: Fraction, rho: Interval) -> Interval:
     if not (is_finite(rho.left) and is_finite(rho.right)):
         raise ValueError("grid oracle requires bounded operator intervals")
     return normalize(t + rho.left, t + rho.right, rho.left_open, rho.right_open)
-
-
-def _floor_div(a: Fraction, d: Fraction) -> int:
-    q = a / d
-    return q.numerator // q.denominator

@@ -9,7 +9,6 @@ substitution search and reverse head application.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable
 
 from .intervals import (
@@ -76,7 +75,7 @@ def apply_operator(literal: MetricAtom, store: FactStore) -> IntervalList:
 
 def _positive_part(rho: Interval) -> Interval:
     """rho restricted to strictly positive values."""
-    return intersect(rho, normalize(Fraction(0), POS_INF, True, True))
+    return intersect(rho, normalize(0, POS_INF, True, True))
 
 
 def _since(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalList:

@@ -1,9 +1,11 @@
 """Exact rational intervals on the timeline.
 
-Finite endpoints are `fractions.Fraction` values; the infinite ones are the
-two float constants NEG_INF and POS_INF, so bounds compare with the built-in
-operators.  All interval values are immutable; the empty interval is the
-single module-level EMPTY object.
+Finite endpoints are exact rationals in one canonical form: an `int` when the
+value is integral, a `fractions.Fraction` only when it is not (see
+`rational`), so inputs whose endpoints are all integers never build a
+Fraction.  The infinite ones are the two float constants NEG_INF and POS_INF,
+so bounds compare with the built-in operators.  All interval values are
+immutable; the empty interval is the single module-level EMPTY object.
 """
 
 from __future__ import annotations
@@ -17,7 +19,16 @@ from typing import Iterable, Optional, Union
 POS_INF = math.inf
 NEG_INF = -math.inf
 
-Bound = Union[Fraction, float]
+# int, non-integral Fraction, or one of the two infinity constants
+Bound = Union[int, Fraction, float]
+
+
+def rational(v):
+    """The canonical form of a finite rational: an integral Fraction becomes
+    its int numerator; anything else is returned unchanged."""
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
 
 
 def is_finite(b: Bound) -> bool:
@@ -37,7 +48,7 @@ def bound_add(a: Bound, b: Bound) -> Bound:
         return a
     if not is_finite(b):
         return b
-    return a + b
+    return rational(a + b)
 
 
 def bound_sub(a: Bound, b: Bound) -> Bound:
@@ -46,7 +57,7 @@ def bound_sub(a: Bound, b: Bound) -> Bound:
         return a
     if not is_finite(b):
         return NEG_INF if b > 0 else POS_INF
-    return a - b
+    return rational(a - b)
 
 
 @dataclass(frozen=True)
@@ -82,9 +93,7 @@ class Interval:
 def _fmt_bound(b: Bound) -> str:
     if not is_finite(b):
         return "+inf" if b > 0 else "-inf"
-    if b.denominator == 1:
-        return str(b.numerator)
-    return f"{b.numerator}/{b.denominator}"
+    return str(b)
 
 
 # The unique empty interval: built directly so normalize() can return it.
@@ -124,7 +133,7 @@ FULL_LINE = normalize(NEG_INF, POS_INF, True, True)
 def _coerce(v) -> Bound:
     if isinstance(v, float) and math.isinf(v):
         return POS_INF if v > 0 else NEG_INF
-    return Fraction(v)
+    return rational(Fraction(v))
 
 
 def interval_op(kind: str, i1: Interval, i2: Optional[Interval] = None) -> Interval:
@@ -228,7 +237,7 @@ def contains_point(i: Interval, t) -> bool:
     return subset(point(t), i)
 
 
-def gcd_rationals(values: Iterable[Fraction]) -> Fraction:
+def gcd_rationals(values: Iterable[Bound]) -> Bound:
     """Largest rational d such that every input is an integer multiple of d.
 
     Zero values are allowed (everything divides 0) but at least one input
@@ -244,7 +253,7 @@ def gcd_rationals(values: Iterable[Fraction]) -> Fraction:
         raise ValueError("gcd_rationals of all-zero values")
     num = reduce(math.gcd, (v.numerator for v in nonzero))
     den = reduce(math.lcm, (v.denominator for v in nonzero))
-    return Fraction(num, den)
+    return rational(Fraction(num, den))
 
 
 def coalesce(intervals: Iterable[Interval]) -> list[Interval]:

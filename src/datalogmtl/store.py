@@ -9,9 +9,10 @@ entailment reduces to single-interval containment.
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .intervals import Interval, coalesce, subset, union_if_coalescable
+from .intervals import NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
 from .syntax import Constant, Fact, RelationalAtom, Variable
 
 AtomKey = tuple[str, tuple[str, ...]]
@@ -153,9 +154,15 @@ class FactStore:
         )
 
     def check_invariants(self):
-        """Full-scan validation: sorted, non-coalescable, index-consistent."""
+        """Full-scan validation: sorted, non-coalescable, index-consistent,
+        every bound canonical (an int, a non-integral Fraction, or one of
+        the two infinity constants)."""
         for key, lst in self.atoms.items():
             assert lst, f"empty interval list for {key}"
+            for iv in lst:
+                for b in (iv.left, iv.right):
+                    ok = type(b) is int or (type(b) is Fraction and b.denominator != 1)
+                    assert ok or b is POS_INF or b is NEG_INF, f"non-canonical bound {b!r} in {key}"
             for a, b in zip(lst, lst[1:]):
                 assert a.sort_key() < b.sort_key(), f"unsorted list for {key}"
                 assert union_if_coalescable(a, b) is None, f"coalescable pair in {key}"

@@ -23,9 +23,11 @@ from typing import Optional, Sequence, Union
 from .intervals import (
     NEG_INF,
     POS_INF,
+    Bound,
     Interval,
     is_finite,
     normalize,
+    rational,
 )
 
 
@@ -350,12 +352,14 @@ class _Parser:
 
     # -- rationals and intervals
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> Bound:
         t = self.next()
         if t.kind != "number":
             raise SyntaxFault(f"expected a number, got {t.text!r}", t.line, t.column)
+        if t.text.isdecimal():  # a plain integer
+            return int(t.text)
         try:
-            return Fraction(t.text)
+            return rational(Fraction(t.text))
         except (ValueError, ZeroDivisionError):
             # the number token also admits 1/0 and 1.5/2
             raise SyntaxFault(f"not a rational number: {t.text!r}", t.line, t.column) from None

@@ -20,8 +20,19 @@ from datalogmtl.automata import (
     entail_to_inconsist,
     ruler_grid,
 )
+from datalogmtl.dense_grid import _operator_bounds, instance_granularity
 from datalogmtl.evaluation import reverse_head
-from datalogmtl.intervals import EMPTY, NEG_INF, POS_INF, intersect, make, normalize, point, subset
+from datalogmtl.intervals import (
+    EMPTY,
+    NEG_INF,
+    POS_INF,
+    intersect,
+    is_finite,
+    make,
+    normalize,
+    point,
+    subset,
+)
 from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
@@ -129,6 +140,12 @@ def _cells_meeting(d, iv):
 
 
 grid_steps = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+
+
+def test_z_cells_is_exact_for_large_int_reaches():
+    # 2 * z / d in floats would round 2 * (10**17 + 1) to 2 * 10**17
+    z = 10**17 + 1
+    assert RulerGrid(1, 0, z, point(0)).z_cells == 2 * z
 
 
 @given(grid_steps, st.integers(-8, 8), st.integers(0, 4), st.booleans(), st.booleans())
@@ -423,6 +440,23 @@ def test_sliding_span_window_matches_a_growing_window():
         growing = _Engine(program, facts, max_states=3000)
         want = _first_assignments(growing, _growing_span_assignments(growing))
         assert _first_assignments(sliding, sliding.span_assignments()) == want, program
+
+
+def test_engine_runs_on_the_unit_grid():
+    # the engine divides every bound by the instance gcd, so its grid has
+    # d = 1 and every finite bound it holds is an int
+    half = (parse_program("P(a) :- BOXMINUS[0,1] Q(a) ."), facts_of("Q(a)@[0,3/2]"))
+    scales = set()
+    for program, facts in (half, *fixture_and_criterion_6_instances()):
+        scales.add(instance_granularity(program, facts))
+        eng = _Engine(program, facts, max_states=3000)
+        assert eng.grid.d == 1 and type(eng.grid.d) is int, program
+        bounds = [abs(b) for f in eng.facts for b in (f.interval.left, f.interval.right)]
+        for r in eng.program.rules:
+            for m in (r.head, *r.body):
+                bounds += _operator_bounds(m)
+        assert all(type(b) is int for b in bounds if is_finite(b)), program
+    assert {Fraction(1, 2), 2, 3} <= scales  # the rescale was exercised
 
 
 def test_span_unavoidable_bottom():

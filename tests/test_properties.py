@@ -210,7 +210,7 @@ def test_coalesce_canonical(ivs):
 
 
 @given(unbounded_intervals(), unbounded_intervals(), st.booleans(), st.booleans())
-def test_bounds_are_fractions_or_the_infinity_constants(i1, i2, left_open, right_open):
+def test_bounds_are_canonical_rationals_or_the_infinity_constants(i1, i2, left_open, right_open):
     results = [
         normalize(i1.left, i1.right, left_open, right_open),
         intersect(i1, i2),
@@ -222,7 +222,12 @@ def test_bounds_are_fractions_or_the_infinity_constants(i1, i2, left_open, right
         if iv is None:
             continue
         for b in (iv.left, iv.right):
-            assert type(b) is Fraction or b is POS_INF or b is NEG_INF, (iv, b)
+            assert (
+                type(b) is int
+                or (type(b) is Fraction and b.denominator != 1)
+                or b is POS_INF
+                or b is NEG_INF
+            ), (iv, b)
 
 
 @given(

@@ -2,8 +2,11 @@
 matching, equality, and invariants."""
 
 import random
+from fractions import Fraction
 
-from datalogmtl.intervals import make, point
+import pytest
+
+from datalogmtl.intervals import make, normalize, point
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
     Constant,
@@ -113,6 +116,15 @@ def test_from_intervals_coalesces_and_skips_empty_keys():
     assert s.intervals_for(("P", ("a",))) == [make(0, 3)]
     assert ("Q", ("a",)) not in s.atoms
     s.check_invariants()
+
+
+def test_invariants_reject_an_integral_fraction_bound():
+    s = FactStore.from_intervals({("P", ("a",)): [make(0, 2)]})
+    s.check_invariants()
+    # the same point set with the bound 2 held as a Fraction
+    s.atoms[("P", ("a",))] = [normalize(0, Fraction(2), False, False)]
+    with pytest.raises(AssertionError, match="non-canonical bound"):
+        s.check_invariants()
 
 
 def test_snapshot_isolation():

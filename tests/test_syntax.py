@@ -1,6 +1,7 @@
 """Parser, printer, safety checking, grounding, and arity checking."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,17 @@ def test_parse_rationals_and_infinity():
     b1, b2 = prog.rules[0].body
     assert b1.interval == make("1/2", "13/4", False, True)
     assert b2.interval.right_open
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", 3), ("4/2", 2), ("1.0", 1), ("-4/2", -2), ("3/2", Fraction(3, 2)), ("-1.25", Fraction(-5, 4))],
+)
+def test_rationals_parse_to_canonical_bounds(text, value):
+    # integral values are ints, the others Fractions: one form per value
+    iv = parse_fact(f"P(a)@[{text},{text}]").interval
+    for b in (iv.left, iv.right):
+        assert b == value and type(b) is (int if value.denominator == 1 else Fraction)
 
 
 def test_parse_dataset_basics():
