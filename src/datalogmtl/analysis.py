@@ -4,6 +4,9 @@ The graph has a vertex per predicate and an edge (Q, R) whenever Q occurs in
 the body of a rule whose head predicate is R.  TOP and BOTTOM are not
 vertices; rules with BOTTOM heads contribute no edges but are always part of
 every relevant subprogram, since they can fire inconsistency.
+
+`propagation` classifies a program by the direction in which its rules carry
+facts along the timeline.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .syntax import Program
+from .syntax import BinaryOp, MetricAtom, Program, UnaryOp
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,41 @@ def relevant_rules(program: Program, predicate: str) -> Program:
         elif head in sources:
             picked.append(rule)
     return Program(tuple(picked))
+
+
+def _operators(m: MetricAtom) -> set[str]:
+    """The temporal operators anywhere inside m."""
+    if isinstance(m, UnaryOp):
+        return {m.op} | _operators(m.sub)
+    if isinstance(m, BinaryOp):
+        return {m.op} | _operators(m.left) | _operators(m.right)
+    return set()
+
+
+def propagation(program: Program) -> int:
+    """1 when the program propagates forward, -1 when it propagates
+    backward, 0 when it is mixed.
+
+    Forward: body operators are only DIAMONDMINUS, BOXMINUS and SINCE, and
+    head boxes only BOXPLUS, so a fact derived at t needs body facts at t or
+    before (Walega, Kaminski & Cuenca Grau, AAAI 2019); backward is the
+    mirror.  A program with no temporal operators counts as forward.  A
+    BOTTOM head makes a program mixed: inconsistency derived at any time
+    entails every fact.
+    """
+    body: set[str] = set()
+    heads: set[str] = set()
+    for rule in program.rules:
+        if rule.head_predicate() is None:
+            return 0
+        heads |= _operators(rule.head)
+        for lit in rule.body:
+            body |= _operators(lit)
+    if body <= {"DIAMONDMINUS", "BOXMINUS", "SINCE"} and heads <= {"BOXPLUS"}:
+        return 1
+    if body <= {"DIAMONDPLUS", "BOXPLUS", "UNTIL"} and heads <= {"BOXMINUS"}:
+        return -1
+    return 0
 
 
 def to_dot(info: DependencyInfo) -> str:

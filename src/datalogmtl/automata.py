@@ -610,22 +610,37 @@ class _Engine:
             self.span_fixable = True
         return (lo, letters) if ok else None
 
+    def _span_steps(self, lo: int, window: tuple) -> Iterator[tuple[Letter, int, tuple]]:
+        """(letter, lo, window) for each letter of the cell after `window`
+        that the slid window accepts."""
+        new_cell = lo + len(window)
+        must = self._cell_must(new_cell, 1)
+        for letter in self._letters(must, new_cell, lo, window):
+            self._poll()
+            slid = self._slide(lo, window, letter, 1)
+            if slid is not None:
+                yield letter, *slid
+
     def span_assignments(self) -> Iterator[tuple[Letter, ...]]:
+        """Depth first over the span's cells, left to right, on an explicit
+        stack: a span may have more cells than Python's recursion limit."""
         g = self.grid
-
-        def rec(path, lo, window) -> Iterator[tuple[Letter, ...]]:
-            new_cell = lo + len(window)
-            if new_cell > g.span_hi_cell:
-                yield path
-                return
-            must = self._cell_must(new_cell, 1)
-            for letter in self._letters(must, new_cell, lo, window):
-                self._poll()
-                slid = self._slide(lo, window, letter, 1)
-                if slid is not None:
-                    yield from rec(path + (letter,), *slid)
-
-        yield from rec((), g.span_lo_cell, ())
+        path: list[Letter] = []  # the letters of the cells the stack fixes
+        stack = [self._span_steps(g.span_lo_cell, ())]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if stack:
+                    path.pop()  # the letter whose cell the popped frame followed
+                continue
+            letter, lo, window = step
+            path.append(letter)
+            if lo + len(window) > g.span_hi_cell:
+                yield tuple(path)
+                path.pop()
+            else:
+                stack.append(self._span_steps(lo, window))
 
     # -- infinite tails
 

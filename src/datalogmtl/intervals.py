@@ -199,7 +199,14 @@ def union_if_coalescable(i1: Interval, i2: Interval) -> Optional[Interval]:
     """i1 ∪ i2 when it is itself an interval, otherwise None."""
     if i1.is_empty or i2.is_empty:
         raise ValueError("union_if_coalescable requires non-empty inputs")
-    a, b = sorted((i1, i2), key=Interval.sort_key)
+    if i2.sort_key() < i1.sort_key():
+        i1, i2 = i2, i1
+    return _union_ordered(i1, i2)
+
+
+def _union_ordered(a: Interval, b: Interval) -> Optional[Interval]:
+    """union_if_coalescable for non-empty a and b with a's sort key not
+    after b's."""
     # gap iff a ends strictly before b starts, or they touch at a point
     # covered by neither side
     if a.right < b.left:
@@ -262,7 +269,7 @@ def coalesce(intervals: Iterable[Interval]) -> list[Interval]:
     out: list[Interval] = []
     for iv in items:
         if out:
-            merged = union_if_coalescable(out[-1], iv)
+            merged = _union_ordered(out[-1], iv)
             if merged is not None:
                 out[-1] = merged
                 continue

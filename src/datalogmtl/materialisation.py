@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 from .evaluation import evaluate_rule
+from .intervals import NEG_INF, POS_INF, Interval, subset
 from .store import FactStore
 from .syntax import Fact, Program
 
@@ -14,7 +16,7 @@ from .syntax import Fact, Program
 @dataclass
 class MaterialisationOutcome:
     store: FactStore
-    status: str  # Fixpoint | TargetEntailed | RoundLimit | Inconsistent
+    status: str  # Fixpoint | TargetEntailed | RoundLimit | OutOfReach | Inconsistent
     rounds: int
     coalescing_time: float = 0.0
 
@@ -24,6 +26,7 @@ def apply_rules(
     store: FactStore,
     changed: Optional[set[str]] = None,
     gained: Optional[set[str]] = None,
+    grown: Optional[set] = None,
 ) -> FactStore:
     """One round of the immediate consequence operator.
 
@@ -37,7 +40,8 @@ def apply_rules(
     derives is already stored.  None evaluates every rule, as a first round
     must.  The predicates whose coverage grows in this round are added to
     `gained` when it is given; an empty `gained` and no BOTTOM mean that the
-    round changed nothing.
+    round changed nothing.  The atom keys whose coverage grows are added to
+    `grown` when it is given.
     """
     out = store.snapshot()
     by_key: dict = {}
@@ -52,7 +56,43 @@ def apply_rules(
     for key, ivs in by_key.items():
         if out.insert_intervals(key, ivs) and gained is not None:
             gained.add(key[0])
+            if grown is not None:
+                grown.add(key)
     return out
+
+
+def _new_point_bound(old: list[Interval], new: list[Interval], direction: int):
+    """For coalesced lists with `old` covered by `new`: a bound that is not
+    past the earliest (direction 1) or latest (-1) point that `new` covers
+    and `old` does not.
+
+    The first changed interval of `new` starts that far when it does not
+    keep the end of the first old interval inside it; when it does, the new
+    points lie beyond that old interval's other end.
+    """
+    if direction == -1:
+        old, new = old[::-1], new[::-1]
+    # the lists agree interval by interval up to the first changed one
+    for o, n in zip_longest(old, new):
+        if o == n:
+            continue
+        kept = o is not None and subset(o, n)
+        if direction == 1:
+            kept = kept and (o.left, o.left_open) == (n.left, n.left_open)
+            return o.right if kept else n.left
+        kept = kept and (o.right, o.right_open) == (n.right, n.right_open)
+        return o.left if kept else n.right
+    return POS_INF if direction == 1 else NEG_INF  # no new point
+
+
+def _out_of_reach(old: FactStore, new: FactStore, grown: set, target: Fact, direction: int) -> bool:
+    """Do all points that `new` adds to `old` on the keys in `grown` lie
+    after the target's right end (direction 1) or before its left end (-1)?"""
+    if direction == 1:
+        end = target.interval.right
+        return all(_new_point_bound(old.intervals_for(k), new.intervals_for(k), 1) > end for k in grown)
+    end = target.interval.left
+    return all(_new_point_bound(old.intervals_for(k), new.intervals_for(k), -1) < end for k in grown)
 
 
 def materialise(
@@ -60,6 +100,7 @@ def materialise(
     store: FactStore,
     max_rounds: Optional[int] = None,
     target: Optional[Fact] = None,
+    direction: int = 0,
 ) -> MaterialisationOutcome:
     """Iterate apply_rules until a target is entailed, a fixpoint or the
     round limit is reached, or inconsistency is derived.
@@ -67,6 +108,14 @@ def materialise(
     Each round after the first evaluates only the rules whose body reads a
     predicate the round before it grew.  The fixpoint is the first round that
     grows nothing; it counts in `rounds`.
+
+    `direction` is the program's `analysis.propagation`, given with a
+    target.  When it is 1, a round whose new points all lie after the
+    target's right end ends with OutOfReach: in a forward-propagating
+    program a point derived in one round needs a point new in the round
+    before at the same time or earlier, so no later round reaches the
+    target either.  -1 is the mirror, before the target's left end; 0 never
+    stops early.
     """
     coalescing_time = 0.0
     if store.contains_bottom:
@@ -78,7 +127,8 @@ def materialise(
     while max_rounds is None or rounds < max_rounds:
         t0 = time.perf_counter()
         gained: set[str] = set()
-        new = apply_rules(program, store, changed, gained)
+        grown: Optional[set] = set() if direction else None
+        new = apply_rules(program, store, changed, gained, grown)
         coalescing_time += time.perf_counter() - t0
         rounds += 1
         if new.contains_bottom:
@@ -87,5 +137,7 @@ def materialise(
             return MaterialisationOutcome(new, "TargetEntailed", rounds, coalescing_time)
         if not gained:
             return MaterialisationOutcome(new, "Fixpoint", rounds, coalescing_time)
+        if direction and _out_of_reach(store, new, grown, target, direction):
+            return MaterialisationOutcome(new, "OutOfReach", rounds, coalescing_time)
         store, changed = new, gained
     return MaterialisationOutcome(store, "RoundLimit", rounds, coalescing_time)

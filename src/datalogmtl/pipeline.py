@@ -2,12 +2,15 @@
 
 Fast path over the stored dataset, relevant-rule extraction, a plain
 materialisation loop for non-recursive subprograms, and for recursive ones a
-pre-materialisation followed by either a race or, in sequential test mode, a
-bounded materialisation run with an automata fallback.  The race runs
-continued materialisation in a forked child process and the automata decision
-in the calling thread, so the two engines do not share an interpreter lock;
-it needs the POSIX `fork` start method.  Both modes bound materialisation by
-the same round budget.
+pre-materialisation followed by a bounded materialisation run with an
+automata fallback or, for programs that propagate both ways, a race.
+Materialisation of a program that propagates one way (`propagation`) stops
+with OutOfReach once its rounds add points only past the query, so that
+finish needs no race and runs in the calling process, in both modes.  The
+race runs continued materialisation in a forked child process and the
+automata decision in the calling thread, so the two engines do not share an
+interpreter lock; it needs the POSIX `fork` start method.  Both modes bound
+materialisation by the same round budget.
 
 Fact types mirror the answering code path: T1 dataset fast path, T2
 non-recursive loop, T3 fixpoint during recursive materialisation, T4 target
@@ -22,7 +25,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 
-from .analysis import dependency_info, is_recursive, relevant_rules
+from .analysis import dependency_info, is_recursive, propagation, relevant_rules
 from .automata import consistent, entail_to_inconsist
 from .materialisation import apply_rules, materialise
 from .store import FactStore
@@ -73,7 +76,7 @@ def _materialisation_result(
     status: str, rounds: int, timings: dict, recursive: bool = True
 ) -> EntailmentResult | None:
     """The answer a materialisation status gives, or None for statuses that
-    give none (PreDone, RoundLimit)."""
+    give none (PreDone, RoundLimit, OutOfReach)."""
     if status not in ("Inconsistent", "TargetEntailed", "Fixpoint"):
         return None
     if not recursive:
@@ -128,8 +131,12 @@ def check_entailment(
 
 
 def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget):
+    """Materialise under the round budget, stopping once the query is out of
+    reach, then let the automata decide."""
     t0 = time.perf_counter()
-    out = materialise(sub, dpre.snapshot(), max_rounds=round_budget, target=query)
+    out = materialise(
+        sub, dpre.snapshot(), max_rounds=round_budget, target=query, direction=propagation(sub)
+    )
     timings["materialisation"] = time.perf_counter() - t0
     rounds = pre_rounds + out.rounds
     result = _materialisation_result(out.status, rounds, timings)
@@ -146,6 +153,10 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     """Race continued materialisation, under the round budget, against the
     automata decision; the first answer wins.
 
+    A program that propagates one way does not race: its materialisation
+    stops once the query is out of reach, so it finishes sequentially here,
+    with no fork.
+
     Materialisation runs in a forked child, which sends back one message: its
     answer, None when it runs out of rounds, or its exception.  The automata
     run here and stop at the next state once the child has sent an answer.
@@ -154,6 +165,10 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     keeps blocked, are blocked here only until the `try` that reaps it.
     """
     t0 = time.perf_counter()
+    if propagation(sub):
+        result = _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget)
+        timings["race"] = time.perf_counter() - t0
+        return result
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     message = []  # the child's one message, once received

@@ -1,8 +1,11 @@
 """Dependency graph, recursive predicates, and relevant subprograms."""
 
+import pytest
+
 from datalogmtl.analysis import (
     dependency_info,
     is_recursive,
+    propagation,
     relevant_rules,
     to_dot,
 )
@@ -80,3 +83,28 @@ def test_empty_program():
     prog = parse_program("")
     assert not is_recursive(prog)
     assert dependency_info(prog).recursive == set()
+
+
+def test_propagation_of_the_fixtures():
+    assert propagation(load_program("birthday")) == 1
+    assert propagation(load_program("professor")) == 1
+    assert propagation(load_program("immune")) == 1
+    assert propagation(load_program("monitoring")) == 0
+
+
+@pytest.mark.parametrize("text, direction", [
+    ("P(X) :- Q(X) .", 1),
+    ("", 1),
+    ("BOXPLUS[1,2] P(X) :- P(X) SINCE[0,1] (BOXMINUS[0,1] Q(X)), TOP .", 1),
+    ("BOXMINUS[1,1] P(X) :- P(X) .", -1),
+    ("P(X) :- P(X) UNTIL[0,1] (DIAMONDPLUS[2,3] Q(X)) .\nBOXMINUS[0,1] Q(X) :- BOXPLUS[0,1] P(X) .", -1),
+    # a look-ahead in a nested literal mixes the directions
+    ("P(X) :- DIAMONDMINUS[0,1] (DIAMONDPLUS[0,1] Q(X)) .", 0),
+    ("BOXPLUS[1,1] P(X) :- DIAMONDPLUS[0,1] P(X) .", 0),
+    ("BOXMINUS[1,1] P(X) :- P(X) SINCE[0,1] Q(X) .", 0),
+    ("BOXPLUS[1,1] Bday(X) :- Bday(X) .\nParty(X) :- DIAMONDPLUS[0,1] Bday(X) .", 0),
+    # inconsistency derived at any time entails every fact
+    ("BOXPLUS[1,1] P(X) :- P(X) .\nBOTTOM :- P(X), Q(X) .", 0),
+])
+def test_propagation_direction(text, direction):
+    assert propagation(parse_program(text)) == direction

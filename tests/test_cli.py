@@ -298,7 +298,18 @@ def test_materialize_timeout_exits_3(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 5
 
 
-def test_race_check_timeout_leaves_no_child(capsys, monkeypatch):
+def party_files(tmp_path):
+    """Birthday with a rule that looks ahead, so the program propagates both
+    ways and the race forks, and a query only the automata can answer."""
+    (tmp_path / "party.dmtl").write_text(
+        "BOXPLUS[1,1] Bday(X) :- Bday(X) .\nParty(X) :- DIAMONDPLUS[0,1] Bday(X) .\n"
+    )
+    (tmp_path / "party.dtf").write_text("Bday(a)@[0,0]\n")
+    return ("--program", str(tmp_path / "party.dmtl"), "--data", str(tmp_path / "party.dtf"),
+            "--fact", "Party(a)@[-2,-2]")
+
+
+def test_race_check_timeout_leaves_no_child(capsys, monkeypatch, tmp_path):
     # the child never answers, and the budget runs out while the automata run
     monkeypatch.setattr(pipeline, "_materialisation_worker", lambda *a: time.sleep(60))
     raced = []
@@ -309,13 +320,39 @@ def test_race_check_timeout_leaves_no_child(capsys, monkeypatch):
         time.sleep(60)
 
     monkeypatch.setattr(pipeline, "consistent", automata_outlast_the_budget)
-    code, out, err = run(capsys, "check", "--program", fix("professor.dmtl"),
-                         "--data", fix("professor.dtf"), "--fact", "FullProfessor(a)@[0,1]",
-                         "--timeout", "60")
+    code, out, err = run(capsys, "check", *party_files(tmp_path), "--timeout", "60")
     assert (code, out) == (3, "")
     assert err.startswith("error: wall-clock budget of 60 s exhausted")
     assert [len(children) for children in raced] == [1]
     assert multiprocessing.active_children() == []
+
+
+def test_one_way_check_timeout_exits_3_with_no_child(capsys, monkeypatch):
+    # birthday propagates forward, so the query finishes here with no fork;
+    # the budget runs out while the automata run
+    raced = []
+
+    def automata_outlast_the_budget(*a, **k):
+        raced.append(multiprocessing.active_children())
+        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        time.sleep(60)
+
+    monkeypatch.setattr(pipeline, "consistent", automata_outlast_the_budget)
+    code, out, err = run(capsys, "check", "--program", fix("birthday.dmtl"),
+                         "--data", fix("birthday.dtf"), "--fact", "Bday(a)@[1/2,1/2]",
+                         "--timeout", "60")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: wall-clock budget of 60 s exhausted")
+    assert raced == [[]]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mode", [(), ("--sequential",)], ids=["race", "sequential"])
+def test_check_over_a_span_longer_than_the_recursion_limit(capsys, mode):
+    # the automata's span holds about 800 cells, one search level each
+    code, out, err = run(capsys, "check", "--program", fix("birthday.dmtl"),
+                         "--data", fix("birthday.dtf"), "--fact", "Bday(a)@[401/2,401/2]", *mode)
+    assert (code, out.strip()) == (0, "false"), err
 
 
 @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x"])
@@ -372,12 +409,11 @@ def test_race_without_an_answer_exits_3(tmp_path):
     assert "limit:" in done.stderr
 
 
-def test_race_check_json_through_a_pipe_prints_one_document():
+def test_race_check_json_through_a_pipe_prints_one_document(tmp_path):
     # stdout is a block-buffered pipe here, which the race's forked child
     # inherits; the answer must still come out once
     done = subprocess.run(
-        [sys.executable, "-m", "datalogmtl.cli", "check", "--program", fix("birthday.dmtl"),
-         "--data", fix("birthday.dtf"), "--fact", "Bday(a)@[1/2,1/2]", "--json"],
+        [sys.executable, "-m", "datalogmtl.cli", "check", *party_files(tmp_path), "--json"],
         capture_output=True, text=True, env=block_buffered_env(), timeout=30,
     )
     assert done.returncode == 0, done.stderr

@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from datalogmtl import materialisation
+from datalogmtl.analysis import propagation
 from datalogmtl.bench import GeneratorSpec, generate_dataset
 from datalogmtl.dense_grid import GridOracle
-from datalogmtl.intervals import coalesce, make
-from datalogmtl.materialisation import apply_rules, materialise
+from datalogmtl.intervals import NEG_INF, POS_INF, coalesce, make
+from datalogmtl.materialisation import _new_point_bound, apply_rules, materialise
 from datalogmtl.store import FactStore
-from datalogmtl.syntax import Fact, ground, parse_dataset, parse_fact, parse_program
+from datalogmtl.syntax import Constant, Fact, RelationalAtom, ground, parse_dataset, parse_fact, parse_program
 
 from helpers import (
     FIXTURES,
@@ -203,3 +205,143 @@ def test_scale_program_round_2_evaluates_no_rule(monkeypatch):
     out = materialise(parse_program(SCALE_PROGRAM), FactStore.from_facts(generate_dataset(spec)))
     assert out.status == "Fixpoint" and out.rounds == 2
     assert calls_per_round == [5, 0]
+
+
+# ---------------------------------------------------------------- the stop
+
+
+@pytest.mark.parametrize("old, new, first, last", [
+    ("", "[2,3]", 2, 3),
+    ("[0,1]", "[0,3]", 1, 3),
+    ("[0,1]", "[0,1] [4,5]", 4, 5),
+    ("[4,5]", "[0,1] [4,5]", 0, 1),
+    ("[2,3]", "[1,4]", 1, 4),
+    ("(2,3]", "[2,3]", 2, 2),
+    ("[0,1] [3,4] [8,9]", "[0,4] [8,9]", 1, 3),
+    ("[0,1] [8,9]", "[0,1] [5,6] [8,+inf)", 5, POS_INF),
+    ("[5,5]", "(-inf,5]", NEG_INF, 5),
+])
+def test_new_point_bound(old, new, first, last):
+    def parse(text):
+        return FactStore.from_facts(
+            parse_dataset("".join(f"P@{iv}\n" for iv in text.split()))
+        ).intervals_for(("P", ()))
+
+    assert _new_point_bound(parse(old), parse(new), 1) == first
+    assert _new_point_bound(parse(old), parse(new), -1) == last
+
+
+def test_stop_ends_forward_and_backward_rounds():
+    professor = materialise(
+        load_program("professor"), FactStore.from_facts(load_dataset("professor")),
+        max_rounds=1000, target=parse_fact("FullProfessor(a)@[0,1]"), direction=1,
+    )
+    assert (professor.status, professor.rounds) == ("OutOfReach", 3)
+    backward = parse_program("BOXMINUS[1,1] Bday(X) :- Bday(X) .")
+    # round k adds the point -k, which is past -7/2 from round 4 on
+    for target, status, rounds in (("Bday(a)@[1/2,1/2]", "OutOfReach", 1),
+                                   ("Bday(a)@[-7/2,-7/2]", "OutOfReach", 4),
+                                   ("Bday(a)@[-5,-5]", "TargetEntailed", 5)):
+        out = materialise(backward, store_of("Bday(a)@[0,0]"), max_rounds=1000,
+                          target=parse_fact(target), direction=-1)
+        assert (out.status, out.rounds) == (status, rounds)
+
+
+def test_materialise_without_a_direction_never_checks_the_stop(monkeypatch):
+    def fail(*args):
+        raise AssertionError("stop checked")
+
+    monkeypatch.setattr(materialisation, "_out_of_reach", fail)
+    monkeypatch.setattr(materialisation, "_new_point_bound", fail)
+    out = materialise(load_program("birthday"), store_of("Bday(a)@[0,0]"), max_rounds=5,
+                      target=parse_fact("Bday(a)@[1/2,1/2]"))
+    assert (out.status, out.rounds) == ("RoundLimit", 5)
+
+
+def assert_stop_is_sound(program, store, target, max_rounds=30):
+    """Materialise with the stop; when it fires, 200 more rounds without it
+    never entail the target.  Returns whether it fired."""
+    out = materialise(program, store, max_rounds=max_rounds, target=target,
+                      direction=propagation(program))
+    if out.status != "OutOfReach":
+        return False
+    more = materialise(program, out.store, max_rounds=200, target=target)
+    assert more.status not in ("TargetEntailed", "Inconsistent"), (program, target)
+    return True
+
+
+def test_stop_is_sound_on_the_fixtures_and_criterion_6():
+    fired = 0
+    for program, facts in fixture_and_criterion_6_instances():
+        if not propagation(program):
+            continue
+        store = FactStore.from_facts(facts)
+        # the data's keys and those the first rounds derive
+        keys = materialise(program, store, max_rounds=3).store.atoms
+        for pred, args in sorted(keys):
+            atom = RelationalAtom(pred, tuple(Constant(c) for c in args))
+            for t in (-1, 2, 5, 9):
+                fired += assert_stop_is_sound(program, store, Fact(atom, make(t, t + 1)))
+    assert fired > 100
+
+
+_ONE_WAY_OPS = {1: ("DIAMONDMINUS", "BOXMINUS", "SINCE", "BOXPLUS"),
+                -1: ("DIAMONDPLUS", "BOXPLUS", "UNTIL", "BOXMINUS")}
+
+
+@st.composite
+def one_way_instances(draw):
+    """A random recursive program that propagates one way, a small dataset
+    over P, Q, R and constants a, b, and a punctual or short target."""
+    direction = draw(st.sampled_from((1, -1)))
+    diamond, box, binary, head_box = _ONE_WAY_OPS[direction]
+
+    def interval():
+        a = draw(st.integers(0, 3))
+        b = draw(st.integers(a, a + 2))
+        return f"[{a},{b}]"
+
+    def atom():
+        return f"{draw(st.sampled_from('PQR'))}(X)"
+
+    def literal(depth):
+        kind = draw(st.integers(0, 3 if depth else 0))
+        if kind == 0:
+            return atom()
+        if kind == 3:
+            return f"({literal(depth - 1)}) {binary}{interval()} ({literal(depth - 1)})"
+        return f"{(diamond, box)[kind - 1]}{interval()} ({literal(depth - 1)})"
+
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        body = ", ".join(literal(1) for _ in range(draw(st.integers(1, 2))))
+        head = atom()
+        if draw(st.booleans()):
+            head = f"{head_box}{interval()} {head}"
+        rules.append(f"{head} :- {body} .")
+    program = parse_program("\n".join(rules))
+    assert propagation(program) in (direction, 1)  # no operator counts as forward
+    facts = []
+    ends = []
+    for _ in range(draw(st.integers(1, 3))):
+        left = draw(st.integers(0, 8))
+        ends += [left, left + draw(st.integers(0, 2))]
+        facts.append(f"{draw(st.sampled_from('PQR'))}({draw(st.sampled_from('ab'))})"
+                     f"@[{left},{ends[-1]}]")
+    # near the data, where a stop that fires one round early shows
+    t = draw(st.sampled_from(ends)) + direction * draw(st.integers(-2, 4))
+    target = parse_fact(f"{draw(st.sampled_from('PQR'))}({draw(st.sampled_from('ab'))})"
+                        f"@[{t},{t + draw(st.integers(0, 1))}]")
+    return program, store_of("\n".join(facts)), target
+
+
+# a round's new point at the target's end, which the next round carries to
+# the target's key: the stop must not fire one round early
+@example((parse_program("R(X) :- Q(X) .\nP(X) :- R(X) ."), store_of("Q(a)@[2,4]"),
+          parse_fact("P(a)@[2,2]")))
+@example((parse_program("R(X) :- DIAMONDPLUS[0,0] Q(X) .\nP(X) :- R(X) ."),
+          store_of("Q(a)@[2,4]"), parse_fact("P(a)@[4,4]")))
+@given(one_way_instances())
+@settings(max_examples=150, deadline=None)
+def test_stop_is_sound_on_one_way_programs(instance):
+    assert_stop_is_sound(*instance)

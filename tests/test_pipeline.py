@@ -128,13 +128,22 @@ def test_race_answers_when_the_automata_reject_the_program():
 
 
 # the automata reject the unbounded BOXMINUS and materialisation never
-# reaches the query, so neither engine answers
-NO_ANSWER_PROGRAM = "BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X) ."
+# reaches the query, so neither engine answers; the DIAMONDPLUS makes the
+# program mixed, so the race forks
+NO_ANSWER_PROGRAM = (
+    "BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) ."
+)
+
+# birthday with a rule that looks ahead, so the program propagates both ways
+# and the race forks; Party(t) never holds at -2, and only the automata can
+# tell, as for Bday(t) at 1/2 on birthday alone
+PARTY_PROGRAM = "BOXPLUS[1,1] Bday(X) :- Bday(X) .\nParty(X) :- DIAMONDPLUS[0,1] Bday(X) ."
+PARTY_QUERY = "Party(t)@[-2,-2]"
 
 
 def test_race_leaves_no_child():
-    birthday = load_program("birthday")
-    r = check_entailment(birthday, store_of("Bday(t)@[0,0]"), parse_fact("Bday(t)@[1/2,1/2]"))
+    r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
+                         parse_fact(PARTY_QUERY))
     assert r.winner == "automata" and multiprocessing.active_children() == []
 
     prog = parse_program(
@@ -152,8 +161,8 @@ def test_race_leaves_no_child():
 
 def test_race_ignores_a_child_without_an_answer():
     # the child runs out of its zero-round budget at once; the automata answer
-    r = check_entailment(load_program("birthday"), store_of("Bday(t)@[0,0]"),
-                         parse_fact("Bday(t)@[1/2,1/2]"), round_budget=0)
+    r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
+                         parse_fact(PARTY_QUERY), round_budget=0)
     assert (r.answer, r.winner) == (False, "automata")
 
 
@@ -182,8 +191,8 @@ def test_race_reaps_a_child_that_a_signal_interrupts_mid_fork(monkeypatch):
 
     monkeypatch.setattr(process, "start", interrupted_start)
     with pytest.raises(cli.WallClockExceeded):
-        check_entailment(load_program("birthday"), store_of("Bday(t)@[0,0]"),
-                         parse_fact("Bday(t)@[1/2,1/2]"))
+        check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
+                         parse_fact(PARTY_QUERY))
     assert multiprocessing.active_children() == []
     assert signal.SIGALRM not in _blocked()
 
@@ -194,8 +203,8 @@ def test_race_that_cannot_fork_raises_the_fork_error(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_fails)
     with pytest.raises(OSError, match="fork failed"):
-        check_entailment(load_program("birthday"), store_of("Bday(t)@[0,0]"),
-                         parse_fact("Bday(t)@[1/2,1/2]"))
+        check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
+                         parse_fact(PARTY_QUERY))
     assert signal.SIGALRM not in _blocked()
 
 
@@ -225,15 +234,54 @@ def test_race_does_not_repeat_buffered_output():
         "from datalogmtl.store import FactStore\n"
         "from datalogmtl.syntax import parse_dataset, parse_fact, parse_program\n"
         "print('before')\n"
-        "r = check_entailment(parse_program('BOXPLUS[1,1] Bday(X) :- Bday(X) .'),\n"
+        f"r = check_entailment(parse_program({PARTY_PROGRAM!r}),\n"
         "    FactStore.from_facts(parse_dataset('Bday(t)@[0,0]')),\n"
-        "    parse_fact('Bday(t)@[1/2,1/2]'), round_budget=0)\n"
+        f"    parse_fact({PARTY_QUERY!r}), round_budget=0)\n"
         "print(r.winner)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=block_buffered_env(), timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "before\nautomata\n"
+
+
+def test_one_way_programs_answer_without_forking(monkeypatch):
+    def fork_fails(child):
+        raise OSError(errno.EAGAIN, "fork failed")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_fails)
+    birthday = load_program("birthday")
+    for query, want in (("Bday(t)@[1/2,1/2]", (False, "T5", "automata")),
+                        ("Bday(t)@[5,5]", (True, "T4", "materialisation"))):
+        r = check_entailment(birthday, store_of("Bday(t)@[0,0]"), parse_fact(query))
+        assert (r.answer, r.fact_type, r.winner) == want
+        assert {"materialisation", "race"} <= set(r.timings)
+    r = check_entailment(load_program("professor"), FactStore.from_facts(load_dataset("professor")),
+                         parse_fact("FullProfessor(a)@[0,1]"))
+    assert (r.answer, r.fact_type, r.winner) == (False, "T5", "automata")
+
+
+def test_race_of_a_mixed_program_waits_for_the_child_when_the_automata_fail(monkeypatch):
+    # the automata raise on the unbounded DIAMONDMINUS, and the forked child
+    # derives the target
+    process = multiprocessing.get_context("fork").Process
+    start, forks = process.start, []
+    monkeypatch.setattr(process, "start", lambda child: forks.append(child) or start(child))
+    prog = parse_program(
+        "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) ."
+    )
+    r = check_entailment(prog, store_of("P(a)@[0,0]"), parse_fact("P2(a)@[5,5]"))
+    assert (r.answer, r.fact_type, r.winner) == (True, "T4", "materialisation")
+    assert len(forks) == 1 and multiprocessing.active_children() == []
+
+
+def test_sequential_birthday_stops_once_the_query_is_out_of_reach():
+    # the round that adds Bday(a)@[1,1] adds nothing at or before 1/2, so no
+    # later round can; the budget of 1000 rounds is not spent
+    r = check_entailment(load_program("birthday"), FactStore.from_facts(load_dataset("birthday")),
+                         parse_fact("Bday(a)@[1/2,1/2]"), sequential=True)
+    assert (r.answer, r.fact_type, r.winner) == (False, "T5", "automata")
+    assert r.rounds <= 3
 
 
 def test_irrelevant_rules_are_dropped():

@@ -32,7 +32,7 @@ from datalogmtl.intervals import (
     subset,
     union_if_coalescable,
 )
-from datalogmtl.materialisation import materialise
+from datalogmtl.materialisation import _new_point_bound, materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
     Fact,
@@ -129,6 +129,18 @@ def until_reference(rho, left, right):
                 if not cand.is_empty:
                     out.append(cand)
     return coalesce(out)
+
+
+@given(coalesced_lists, coalesced_lists)
+def test_new_point_bound_is_never_past_a_new_point(old, extra):
+    new = coalesce(old + extra)
+    if new == old:
+        return
+    first, last = _new_point_bound(old, new, 1), _new_point_bound(old, new, -1)
+    for k in range(-4, 30):  # a quarter grid over the lists' finite endpoints
+        p = Fraction(k, 4)
+        if any(contains_point(iv, p) for iv in new) and not any(contains_point(iv, p) for iv in old):
+            assert first <= p <= last
 
 
 # a right interval ending where the left one starts, and one starting where
