@@ -1,24 +1,23 @@
 """Automata-based consistency over the rational timeline.
 
-Time is tiled by ruler cells at spacing d (the instance gcd): points k*d and
-open segments (k*d, (k+1)*d).  Scaling time by a positive constant leaves
-consistency unchanged, so the engine first divides every bound of the
-program and the data by d: it runs on the unit grid, where every bound is an
-int.  A window assigns each covered cell a letter, the set of ground atoms
-holding there.  Every literal, heads included, reads atoms at most z away,
-so when the search labels one more cell, each violation that cell causes
-shows within the window of the last 2z+1 cells, the only window the search
-keeps.  Consistency = a satisfiable assignment of the span Q = [-x-z, x+z]
-that extends to infinite runs in both directions, found by depth-first
-search with cycle detection on shift-invariant window states.  Every
-interval the search handles (data, horizon, span, cells, and the sums and
-intersections of them that operators and heads produce) has its endpoints
-on the d-grid, so the cells one meets are exactly the cells it contains, a
-contiguous run that RulerGrid.cells_in computes by arithmetic.  Each
-RulerGrid memoises cells_interval for the engine's lifetime, and the engine
-keeps the letter store of the last window it built, one interval per run of
-cells, because the search expands a state right after checking the window
-that led to it.
+Scaling time by a positive constant leaves consistency unchanged, so the
+engine first divides every bound of the program and the data by their gcd:
+it runs on the unit ruler, where every bound is an int.  The ruler tiles
+time by cells, plain ints: cell 2k is the point k and cell 2k+1 the open
+segment (k, k+1).  A window assigns each covered cell a letter, the set of
+ground atoms holding there.  Every literal, heads included, reads atoms at
+most z away, so when the search labels one more cell, each violation that
+cell causes shows within the window of the last 2z+1 cells, the only
+window the search keeps.  Consistency = a satisfiable assignment of the
+span Q = [-x-z, x+z] that extends to infinite runs in both directions,
+found by depth-first search with cycle detection on shift-invariant window
+states.  Every interval the search handles (data, horizon, span, cells, and
+the sums and intersections of them that operators and heads produce) has
+int endpoints, so the cells one meets are exactly the cells it contains, a
+contiguous run that `cells_in` computes by arithmetic; `cells_interval`
+maps a run back.  The engine keeps the letter store of the last window it
+built, one interval per run of cells, because the search expands a state
+right after checking the window that led to it.
 
 Unbounded operator intervals are supported where the shipped pipeline
 produces them: the entailment reduction's rule BOTTOM :- anchor, BOX[0,inf)M
@@ -31,8 +30,9 @@ unbounded-interval literals in rules are rejected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .dense_grid import instance_granularity, total_reach
@@ -132,7 +132,7 @@ def entail_to_inconsist(
     )
 
 
-# ---------------------------------------------------------------- ruler grid
+# ---------------------------------------------------------------- unit ruler
 
 
 def _literal_reach(m: MetricAtom) -> Bound:
@@ -151,75 +151,26 @@ def _op_extent(iv: Interval) -> Bound:
     return max(vals, default=0)
 
 
-@dataclass(frozen=True)
-class RulerGrid:
-    d: Bound
-    x: Bound
-    z: Bound
-    span: Interval  # Q = [-x-z, x+z]
-    # memo of cells_interval, which lives and dies with the grid
-    _runs: dict = field(default_factory=dict, compare=False, repr=False)
-
-    # cell c: even -> point (c/2)*d, odd -> segment between neighbour points
-    def cell_interval(self, c: int) -> Interval:
-        return self.cells_interval(c, c)
-
-    def cells_interval(self, lo: int, hi: int) -> Interval:
-        """The interval that cells lo..hi cover; EMPTY when hi < lo."""
-        iv = self._runs.get((lo, hi))
-        if iv is None:
-            d = self.d
-            iv = normalize(
-                rational(lo // 2 * d), rational((hi + 1) // 2 * d), lo % 2 == 1, hi % 2 == 1
-            )
-            self._runs[lo, hi] = iv
-        return iv
-
-    def point_cell(self, t: Bound) -> int:
-        k, off = divmod(t, self.d)
-        if off:
-            raise ValueError(f"{t} is not on the d={self.d} grid")
-        return 2 * k
-
-    @property
-    def span_lo_cell(self) -> int:
-        return self.point_cell(self.span.left)
-
-    @property
-    def span_hi_cell(self) -> int:
-        return self.point_cell(self.span.right)
-
-    @property
-    def z_cells(self) -> int:
-        return 2 * self.z // self.d
-
-    def cells_in(self, iv: Interval) -> range:
-        """Cells meeting a bounded interval with endpoints on the grid: the
-        cells it contains, one contiguous run."""
-        if iv.is_empty:
-            return range(0)
-        if not (is_finite(iv.left) and is_finite(iv.right)):
-            raise ValueError("cells_in requires a bounded interval")
-        return range(
-            self.point_cell(iv.left) + iv.left_open,
-            self.point_cell(iv.right) - iv.right_open + 1,
-        )
+# cell c of the unit ruler: even c is the point c/2, odd c the open segment
+# between the points (c-1)/2 and (c+1)/2
 
 
-def ruler_grid(program: Program, dataset: Sequence[Fact]) -> RulerGrid:
-    d = instance_granularity(program, list(dataset))
-    endpoints = [
-        abs(b)
-        for f in dataset
-        for b in (f.interval.left, f.interval.right)
-        if is_finite(b)
-    ]
-    x = max(endpoints, default=0)
-    reaches = [
-        _literal_reach(lit) for r in program.rules for lit in (r.head, *r.body)
-    ]
-    z = max(reaches, default=0)
-    return RulerGrid(d, x, z, make(-x - z, x + z, False, False))
+@lru_cache(maxsize=4096)
+def cells_interval(lo: int, hi: int) -> Interval:
+    """The interval that cells lo..hi cover; EMPTY when hi < lo.  Cached,
+    as the result is immutable: the search asks for the same few runs of
+    cells again and again, and a hit costs a tenth of building an Interval."""
+    return normalize(lo // 2, (hi + 1) // 2, lo % 2 == 1, hi % 2 == 1)
+
+
+def cells_in(iv: Interval) -> range:
+    """The cells an interval with int endpoints contains, one contiguous
+    run: exactly the cells it meets."""
+    if iv.is_empty:
+        return range(0)
+    if type(iv.left) is not int or type(iv.right) is not int:
+        raise ValueError(f"cells_in requires int endpoints, got {iv}")
+    return range(2 * iv.left + iv.left_open, 2 * iv.right - iv.right_open + 1)
 
 
 def _divided(iv: Interval, d: Bound) -> Interval:
@@ -247,7 +198,7 @@ def _rescaled(m: MetricAtom, d: Bound) -> MetricAtom:
 Letter = frozenset  # of AtomKey
 
 
-def _letters_store(grid: RulerGrid, lo: int, letters: Sequence[Letter]) -> FactStore:
+def _letters_store(lo: int, letters: Sequence[Letter]) -> FactStore:
     """The store of a window: per key, one interval per maximal run of
     consecutive cells whose letter holds the key (runs split by a missing
     cell cannot coalesce, so the lists arrive coalesced)."""
@@ -260,12 +211,12 @@ def _letters_store(grid: RulerGrid, lo: int, letters: Sequence[Letter]) -> FactS
             else:
                 r.append([c, c])
     return FactStore.from_intervals(
-        {key: [grid.cells_interval(a, b) for a, b in r] for key, r in runs.items()}
+        {key: [cells_interval(a, b) for a, b in r] for key, r in runs.items()}
     )
 
 
 def _check_window(
-    grid: RulerGrid,
+    span: Interval,
     ground_rules: Sequence[Rule],
     lo: int,
     letters: Sequence[Letter],
@@ -282,7 +233,7 @@ def _check_window(
     missing head overlapping the span, which a different span assignment
     might supply.
     """
-    wiv = grid.cells_interval(lo, lo + len(letters) - 1)
+    wiv = cells_interval(lo, lo + len(letters) - 1)
     for rule in ground_rules:
         lists = []
         dead = False
@@ -295,15 +246,15 @@ def _check_window(
         if dead:
             continue
         for iv in merge_intervals(lists):
-            for c in grid.cells_in(intersect(iv, wiv)):
-                req = reverse_head(rule.head, grid.cell_interval(c))
+            for c in cells_in(intersect(iv, wiv)):
+                req = reverse_head(rule.head, cells_interval(c, c))
                 if isinstance(req, tuple):  # BOTTOM fired; never repairable
                     return False, False
                 part = intersect(req.interval, wiv)
                 if not part.is_empty and not store.entails_fact(
                     Fact(req.atom, part)
                 ):
-                    fixable = not intersect(part, grid.span).is_empty
+                    fixable = not intersect(part, span).is_empty
                     return False, fixable
     return True, False
 
@@ -344,9 +295,7 @@ def _contains_unbounded(m: MetricAtom) -> bool:
     return False
 
 
-def _extract_obligations(
-    program: Program, dataset: Sequence[Fact], grid: RulerGrid
-) -> list[Obligation]:
+def _extract_obligations(program: Program, dataset: Sequence[Fact]) -> list[Obligation]:
     """Recognise the reduction pattern; reject other unbounded literals."""
     head_preds = {r.head_predicate() for r in program.rules} - {None}
     out = []
@@ -385,7 +334,7 @@ def _extract_obligations(
             )
         p = anchor_facts[0].interval.left
         direction = 1 if box.op == "BOXPLUS" else -1
-        base = grid.point_cell(p + direction * box.interval.left)
+        base = 2 * (p + direction * box.interval.left)
         if box.interval.left_open:
             base += direction  # strict: the anchor point itself cannot discharge
         out.append(Obligation(box.sub.atom.key(), base, direction))
@@ -420,8 +369,8 @@ class _Engine:
             body_preds |= r.body_predicates()
         facts = [f for f in dataset if f.atom.predicate in body_preds]
         # consistency is invariant under scaling time by a positive constant:
-        # divide every bound by the instance gcd once, so the grid has d = 1
-        # and every bound the search handles is an int
+        # divide every bound by the instance gcd, so the search runs on the
+        # unit ruler and every bound it handles is an int
         d = instance_granularity(program, facts)
         self.program = program = Program(
             tuple(
@@ -430,8 +379,16 @@ class _Engine:
             )
         )
         self.facts = [Fact(f.atom, _divided(f.interval, d)) for f in facts]
-        self.grid = ruler_grid(program, self.facts)
-        self.obligations = _extract_obligations(program, self.facts, self.grid)
+        # the span Q = [-x-z, x+z]: x bounds the data's finite endpoints, z
+        # every literal's reach, heads included
+        x = max(
+            (abs(b) for f in self.facts for b in (f.interval.left, f.interval.right) if is_finite(b)),
+            default=0,
+        )
+        z = max((_literal_reach(m) for r in program.rules for m in (r.head, *r.body)), default=0)
+        self.span = make(-x - z, x + z)
+        self.span_lo, self.span_hi, self.z_cells = -2 * (x + z), 2 * (x + z), 2 * z
+        self.obligations = _extract_obligations(program, self.facts)
         self.cancelled = cancelled
         self.states_left = max_states
         self.span_fixable = False
@@ -471,23 +428,22 @@ class _Engine:
                 m = m.sub
             if not isinstance(m, Rel):
                 continue
-            reaches = tuple(2 * _literal_reach(b) // self.grid.d for b in rule.body)
+            reaches = tuple(2 * _literal_reach(b) for b in rule.body)
             self.rules_by_head.setdefault(m.atom.key(), []).append(
                 (rule, tuple(boxes), reaches)
             )
 
-        g = self.grid
         reach = total_reach(program)
-        horizon = make(g.span.left - reach, g.span.right + reach, False, False)
+        horizon = make(self.span.left - reach, self.span.right + reach)
         self.base_store = self._span_materialise(horizon)
         self.inconsistent_in_span = self.base_store is None
 
         self.must: dict[int, Letter] = {}
         if self.base_store is not None:
-            must = {c: set() for c in range(g.span_lo_cell, g.span_hi_cell + 1)}
+            must = {c: set() for c in range(self.span_lo, self.span_hi + 1)}
             for key, lst in self.base_store.atoms.items():
                 for iv in lst:
-                    for c in g.cells_in(intersect(iv, g.span)):
+                    for c in cells_in(intersect(iv, self.span)):
                         must[c].add(key)
             self.must = {c: frozenset(atoms) for c, atoms in must.items()}
         # unbounded dataset tails force atoms on every cell beyond the span
@@ -508,7 +464,7 @@ class _Engine:
 
     def _span_materialise(self, horizon: Interval) -> Optional[FactStore]:
         store = _clip_store(FactStore.from_facts(self.facts), horizon)
-        # bounded horizon + endpoints on the d-grid => finitely many stores
+        # bounded horizon + int endpoints => finitely many stores
         while True:
             self._poll()
             new = _clip_store(apply_rules(self.program, store), horizon)
@@ -527,7 +483,7 @@ class _Engine:
         window = (lo, tuple(letters))
         if window != self._window:
             self._window = window
-            self._store = _letters_store(self.grid, lo, letters)
+            self._store = _letters_store(lo, letters)
         return self._store
 
     def _justifiable(
@@ -543,10 +499,9 @@ class _Engine:
         rules = self.rules_by_head.get(key)
         if not rules:
             return False
-        g = self.grid
         hi = lo + len(letters) - 1
-        wiv = g.cells_interval(lo, hi)
-        cell_iv = g.cell_interval(new_cell)
+        wiv = cells_interval(lo, hi)
+        cell_iv = cells_interval(new_cell, new_cell)
         for rule, boxes, reaches in rules:
             fire_iv = cell_iv
             for op, biv in boxes:
@@ -554,7 +509,7 @@ class _Engine:
                 kind = "plus" if op == "BOXMINUS" else "minus"
                 fire_iv = interval_op(kind, fire_iv, biv)
             held: dict[int, set[int]] = {}  # body literal -> window cells where it holds
-            for t in g.cells_in(fire_iv):
+            for t in cells_in(fire_iv):
                 for i, (lit, rc) in enumerate(zip(rule.body, reaches)):
                     if t - rc < lo or t + rc > hi:
                         continue  # region leaves the fixed window: unknown
@@ -562,7 +517,7 @@ class _Engine:
                         held[i] = {
                             c
                             for iv in apply_operator(lit, store)
-                            for c in g.cells_in(intersect(iv, wiv))
+                            for c in cells_in(intersect(iv, wiv))
                         }
                     if t not in held[i]:
                         break
@@ -586,7 +541,7 @@ class _Engine:
                 yield must | frozenset(extra)
 
     def _cell_must(self, c: int, direction: int) -> Letter:
-        if self.grid.span_lo_cell <= c <= self.grid.span_hi_cell:
+        if self.span_lo <= c <= self.span_hi:
             return self.must.get(c, frozenset())
         return self.tail_must[direction]
 
@@ -596,8 +551,7 @@ class _Engine:
         """The window of at most 2z+1 cells that (lo, letters) slides to when
         `letter` labels the next cell on `direction`'s side, or None when
         _check_window rejects it."""
-        g = self.grid
-        width = 2 * g.z_cells + 1
+        width = 2 * self.z_cells + 1
         if direction == 1:
             hi = lo + len(letters)
             letters = (*letters, letter)[-width:]
@@ -605,7 +559,7 @@ class _Engine:
         else:
             lo, letters = lo - 1, (letter, *letters)[:width]
         store = self._window_store(lo, letters)
-        ok, fixable = _check_window(g, self.ground_rules, lo, letters, store)
+        ok, fixable = _check_window(self.span, self.ground_rules, lo, letters, store)
         if fixable:
             self.span_fixable = True
         return (lo, letters) if ok else None
@@ -624,9 +578,8 @@ class _Engine:
     def span_assignments(self) -> Iterator[tuple[Letter, ...]]:
         """Depth first over the span's cells, left to right, on an explicit
         stack: a span may have more cells than Python's recursion limit."""
-        g = self.grid
         path: list[Letter] = []  # the letters of the cells the stack fixes
-        stack = [self._span_steps(g.span_lo_cell, ())]
+        stack = [self._span_steps(self.span_lo, ())]
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -636,7 +589,7 @@ class _Engine:
                 continue
             letter, lo, window = step
             path.append(letter)
-            if lo + len(window) > g.span_hi_cell:
+            if lo + len(window) > self.span_hi:
                 yield tuple(path)
                 path.pop()
             else:
@@ -651,12 +604,10 @@ class _Engine:
         direction: int,
         pending: frozenset,
     ) -> bool:
-        g = self.grid
-
         def key(lo, letters, pend):
-            if direction == 1 and lo > g.span_hi_cell:
+            if direction == 1 and lo > self.span_hi:
                 return ("free", letters, pend)
-            if direction == -1 and lo + len(letters) - 1 < g.span_lo_cell:
+            if direction == -1 and lo + len(letters) - 1 < self.span_lo:
                 return ("free", letters, pend)
             return (lo, letters, pend)
 
@@ -700,12 +651,11 @@ class _Engine:
             yield (*slid, npending)
 
     def edge_window(self, span_letters: tuple[Letter, ...], direction: int):
-        g = self.grid
-        # the span's 4(x+z)/d+1 cells are never fewer than 2*z_cells+1
-        width = 2 * g.z_cells + 1
+        # the span's 4(x+z)+1 cells are never fewer than 2*z_cells+1
+        width = 2 * self.z_cells + 1
         if direction == 1:
-            return g.span_hi_cell - width + 1, span_letters[-width:]
-        return g.span_lo_cell, span_letters[:width]
+            return self.span_hi - width + 1, span_letters[-width:]
+        return self.span_lo, span_letters[:width]
 
 
 def _has_bottom_head(program: Program) -> bool:
@@ -745,7 +695,7 @@ def consistent(
                 ob
                 for ob in eng.obligations
                 if ob.direction == direction
-                and not ob.discharged_by(eng.grid.span_lo_cell, span_letters)
+                and not ob.discharged_by(eng.span_lo, span_letters)
             )
             lo, letters = eng.edge_window(span_letters, direction)
             if not eng.tail_ok(lo, letters, direction, pend):

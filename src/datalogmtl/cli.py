@@ -82,14 +82,24 @@ def _wall_clock(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _load_program(path):
+def _read(path, parse):
     with open(path) as f:
-        return parse_program(f.read())
+        return parse(f.read())
 
 
-def _load_dataset(path):
-    with open(path) as f:
-        return parse_dataset(f.read())
+def _load(args):
+    """The program, the data and the query facts (`--fact` or `--queries`)
+    that a command names, with one arity check over all of them."""
+    program = _read(args.program, parse_program)
+    data = _read(args.data, parse_dataset)
+    if "fact" in args:
+        queries = [parse_fact(args.fact)]
+    elif "queries" in args:
+        queries = _read(args.queries, parse_dataset)
+    else:
+        queries = []
+    check_arities(program, [*data, *queries])
+    return program, data, queries
 
 
 def main(argv=None) -> int:
@@ -163,14 +173,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "check":
-        program = _load_program(args.program)
-        data = _load_dataset(args.data)
-        check_arities(program, data)
-        store = FactStore.from_facts(data)
-        query = parse_fact(args.fact)
+        program, data, (query,) = _load(args)
         r = check_entailment(
             program,
-            store,
+            FactStore.from_facts(data),
             query,
             sequential=args.sequential,
             round_budget=args.max_rounds,
@@ -193,9 +199,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "materialize":
-        program = _load_program(args.program)
-        data = _load_dataset(args.data)
-        check_arities(program, data)
+        program, data, _ = _load(args)
         out = materialise(program, FactStore.from_facts(data), max_rounds=args.max_rounds)
         text = out.store.dump()
         if args.output:
@@ -219,9 +223,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "consistency":
-        program = _load_program(args.program)
-        data = _load_dataset(args.data)
-        check_arities(program, data)
+        program, data, _ = _load(args)
         trace = [] if args.trace else None
         flag = consistent(program, data, trace=trace)
         if args.trace:
@@ -234,7 +236,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "analyze":
-        program = _load_program(args.program)
+        program = _read(args.program, parse_program)
         info = dependency_info(program)
         if args.dot:
             sys.stdout.write(to_dot(info))
@@ -298,11 +300,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bench":
-        program = _load_program(args.program)
-        data = _load_dataset(args.data)
-        queries = _load_dataset(args.queries)
-        store = FactStore.from_facts(data)
-        report = benchmod.bench_report(program, store, queries)
+        program, data, queries = _load(args)
+        report = benchmod.bench_report(program, FactStore.from_facts(data), queries)
         if args.json:
             print(json.dumps(report))
         else:

@@ -102,11 +102,12 @@ EMPTY = Interval(POS_INF, NEG_INF, True, True)
 
 def normalize(left: Bound, right: Bound, left_open: bool, right_open: bool) -> Interval:
     """Canonical interval for the given endpoints, or EMPTY if degenerate."""
-    if not is_finite(left):
+    # is_finite inline: this runs for every interval built
+    if isinstance(left, float):
         if left > 0:
             return EMPTY
         left_open = True
-    if not is_finite(right):
+    if isinstance(right, float):
         if right < 0:
             return EMPTY
         right_open = True

@@ -1,4 +1,4 @@
-"""Automata-based consistency decision: entailment reduction, ruler grid,
+"""Automata-based consistency decision: entailment reduction, unit ruler,
 window checks, span search, tail loops, and the top-level consistency
 check."""
 
@@ -11,14 +11,14 @@ from hypothesis import given, strategies as st
 from datalogmtl import automata
 from datalogmtl.automata import (
     ReductionOutput,
-    RulerGrid,
     SearchBudgetExceeded,
     _check_window,
     _Engine,
     _letters_store,
+    cells_in,
+    cells_interval,
     consistent,
     entail_to_inconsist,
-    ruler_grid,
 )
 from datalogmtl.dense_grid import _operator_bounds, instance_granularity
 from datalogmtl.evaluation import reverse_head
@@ -29,7 +29,6 @@ from datalogmtl.intervals import (
     intersect,
     is_finite,
     make,
-    normalize,
     point,
     subset,
 )
@@ -104,90 +103,58 @@ def test_reduction_fresh_predicate_avoids_collisions():
     assert red.fresh_predicate not in {"QF", "QF1"}
 
 
-# -- ruler grid
+# -- unit ruler
 
 
 def test_ruler_grid_geometry():
-    prog = parse_program("P(a) :- BOXMINUS[0,1] Q(a) .")
-    grid = ruler_grid(prog, facts_of("Q(a)@[0,3/2]"))
-    assert grid.d == Fraction(1, 2)
-    assert grid.x == Fraction(3, 2)
-    assert grid.z == Fraction(1)
-    assert grid.span == make("-5/2", "5/2")
-    assert grid.cell_interval(0) == point(0)
-    assert grid.cell_interval(1) == make(0, "1/2", True, True)
-    assert grid.cell_interval(-1) == make("-1/2", 0, True, True)
-    assert grid.point_cell(Fraction(3, 2)) == 6
-    assert grid.z_cells == 4
+    # the gcd 1/2 rescales Q(a)@[0,3/2] to [0,3] and BOXMINUS[0,1] to [0,2]
+    eng = _Engine(parse_program("P(a) :- BOXMINUS[0,1] Q(a) ."), facts_of("Q(a)@[0,3/2]"))
+    assert eng.span == make(-5, 5)
+    assert (eng.span_lo, eng.span_hi, eng.z_cells) == (-10, 10, 4)
+    assert cells_interval(0, 0) == point(0)
+    assert cells_interval(1, 1) == make(0, 1, True, True)
+    assert cells_interval(-1, -1) == make(-1, 0, True, True)
+    assert cells_in(point(3)) == range(6, 7)
 
 
-def test_ruler_grid_rejects_off_grid_points():
-    grid = ruler_grid(parse_program(""), facts_of("P(a)@[0,1]"))
-    with pytest.raises(ValueError):
-        grid.point_cell(Fraction(1, 3))
-
-
-def _cells_meeting(d, iv):
+def _cells_meeting(iv):
     """Brute force: every cell whose interval meets iv, over a generous range
-    of candidates (cell 2k is the point k*d, cell 2k+1 the segment after it)."""
+    of candidates (cell 2k is the point k, cell 2k+1 the segment after it)."""
     out = []
-    for c in range(2 * int(iv.left // d) - 4, 2 * int(iv.right // d) + 5):
+    for c in range(2 * iv.left - 4, 2 * iv.right + 5):
         k = c // 2
-        civ = point(k * d) if c % 2 == 0 else make(k * d, (k + 1) * d, True, True)
+        civ = point(k) if c % 2 == 0 else make(k, k + 1, True, True)
         if not intersect(civ, iv).is_empty:
             out.append(c)
     return out
 
 
-grid_steps = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+@given(st.integers(-8, 8), st.integers(0, 4), st.booleans(), st.booleans())
+def test_cells_in_matches_brute_force_on_grid(k, width, left_open, right_open):
+    iv = make(k, k + width, left_open, right_open)
+    want = [] if iv.is_empty else _cells_meeting(iv)
+    assert list(cells_in(iv)) == want
 
 
-def test_z_cells_is_exact_for_large_int_reaches():
-    # 2 * z / d in floats would round 2 * (10**17 + 1) to 2 * 10**17
-    z = 10**17 + 1
-    assert RulerGrid(1, 0, z, point(0)).z_cells == 2 * z
-
-
-@given(grid_steps, st.integers(-8, 8), st.integers(0, 4), st.booleans(), st.booleans())
-def test_cells_in_matches_brute_force_on_grid(d, k, width, left_open, right_open):
-    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
-    iv = make(k * d, (k + width) * d, left_open, right_open)
-    want = [] if iv.is_empty else _cells_meeting(d, iv)
-    assert list(grid.cells_in(iv)) == want
-
-
-@given(grid_steps, st.integers(-8, 8), st.booleans(), st.booleans())
-def test_cells_in_rejects_off_grid_and_unbounded(d, k, left_open, right_open):
-    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
-    assert list(grid.cells_in(EMPTY)) == []
+@given(st.integers(-8, 8), st.booleans(), st.booleans())
+def test_cells_in_rejects_off_grid_and_unbounded(k, left_open, right_open):
+    assert list(cells_in(EMPTY)) == []
     for iv in (
-        make(k * d + d / 3, (k + 2) * d, left_open, right_open),
-        make(k * d, (k + 1) * d + d / 2, left_open, right_open),
-        make(NEG_INF, k * d, True, right_open),
-        make(k * d, POS_INF, left_open, True),
+        make(Fraction(k) + Fraction(1, 3), k + 2, left_open, right_open),
+        make(k, Fraction(k + 1) + Fraction(1, 2), left_open, right_open),
+        make(NEG_INF, k, True, right_open),
+        make(k, POS_INF, left_open, True),
     ):
         with pytest.raises(ValueError):
-            grid.cells_in(iv)
+            cells_in(iv)
 
 
-@given(grid_steps, st.integers(-8, 8), st.integers(-1, 6))
-def test_memoised_geometry_matches_the_arithmetic(d, lo, width):
-    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
+@given(st.integers(-8, 8), st.integers(-1, 6))
+def test_cells_interval_inverts_cells_in(lo, width):
     hi = lo + width
-    want = normalize(lo // 2 * d, (hi + 1) // 2 * d, lo % 2 == 1, hi % 2 == 1)
-    for _ in range(2):  # the second call reads the memo
-        assert grid.cells_interval(lo, hi) == want
-        assert grid.point_cell(lo * d) == 2 * lo
-    # the memo takes no part in equality or hashing
-    assert grid == RulerGrid(d, Fraction(0), Fraction(0), point(0))
-    assert hash(grid) == hash(RulerGrid(d, Fraction(0), Fraction(0), point(0)))
-
-
-def test_off_grid_point_cell_raises_every_time():
-    grid = RulerGrid(Fraction(1, 2), Fraction(0), Fraction(0), point(0))
-    for _ in range(2):  # a failure is not memoised
-        with pytest.raises(ValueError):
-            grid.point_cell(Fraction(1, 3))
+    iv = cells_interval(lo, hi)
+    assert iv.is_empty == (hi < lo)
+    assert cells_in(iv) == range(lo, max(lo, hi + 1))
 
 
 head_boxes = st.lists(
@@ -202,19 +169,18 @@ head_boxes = st.lists(
 )
 
 
-@given(grid_steps, head_boxes)
-def test_head_regions_lie_within_z_cells(d, boxes):
+@given(head_boxes)
+def test_head_regions_lie_within_z_cells(boxes):
     # z bounds every literal's reach, heads included, so a cell's head region
     # lies in its z-neighbourhood: the window checks rely on this
     head = Rel(parse_fact("P(a)@[0,0]").atom)
     for op, a, width, left_open, right_open in boxes:
-        box = make(a * d, (a + width) * d, left_open and width > 0, right_open and width > 0)
+        box = make(a, a + width, left_open and width > 0, right_open and width > 0)
         head = UnaryOp(op, box, head)
-    grid = RulerGrid(d, Fraction(0), automata._literal_reach(head), point(0))
-    zc = grid.z_cells
+    zc = 2 * automata._literal_reach(head)
     for c in range(-8, 9):
-        req = reverse_head(head, grid.cell_interval(c))
-        assert subset(req.interval, grid.cells_interval(c - zc, c + zc)), (c, head)
+        req = reverse_head(head, cells_interval(c, c))
+        assert subset(req.interval, cells_interval(c - zc, c + zc)), (c, head)
 
 
 # -- window letter stores
@@ -222,12 +188,12 @@ def test_head_regions_lie_within_z_cells(d, boxes):
 R_A = ("R", ("a",))
 
 
-def _per_cell_store(grid, lo, letters):
+def _per_cell_store(lo, letters):
     """Reference: one cell interval per cell and key, coalesced by the store."""
     by_key = {}
     for i, letter in enumerate(letters):
         for key in letter:
-            by_key.setdefault(key, []).append(grid.cell_interval(lo + i))
+            by_key.setdefault(key, []).append(cells_interval(lo + i, lo + i))
     return FactStore.from_intervals(by_key)
 
 
@@ -236,27 +202,24 @@ letter_windows = st.lists(
 )
 
 
-@given(grid_steps, st.integers(-5, 5), letter_windows)
-def test_letters_store_matches_a_per_cell_store(d, lo, letters):
-    grid = RulerGrid(d, Fraction(0), Fraction(0), point(0))
-    store = _letters_store(grid, lo, letters)
+@given(st.integers(-5, 5), letter_windows)
+def test_letters_store_matches_a_per_cell_store(lo, letters):
+    store = _letters_store(lo, letters)
     store.check_invariants()
-    assert store.atoms == _per_cell_store(grid, lo, letters).atoms
+    assert store.atoms == _per_cell_store(lo, letters).atoms
 
 
 def test_letters_store_builds_one_interval_per_run(monkeypatch):
-    grid = RulerGrid(Fraction(1), Fraction(0), Fraction(0), point(0))
     calls = []
-    cells_interval = RulerGrid.cells_interval
 
-    def record(g, lo, hi):
+    def record(lo, hi):
         calls.append((lo, hi))
-        return cells_interval(g, lo, hi)
+        return cells_interval(lo, hi)
 
-    monkeypatch.setattr(RulerGrid, "cells_interval", record)
+    monkeypatch.setattr(automata, "cells_interval", record)
     p, q = ("P", ("a",)), ("Q", ("a",))
     letters = [frozenset({p}), frozenset({p}), frozenset(), frozenset({p, q}), frozenset({q})]
-    store = _letters_store(grid, -1, letters)
+    store = _letters_store(-1, letters)
     assert sorted(calls) == [(-1, 0), (2, 2), (2, 3)]
     assert store.atoms == {p: [make(-1, 0, True, False), point(1)], q: [make(1, 2, False, True)]}
 
@@ -272,11 +235,11 @@ def _periodic_reduction():
 def test_check_window_with_a_given_store_gives_the_same_verdict(monkeypatch):
     seen = []
 
-    def check(grid, rules, lo, letters, store):
+    def check(span, rules, lo, letters, store):
         # the engine passes the store of this very window
-        fresh = _letters_store(grid, lo, letters)
+        fresh = _letters_store(lo, letters)
         assert store.atoms == fresh.atoms
-        verdict = _check_window(grid, rules, lo, letters, store)
+        verdict = _check_window(span, rules, lo, letters, store)
         seen.append(verdict)
         return verdict
 
@@ -301,9 +264,9 @@ def test_each_window_store_is_built_once_in_turn(monkeypatch):
         requested.append((lo, tuple(letters)))
         return window_store(eng, lo, letters)
 
-    def record_build(grid, lo, letters):
+    def record_build(lo, letters):
         built.append((lo, tuple(letters)))
-        return letters_store(grid, lo, letters)
+        return letters_store(lo, letters)
 
     monkeypatch.setattr(_Engine, "_window_store", record_request)
     monkeypatch.setattr(automata, "_letters_store", record_build)
@@ -326,7 +289,7 @@ P_A, Q_A = ("P", ("a",)), ("Q", ("a",))
 def _point_engine(prog_text):
     """Engine over the single-cell span [0,0], with P(a) holding there."""
     eng = _Engine(parse_program(prog_text), facts_of("P(a)@[0,0]"))
-    assert (eng.grid.span_lo_cell, eng.grid.span_hi_cell, eng.grid.z_cells) == (0, 0, 0)
+    assert (eng.span_lo, eng.span_hi, eng.z_cells) == (0, 0, 0)
     return eng
 
 
@@ -339,30 +302,29 @@ def test_check_window_missing_dataset_fact():
     assert assignments and all(P_A in letters[0] for letters in assignments)
 
 
-def _check_cell_0(grid, rules, letter):
+def _check_cell_0(span, rules, letter):
     """_check_window over the one-cell window of cell 0, labelled `letter`."""
     letters = (frozenset(letter),)
-    return _check_window(grid, rules, 0, letters, _letters_store(grid, 0, letters))
+    return _check_window(span, rules, 0, letters, _letters_store(0, letters))
 
 
 def test_check_window_unsatisfied_rule():
     eng = _point_engine("Q(a) :- P(a) .")
     # the missing head lies in the span, so another assignment could fix it
-    assert _check_cell_0(eng.grid, eng.ground_rules, {P_A}) == (False, True)
-    ok = _check_cell_0(eng.grid, eng.ground_rules, {P_A, Q_A})
+    assert _check_cell_0(eng.span, eng.ground_rules, {P_A}) == (False, True)
+    ok = _check_cell_0(eng.span, eng.ground_rules, {P_A, Q_A})
     assert ok == (True, False)
 
 
 def test_check_window_exact_dataset():
-    grid = ruler_grid(parse_program(""), facts_of("P(a)@[0,0]"))
-    assert _check_cell_0(grid, (), {P_A}) == (True, False)
+    assert _check_cell_0(point(0), (), {P_A}) == (True, False)
     red = entail_to_inconsist(parse_program(""), facts_of("P(a)@[0,0]"), parse_fact("P(a)@[0,0]"))
     assert not consistent(red.program, list(red.dataset))
 
 
 def test_check_window_fired_bottom():
     eng = _point_engine("BOTTOM :- P(a) .")
-    assert _check_cell_0(eng.grid, eng.ground_rules, {P_A}) == (False, False)
+    assert _check_cell_0(eng.span, eng.ground_rules, {P_A}) == (False, False)
     assert not consistent(eng.program, facts_of("P(a)@[0,0]"))
 
 
@@ -379,11 +341,10 @@ def test_first_span_assignment_matches_materialised_model():
     data = facts_of("NoSympt(j)@[0,3]")
     eng = _Engine(prog, data)
     first = next(eng.span_assignments())
-    g = eng.grid
-    assert len(first) == g.span_hi_cell - g.span_lo_cell + 1
+    assert len(first) == eng.span_hi - eng.span_lo + 1
     out = materialise(prog, FactStore.from_facts(data))
-    for cell, letter in enumerate(first, start=g.span_lo_cell):
-        civ = g.cell_interval(cell)
+    for cell, letter in enumerate(first, start=eng.span_lo):
+        civ = cells_interval(cell, cell)
         for key in (("NoSympt", ("j",)), ("Immune", ("j",))):
             want = any(subset(civ, iv) for iv in out.store.intervals_for(key))
             assert (key in letter) == want, (cell, key)
@@ -392,8 +353,7 @@ def test_first_span_assignment_matches_materialised_model():
 def _growing_span_assignments(eng):
     """Reference: the span search with a window that grows over the whole
     span, checking every prefix of the assignment."""
-    g = eng.grid
-    cells = range(g.span_lo_cell, g.span_hi_cell + 1)
+    cells = range(eng.span_lo, eng.span_hi + 1)
 
     def rec(chosen):
         if len(chosen) == len(cells):
@@ -404,8 +364,8 @@ def _growing_span_assignments(eng):
         for letter in eng._letters(must, new_cell, cells[0], chosen):
             eng._poll()
             cand = chosen + (letter,)
-            store = _letters_store(g, cells[0], cand)
-            ok, fixable = _check_window(g, eng.ground_rules, cells[0], cand, store)
+            store = _letters_store(cells[0], cand)
+            ok, fixable = _check_window(eng.span, eng.ground_rules, cells[0], cand, store)
             if ok:
                 yield from rec(cand)
             elif fixable:
@@ -443,14 +403,13 @@ def test_sliding_span_window_matches_a_growing_window():
 
 
 def test_engine_runs_on_the_unit_grid():
-    # the engine divides every bound by the instance gcd, so its grid has
-    # d = 1 and every finite bound it holds is an int
+    # the engine divides every bound by the instance gcd, so every finite
+    # bound it holds is an int
     half = (parse_program("P(a) :- BOXMINUS[0,1] Q(a) ."), facts_of("Q(a)@[0,3/2]"))
     scales = set()
     for program, facts in (half, *fixture_and_criterion_6_instances()):
         scales.add(instance_granularity(program, facts))
         eng = _Engine(program, facts, max_states=3000)
-        assert eng.grid.d == 1 and type(eng.grid.d) is int, program
         bounds = [abs(b) for f in eng.facts for b in (f.interval.left, f.interval.right)]
         for r in eng.program.rules:
             for m in (r.head, *r.body):

@@ -13,6 +13,7 @@ import pytest
 
 import datalogmtl
 from datalogmtl import cli, materialisation, pipeline
+from datalogmtl.analysis import propagation
 from datalogmtl.cli import main
 from datalogmtl.syntax import parse_program
 
@@ -192,6 +193,26 @@ def test_parse_error_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "materialize", "--program", str(bad),
                        "--data", fix("immune.dtf"))
     assert code == 2
+
+
+def test_bench_arity_conflict_exit_2(capsys, tmp_path):
+    # bench reads the same inputs as check, so it rejects the same conflicts
+    prog, data, queries = tmp_path / "p.dmtl", tmp_path / "d.dtf", tmp_path / "q.dtf"
+    prog.write_text("P(X) :- Q(X) .\n")
+    data.write_text("Q(a,b)@[0,1]\n")
+    queries.write_text("P(a)@[0,1]\n")
+    code, out, err = run(capsys, "bench", "--program", str(prog), "--data", str(data),
+                         "--queries", str(queries))
+    assert (code, out) == (2, "") and "arity conflict for predicate Q" in err
+
+
+def test_check_fact_arity_conflict_exit_2(capsys, tmp_path):
+    prog, data = tmp_path / "p.dmtl", tmp_path / "d.dtf"
+    prog.write_text("P(X) :- Q(X) .\n")
+    data.write_text("Q(a)@[0,1]\n")
+    code, out, err = run(capsys, "check", "--program", str(prog), "--data", str(data),
+                         "--fact", "P(a,b)@[0,1]")
+    assert (code, out) == (2, "") and "arity conflict for predicate P" in err
 
 
 @pytest.mark.parametrize(
@@ -391,10 +412,13 @@ def test_help_documents_grammar(capsys):
 
 
 def test_race_without_an_answer_exits_3(tmp_path):
-    # the automata reject the unbounded BOXMINUS in a rule body and
-    # materialisation never reaches the query, so neither engine answers
+    # the automata reject the unbounded BOXMINUS in a rule body and the forked
+    # child never reaches the query, so neither engine answers; the
+    # DIAMONDPLUS makes the program mixed, so the race forks
+    text = "BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) .\n"
+    assert propagation(parse_program(text)) == 0
     prog = tmp_path / "p.dmtl"
-    prog.write_text("BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X) .\n")
+    prog.write_text(text)
     data = tmp_path / "d.dtf"
     data.write_text("P(a)@[0,0]\n")
     src = str(Path(datalogmtl.__file__).parent.parent)

@@ -252,3 +252,15 @@ def test_every_definition_is_named_in_the_package():
         if not name.startswith("dense_grid.") and name not in TEST_ONLY
     ]
     assert flagged == []
+
+
+def test_every_top_level_definition_is_named_outside_itself():
+    # a module-level function or class that neither the package, its tests
+    # nor the benchmark names is dead code, the oracle and test-only helpers
+    # included
+    package = {p.stem: p.read_text() for p in Path(datalogmtl.__file__).parent.glob("*.py")}
+    callers = {
+        str(p.relative_to(TESTS.parent)): p.read_text() for p in CALLERS if p not in MODULES
+    }
+    flagged = unnamed_definitions({**package, **callers})
+    assert [name for name in flagged if name.count(".") == 1 and name.split(".")[0] in package] == []

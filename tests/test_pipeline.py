@@ -117,14 +117,18 @@ def test_race_mode_agrees_with_sequential():
         assert r.winner in ("materialisation", "automata")
 
 
-def test_race_answers_when_the_automata_reject_the_program():
-    # the automata raise on the unbounded DIAMONDMINUS; the race must still
-    # wait for materialisation, which derives the target
+def test_one_way_race_answers_by_materialisation_when_the_automata_reject_the_program():
+    # the program is forward, so race mode runs the sequential finish in the
+    # caller, with no fork: the automata raise on the unbounded DIAMONDMINUS,
+    # and the finish's rounds derive the target (the forked case is
+    # test_race_of_a_mixed_program_waits_for_the_child_when_the_automata_fail)
     prog = parse_program(
         "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), P(X) ."
     )
     r = check_entailment(prog, store_of("P(a)@[0,0]"), parse_fact("P2(a)@[5,5]"))
     assert (r.answer, r.fact_type, r.winner) == (True, "T4", "materialisation")
+    assert multiprocessing.active_children() == []
+    assert {"pre_materialisation", "race"} <= set(r.timings)
 
 
 # the automata reject the unbounded BOXMINUS and materialisation never
@@ -145,13 +149,6 @@ def test_race_leaves_no_child():
     r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
                          parse_fact(PARTY_QUERY))
     assert r.winner == "automata" and multiprocessing.active_children() == []
-
-    prog = parse_program(
-        "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), P(X) ."
-    )
-    r = check_entailment(prog, store_of("P(a)@[0,0]"), parse_fact("P2(a)@[5,5]"))
-    assert r.winner == "materialisation" and multiprocessing.active_children() == []
-    assert {"pre_materialisation", "race"} <= set(r.timings)
 
     with pytest.raises(NotImplementedError):
         check_entailment(parse_program(NO_ANSWER_PROGRAM), store_of("P(a)@[0,0]"),
