@@ -1,10 +1,9 @@
 """Dependency-graph analysis: recursive predicates and relevant subprograms.
 
-The graph has a vertex per predicate and an edge (Q, R) whenever Q occurs in
-the body of a rule whose head predicate is R.  TOP and BOTTOM are not
-vertices; rules with BOTTOM heads contribute no edges but are always part of
-every relevant subprogram, since they can fire inconsistency.
-
+The graph, a dict of plain sets, has a vertex per predicate and an edge (Q, R)
+whenever Q occurs in the body of a rule whose head predicate is R.  TOP and
+BOTTOM are not vertices; rules with BOTTOM heads contribute no edges but are
+part of every relevant subprogram, since they can fire inconsistency.
 `propagation` classifies a program by the direction in which its rules carry
 facts along the timeline.
 """
@@ -13,49 +12,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .syntax import BinaryOp, MetricAtom, Program, UnaryOp
 
 
 @dataclass(frozen=True)
 class DependencyInfo:
-    graph: nx.DiGraph
-    sccs: tuple[frozenset[str], ...]
+    edges: dict[str, set[str]]  # predicate -> heads of the rules reading it
+    sccs: list[frozenset[str]]  # each after every one it reaches
     recursive: frozenset[str]
-    topo: tuple[frozenset[str], ...]  # condensation order, sources first
+
+
+def _components(edges: dict[str, set[str]]) -> list[frozenset[str]]:
+    """Strongly connected components, sinks first (Tarjan, on an explicit stack)."""
+    index, low, heads = {}, {}, {}  # low is len(edges), above every index, once placed
+    path, comps = [], []  # path: visited and not yet placed in a component
+    for root in edges:
+        work = [root]
+        while work:
+            v = work[-1]
+            if v not in index:
+                index[v] = low[v] = len(index)
+                heads[v] = iter(edges[v])
+                path.append(v)
+            for w in heads[v]:
+                if w not in index:
+                    work.append(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        comp.add(path.pop())
+                    comps.append(frozenset(comp))
+                    low.update(dict.fromkeys(comp, len(edges)))
+    return comps
 
 
 def dependency_info(program: Program) -> DependencyInfo:
-    g = nx.DiGraph()
-    g.add_nodes_from(program.predicates())
+    edges: dict[str, set[str]] = {p: set() for p in program.predicates()}
     for rule in program.rules:
         head = rule.head_predicate()  # None for BOTTOM heads
-        if head is None:
-            continue
-        for pred in rule.body_predicates():
-            g.add_edge(pred, head)
-    sccs = tuple(frozenset(c) for c in nx.strongly_connected_components(g))
-    on_cycle = set()
-    for comp in sccs:
-        if len(comp) > 1:
-            on_cycle |= comp
-        else:
-            (v,) = comp
-            if g.has_edge(v, v):
-                on_cycle.add(v)
-    recursive = set(on_cycle)
-    for v in on_cycle:
-        recursive |= nx.descendants(g, v)
-    cond = nx.condensation(g, scc=[set(c) for c in sccs])
-    order = list(nx.topological_sort(cond))
-    topo = tuple(frozenset(cond.nodes[i]["members"]) for i in order)
-    return DependencyInfo(g, sccs, frozenset(recursive), topo)
+        if head is not None:
+            for pred in rule.body_predicates():
+                edges[pred].add(head)
+    sccs = _components(edges)
+    recursive: set[str] = set()
+    for comp in reversed(sccs):  # sources first, so each edge into comp is seen
+        if comp & recursive or any(edges[v] & comp for v in comp):
+            recursive |= comp.union(*(edges[v] for v in comp))
+    return DependencyInfo(edges, sccs, frozenset(recursive))
 
 
 def is_recursive(program: Program) -> bool:
-    info = dependency_info(program)
-    return bool(info.recursive)
+    return bool(dependency_info(program).recursive)
 
 
 def relevant_rules(program: Program, predicate: str) -> Program:
@@ -66,25 +79,12 @@ def relevant_rules(program: Program, predicate: str) -> Program:
     head; rules with such heads themselves count (zero-length path).
     """
     info = dependency_info(program)
-    g = info.graph
-    # predicates from which some target body-predicate is reachable
-    targets = set()
-    for rule in program.rules:
-        head = rule.head_predicate()
-        if head is None or head == predicate:
-            targets |= rule.body_predicates()
-    sources = set(targets)
-    for t in targets:
-        if t in g:
-            sources |= nx.ancestors(g, t)
-    picked = []
-    for rule in program.rules:
-        head = rule.head_predicate()
-        if head is None or head == predicate:
-            picked.append(rule)
-        elif head in sources:
-            picked.append(rule)
-    return Program(tuple(picked))
+    keep = {None, predicate}  # whatever has an edge into predicate is kept next anyway
+    keep |= set().union(*(r.body_predicates() for r in program.rules if r.head_predicate() in keep))
+    for comp in info.sccs:  # sinks first, so each edge out of comp is settled
+        if any(info.edges[v] & keep for v in comp):
+            keep |= comp
+    return Program(tuple(r for r in program.rules if r.head_predicate() in keep))
 
 
 def _operators(m: MetricAtom) -> set[str]:
@@ -124,10 +124,10 @@ def propagation(program: Program) -> int:
 
 def to_dot(info: DependencyInfo) -> str:
     lines = ["digraph dependencies {"]
-    for v in sorted(info.graph.nodes):
+    for v in sorted(info.edges):
         shape = "doublecircle" if v in info.recursive else "ellipse"
         lines.append(f'  "{v}" [shape={shape}];')
-    for a, b in sorted(info.graph.edges):
+    for a, b in sorted((a, b) for a, heads in info.edges.items() for b in heads):
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

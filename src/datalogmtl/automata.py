@@ -235,17 +235,7 @@ def _check_window(
     """
     wiv = cells_interval(lo, lo + len(letters) - 1)
     for rule in ground_rules:
-        lists = []
-        dead = False
-        for lit in rule.body:
-            t = apply_operator(lit, store)
-            if not t:
-                dead = True
-                break
-            lists.append(t)
-        if dead:
-            continue
-        for iv in merge_intervals(lists):
+        for iv in merge_intervals(apply_operator(lit, store) for lit in rule.body):
             for c in cells_in(intersect(iv, wiv)):
                 req = reverse_head(rule.head, cells_interval(c, c))
                 if isinstance(req, tuple):  # BOTTOM fired; never repairable

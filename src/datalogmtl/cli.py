@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import bench as benchmod
-from .analysis import dependency_info, is_recursive, relevant_rules, to_dot
+from .analysis import dependency_info, relevant_rules, to_dot
 from .automata import SearchBudgetExceeded, consistent
 from .intervals import make
 from .materialisation import materialise
@@ -59,6 +59,13 @@ def _seconds(text: str) -> float:
         value = math.nan
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
+def _rounds(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number of rounds, got {text!r}")
     return value
 
 
@@ -117,13 +124,13 @@ def main(argv=None) -> int:
     p.add_argument("--fact", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--sequential", action="store_true")
-    p.add_argument("--max-rounds", type=int, default=1000)
+    p.add_argument("--max-rounds", type=_rounds, default=1000)
     p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
 
     p = sub.add_parser("materialize", help="run materialisation to fixpoint")
     p.add_argument("--program", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--max-rounds", type=int, default=1000)
+    p.add_argument("--max-rounds", type=_rounds, default=1000)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
@@ -243,8 +250,8 @@ def _dispatch(args) -> int:
             return 0
         report = {
             "recursive_predicates": sorted(info.recursive),
-            "recursive_program": is_recursive(program),
-            "sccs": [sorted(c) for c in info.sccs],
+            "recursive_program": bool(info.recursive),
+            "sccs": sorted(sorted(c) for c in info.sccs),
         }
         if args.predicate:
             sub = relevant_rules(program, args.predicate)

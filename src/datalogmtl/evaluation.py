@@ -146,16 +146,17 @@ def _inf_open(bound) -> bool:
     return not is_finite(bound)
 
 
-def merge_intervals(lists: list[IntervalList]) -> IntervalList:
-    """Set intersection of n sorted disjoint interval lists."""
-    if not lists:
-        return []
-    result = lists[0]
-    for other in lists[1:]:
-        result = _intersect_lists(result, other)
+def merge_intervals(lists: Iterable[IntervalList]) -> IntervalList:
+    """Set intersection of coalesced interval lists.  The lists are drawn one
+    at a time, and none after the intersection is empty, so a generator of
+    body-literal lists stops evaluating there.  The result is coalesced too:
+    any two of its pieces lie in two intervals of one input, split by a gap."""
+    result = None
+    for other in lists:
+        result = other if result is None else _intersect_lists(result, other)
         if not result:
             return []
-    return coalesce(result)
+    return [] if result is None else result
 
 
 def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
@@ -279,17 +280,8 @@ def evaluate_rule(rule: Rule, store: FactStore) -> list:
     """
     out = []
     for sigma in substitutions(rule, store):
-        lists = []
-        empty = False
-        for literal in rule.body:
-            t = apply_operator(substitute(literal, sigma), store)
-            if not t:
-                empty = True
-                break
-            lists.append(t)
-        if empty:
-            continue
-        head = substitute(rule.head, sigma)
-        for iv in merge_intervals(lists):
-            out.append(reverse_head(head, iv))
+        body = merge_intervals(apply_operator(substitute(lit, sigma), store) for lit in rule.body)
+        if body:
+            head = substitute(rule.head, sigma)
+            out += [reverse_head(head, iv) for iv in body]
     return out

@@ -1,6 +1,7 @@
 """Dependency graph, recursive predicates, and relevant subprograms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datalogmtl.analysis import (
     dependency_info,
@@ -108,3 +109,51 @@ def test_propagation_of_the_fixtures():
 ])
 def test_propagation_direction(text, direction):
     assert propagation(parse_program(text)) == direction
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+PREDICATES = ["P0", "P1", "P2", "P3", "P4", "P5"]
+
+random_programs = st.lists(
+    st.tuples(
+        st.sampled_from([*PREDICATES, "BOTTOM"]),
+        st.lists(st.sampled_from(PREDICATES), min_size=1, max_size=3),
+    ),
+    max_size=10,
+).map(lambda rules: parse_program("".join(
+    f"{'BOTTOM' if head == 'BOTTOM' else head + '(X)'} :- {', '.join(b + '(X)' for b in body)} .\n"
+    for head, body in rules
+)))
+
+
+@given(random_programs)
+@settings(max_examples=300, deadline=None)
+def test_analysis_matches_networkx(nx, prog):
+    # the networkx implementation this module replaced, as the reference
+    g = nx.DiGraph()
+    g.add_nodes_from(prog.predicates())
+    for rule in prog.rules:
+        if rule.head_predicate() is not None:
+            g.add_edges_from((pred, rule.head_predicate()) for pred in rule.body_predicates())
+    sccs = [set(c) for c in nx.strongly_connected_components(g)]
+    on_cycle = {v for c in sccs for v in c if len(c) > 1 or g.has_edge(v, v)}
+    info = dependency_info(prog)
+    assert info.recursive == on_cycle.union(*(nx.descendants(g, v) for v in on_cycle))
+    assert sorted(map(sorted, info.sccs)) == sorted(map(sorted, sccs))
+    # sinks first: an edge never leads to a later component
+    place = {v: i for i, comp in enumerate(info.sccs) for v in comp}
+    assert all(place[b] <= place[a] for a, b in g.edges)
+    for predicate in [*PREDICATES, "Zzz"]:
+        kept = {None, predicate}
+        targets = set().union(*(r.body_predicates() for r in prog.rules if r.head_predicate() in kept))
+        kept |= targets.union(*(nx.ancestors(g, t) for t in targets))
+        assert relevant_rules(prog, predicate).rules == tuple(
+            r for r in prog.rules if r.head_predicate() in kept
+        )
+    dot = [f'  "{v}" [shape={"doublecircle" if v in info.recursive else "ellipse"}];' for v in sorted(g.nodes)]
+    dot += [f'  "{a}" -> "{b}";' for a, b in sorted(g.edges)]
+    assert to_dot(info) == "\n".join(["digraph dependencies {", *dot, "}"]) + "\n"

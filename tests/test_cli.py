@@ -142,6 +142,21 @@ def test_analyze_json(capsys):
     assert len(payload["relevant_rules"]) == 1
 
 
+def test_analyze_json_does_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(block_buffered_env(), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "datalogmtl.cli", "analyze", "--program", fix("professor.dmtl"), "--json"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    sccs = json.loads(outputs[0])["sccs"]
+    assert sccs == sorted(sccs) and ["Chair", "FullProfessor"] in sccs
+
+
 def test_analyze_dot(capsys):
     code, out, _ = run(capsys, "analyze", "--program", fix("professor.dmtl"), "--dot")
     assert code == 0 and out.startswith("digraph")
@@ -382,6 +397,17 @@ def test_timeout_must_be_positive_seconds(capsys, seconds):
                        "--data", fix("birthday.dtf"), "--timeout", seconds)
     assert code == 1
     assert f"argument --timeout: expected a positive number of seconds, got '{seconds}'" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("check", ["--fact", "Bday(a)@[3,3]", "--sequential"]),
+    ("materialize", []),
+])
+def test_max_rounds_must_not_be_negative(capsys, command, extra):
+    code, out, err = run(capsys, command, "--program", fix("birthday.dmtl"),
+                         "--data", fix("birthday.dtf"), "--max-rounds", "-3", *extra)
+    assert (code, out) == (1, "")
+    assert "argument --max-rounds: expected a non-negative number of rounds, got '-3'" in err
 
 
 @pytest.mark.parametrize("line", ["BOTTOM@[2,3]", "TOP(a)@[0,1]"])

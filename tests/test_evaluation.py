@@ -100,6 +100,19 @@ def test_merge_intervals_cases():
     one = [make(1, 2), make(4, 5)]
     assert merge_intervals([one]) == one
     assert merge_intervals([one, []]) == []
+    assert merge_intervals([]) == []
+
+
+def test_merge_intervals_draws_no_list_once_the_intersection_is_empty():
+    drawn = []
+
+    def lists():
+        for lst in ([make(0, 1)], [make(2, 3)], [make(0, 5)]):
+            drawn.append(lst)
+            yield lst
+
+    assert merge_intervals(lists()) == []
+    assert len(drawn) == 2
 
 
 def test_reverse_head_box_past():

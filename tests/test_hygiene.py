@@ -1,13 +1,18 @@
 """Source hygiene: no module imports a name it never uses, no function
-takes a parameter it never reads, and every parameter default is overridden
-by some call but not by every call."""
+takes a parameter it never reads, every parameter default is overridden by
+some call but not by every call, every dataclass field is read, and the CLI
+imports nothing outside the standard library."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import datalogmtl
+
+from helpers import block_buffered_env
 
 MODULES = sorted(
     p for p in Path(datalogmtl.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -264,3 +269,69 @@ def test_every_top_level_definition_is_named_outside_itself():
     }
     flagged = unnamed_definitions({**package, **callers})
     assert [name for name in flagged if name.count(".") == 1 and name.split(".")[0] in package] == []
+
+
+def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """`module.Class.field` for each field of a dataclass in `defining`
+    (module name -> source) that no source in `reading` reads as an
+    attribute."""
+    read = {
+        n.attr
+        for source in reading
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    out = []
+    for module, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            out += [
+                f"{module}.{node.name}.{stmt.target.id}"
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in read
+            ]
+    return sorted(out)
+
+
+def test_scan_finds_unread_fields():
+    defining = {
+        "a": (
+            "@dataclass(frozen=True)\n"
+            "class D:\n"
+            "    shown: int\n"
+            "    written: int\n"
+            "    hidden: int = 0\n"
+            "class Plain:\n"
+            "    unread: int\n"
+        )
+    }
+    reading = ["print(d.shown)\nd.written = 1\n"]
+    assert unread_fields(defining, reading) == ["a.D.hidden", "a.D.written"]
+
+
+def test_every_dataclass_field_is_read():
+    defining = {p.stem: p.read_text() for p in MODULES}
+    assert unread_fields(defining, [p.read_text() for p in CALLERS]) == []
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    # `site` may already have loaded third-party modules, so only what the
+    # import itself adds counts; multiprocessing registers the main module
+    # once more as __mp_main__
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import datalogmtl.cli\n"
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'datalogmtl', '__mp_main__'}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=block_buffered_env(), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from datalogmtl.evaluation import (
     _since,
     _until,
     apply_operator,
+    merge_intervals,
 )
 from datalogmtl.intervals import (
     EMPTY,
@@ -165,6 +166,17 @@ def test_until_sweep_matches_all_pairs(rho, left, right):
 def test_intersect_lists_matches_all_pairs(a, b):
     want = coalesce(intersect(x, y) for x in a for y in b)
     assert coalesce(_intersect_lists(a, b)) == want
+
+
+@given(st.lists(coalesced_lists, min_size=1, max_size=4))
+def test_merge_intervals_is_the_coalesced_pointwise_intersection(lists):
+    got = merge_intervals(lists)
+    assert got == coalesce(got)
+    # bounds are halves in [0, 5], so quarters from -1 to 6 tell the sets apart
+    for t in (Fraction(k, 4) for k in range(-4, 25)):
+        assert any(contains_point(iv, t) for iv in got) == all(
+            any(contains_point(iv, t) for iv in lst) for lst in lists
+        )
 
 
 @given(intervals(), intervals())
