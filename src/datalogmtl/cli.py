@@ -208,10 +208,12 @@ def _dispatch(args) -> int:
     if args.command == "materialize":
         program, data, _ = _load(args)
         out = materialise(program, FactStore.from_facts(data), max_rounds=args.max_rounds)
-        text = out.store.dump()
+        if out.store.contains_bottom:
+            spans = ", ".join(map(repr, out.store.bottom_intervals))
+            print(f"note: inconsistent, BOTTOM derived on {spans}", file=sys.stderr)
         if args.output:
             with open(args.output, "w") as f:
-                f.write(text)
+                f.write(out.store.dump())
         if args.json:
             print(
                 json.dumps(
@@ -224,7 +226,7 @@ def _dispatch(args) -> int:
                 )
             )
         elif not args.output:
-            sys.stdout.write(text)
+            sys.stdout.write(out.store.dump())
         if out.status == "RoundLimit":
             return 3
         return 0

@@ -178,7 +178,11 @@ class FactStore:
 
     def dump(self) -> str:
         """Canonical .dtf form: sorted atoms, coalesced sorted intervals."""
-        lines = [str(f) for f in self.facts()]
+        lines = []
+        for (pred, consts), intervals in sorted(self.atoms.items()):
+            # RelationalAtom.__str__'s text, formatted once per atom
+            atom = f"{pred}({','.join(consts)})@" if consts else f"{pred}@"
+            lines += [atom + repr(iv) for iv in intervals]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

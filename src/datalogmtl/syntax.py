@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .intervals import (
+    EMPTY,
     NEG_INF,
     POS_INF,
     Bound,
@@ -320,6 +321,16 @@ def _tokenize(text: str, line: int) -> list[_Token]:
     return tokens
 
 
+# The common dataset line, matched whole without tokens: a non-keyword
+# predicate over name constants, `@`, and an interval with integer endpoints,
+# with no spaces.  The character classes are _TOKEN_RE's.
+_FACT_LINE_RE = re.compile(
+    rf"(?!(?:{'|'.join(KEYWORDS)})\()([A-Za-z_][A-Za-z0-9_]*)"
+    r"\(([a-z_][A-Za-z0-9_]*(?:,[a-z_][A-Za-z0-9_]*)*)\)"
+    r"@([\[(])(-?\d+),(-?\d+)([\])])"
+)
+
+
 def is_predicate_name(name) -> bool:
     """True iff the parser reads `name` back as a predicate name: one name
     token that is not a keyword."""
@@ -496,8 +507,27 @@ def parse_program(text: str) -> Program:
 
 
 def parse_dataset(text: str) -> list[Fact]:
+    """The facts of a dataset, one per line; blank and `#` lines are skipped.
+
+    A line such as `P(a,b)@[0,5]` (a non-keyword predicate over lowercase or
+    `_` names, integer endpoints, no spaces, a non-empty interval) is read by
+    one pattern match, and lines over the same atom share it.  Every
+    other line, each faulty one included, goes through the full parser, so a
+    fault keeps its message, line and column.
+    """
     facts = []
+    atoms: dict[tuple[str, str], RelationalAtom] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
+        m = _FACT_LINE_RE.fullmatch(line)
+        if m:
+            pred, args, lb, left, right, rb = m.groups()
+            iv = normalize(int(left), int(right), lb == "(", rb == ")")
+            if iv is not EMPTY:
+                atom = atoms.get((pred, args))
+                if atom is None:
+                    atom = atoms[pred, args] = RelationalAtom(pred, tuple(map(Constant, args.split(","))))
+                facts.append(Fact(atom, iv))
+                continue
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

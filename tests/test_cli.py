@@ -15,6 +15,7 @@ import datalogmtl
 from datalogmtl import cli, materialisation, pipeline
 from datalogmtl.analysis import propagation
 from datalogmtl.cli import main
+from datalogmtl.store import FactStore
 from datalogmtl.syntax import parse_program
 
 from helpers import FIXTURES, block_buffered_env
@@ -114,6 +115,25 @@ def test_materialize_writes_output(capsys, tmp_path):
     )
     assert code == 0
     assert "Immune(james)@[7,14]" in out_file.read_text()
+
+
+def test_materialize_notes_inconsistency_on_stderr(capsys, tmp_path):
+    (tmp_path / "p.dmtl").write_text("BOTTOM :- P(X) .\n")
+    (tmp_path / "d.dtf").write_text("P(a)@[0,1]\nP(b)@[3,4]\n")
+    code, out, err = run(capsys, "materialize", "--program", str(tmp_path / "p.dmtl"),
+                         "--data", str(tmp_path / "d.dtf"))
+    assert (code, out) == (0, "P(a)@[0,1]\nP(b)@[3,4]\n")
+    assert err == "note: inconsistent, BOTTOM derived on [0,1], [3,4]\n"
+
+
+def test_materialize_json_does_not_format_the_store(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the store was formatted")
+
+    monkeypatch.setattr(FactStore, "dump", refuse)
+    code, out, _ = run(capsys, "materialize", "--program", fix("immune.dmtl"),
+                       "--data", fix("immune.dtf"), "--json")
+    assert code == 0 and json.loads(out)["status"] == "Fixpoint"
 
 
 def test_consistency(capsys):

@@ -3,9 +3,12 @@ round-trips, store invariants, oracle agreement, relevant-rule soundness,
 and decision invariance under letter pruning."""
 
 import random
+import re
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+from datalogmtl import syntax
 
 from datalogmtl.analysis import is_recursive, relevant_rules
 from datalogmtl.automata import consistent, entail_to_inconsist
@@ -36,7 +39,9 @@ from datalogmtl.intervals import (
 from datalogmtl.materialisation import _new_point_bound, materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
+    KEYWORDS,
     Fact,
+    SyntaxFault,
     parse_dataset,
     parse_fact,
     parse_program,
@@ -278,6 +283,94 @@ def test_parse_print_round_trip(seed):
     assert parse_program(print_program(prog)) == prog
     facts = [rand_fact(rng) for _ in range(2)]
     assert parse_dataset(print_dataset(facts)) == facts
+
+
+_EDITS = ("space", "constant", "keyword", "comment", "drop", "reverse", "empty", "endpoint", "bracket")
+
+
+def _edit(line, kind, rng):
+    """`line` with one edit of the given kind: onto the edge of the fact-line
+    pattern, off it, or into a fault."""
+    if kind == "space":
+        i = rng.randrange(len(line) + 1)
+        return line[:i] + " " + line[i:]
+    if kind == "constant":  # a variable or a `_` name for the first argument
+        first = re.search(r"\((\w)", line)
+        if first is None:
+            return line
+        name = rng.choice([first[1].upper(), "_" + first[1]])
+        return line[: first.start(1)] + name + line[first.end(1):]
+    if kind == "keyword":
+        return rng.choice(KEYWORDS) + line[len(re.match(r"\w*", line)[0]):]
+    if kind == "comment":
+        return line + rng.choice([" # note", "#note"])
+    if kind == "drop":
+        i = rng.randrange(len(line))
+        return line[:i] + line[i + 1:]
+    m = re.fullmatch(r"(.*@)([\[(])([^,]*),(.*)([\])])", line)
+    if m is None:  # an earlier edit broke the interval already
+        return line
+    atom, lb, left, right, rb = m.groups()
+    if kind == "reverse":
+        left, right = right, left
+    elif kind == "empty":
+        lb, left, right, rb = rng.choice(
+            [("[", "3", "1", "]"), ("(", "2", "2", "]"), ("[", "-2", "-2", ")")]
+        )
+    elif kind == "endpoint":
+        new = rng.choice(["-0", "00", "007", "-12", "2.0", "1.5", "1/0", "3/1", "-inf", "+inf"])
+        left, right = (new, right) if rng.random() < 0.5 else (left, new)
+    elif kind == "bracket":  # with an infinite endpoint, a closed bracket is a fault
+        lb, rb = ("[" if lb == "(" else "("), ("]" if rb == ")" else ")")
+    return f"{atom}{lb}{left},{right}{rb}"
+
+
+@st.composite
+def dataset_lines(draw):
+    """A printed random fact, with up to three edits."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    line = print_dataset([rand_fact(rng)]).rstrip("\n")
+    for kind in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+        line = _edit(line, kind, rng)
+    return line
+
+
+def _outcome(parse, line):
+    """The facts `parse` reads from `line`, each with its bound types, or its
+    fault's message and position."""
+    try:
+        return [(f, type(f.interval.left), type(f.interval.right)) for f in parse(line)]
+    except SyntaxFault as e:
+        return str(e), e.line, e.column
+
+
+def _full_parse(line):
+    p = syntax._Parser(line, 1)
+    fact = p.parse_fact()
+    if not p.at_eof():
+        p.fail("trailing input after fact")
+    return [fact]
+
+
+@example("P(a,b)@[-0,00]")
+@example("P(a)@[3,1]")
+@example("P(a)@(2,2]")
+@example("BOTTOM(a)@[0,1]")
+@example("P(a,X)@[0,1]")
+@example("P(_a)@[0,1]")
+@example("P(1)@[0,1]")
+@example("Flag@[0,1]")
+@example("P(a)@[0,1/0]")
+@example("P(a)@[-inf,3]")
+@example("P(a)@[0,1] # note")
+@example("P(a) @[0,1]")
+@example("P(a)@[0,1")
+@example("P(a)@[0,\u0663]")
+@given(dataset_lines())
+@settings(max_examples=400)
+def test_fact_line_pattern_agrees_with_the_full_parser(line):
+    assume(line.strip() and not line.strip().startswith("#"))
+    assert _outcome(parse_dataset, line) == _outcome(_full_parse, line)
 
 
 @given(st.integers(0, 10**9))

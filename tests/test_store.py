@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from datalogmtl.bench import GeneratorSpec, generate_dataset
 from datalogmtl.intervals import make, normalize, point
+from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
     Constant,
@@ -15,9 +17,10 @@ from datalogmtl.syntax import (
     Variable,
     parse_dataset,
     parse_fact,
+    print_dataset,
 )
 
-from helpers import rand_fact
+from helpers import load_dataset, load_program, rand_fact
 
 
 def fact(text):
@@ -157,3 +160,26 @@ def test_dump_round_trips():
     s = FactStore.from_facts(facts)
     again = FactStore.from_facts(parse_dataset(s.dump()))
     assert s.equals(again)
+
+
+@pytest.mark.parametrize("name", ["birthday", "excheat", "immune", "monitoring", "professor"])
+def test_dump_prints_each_stored_fact_on_the_fixtures(name):
+    out = materialise(load_program(name), FactStore.from_facts(load_dataset(name)), max_rounds=20)
+    assert out.store.dump() == print_dataset(list(out.store.facts()))
+
+
+def test_dump_prints_each_stored_fact_on_generated_sets():
+    rng = random.Random(13)
+    stores = [FactStore.from_facts([rand_fact(rng) for _ in range(40)]) for _ in range(20)]
+    spec = GeneratorSpec(
+        predicates=(("P", 1), ("Edge", 2), ("Flag", 0)),
+        constant_pool=30,
+        fact_count=2000,
+        endpoint_range=make(-50, 50),
+        max_interval_length=Fraction(5),
+        granularity=Fraction(1, 2),
+        seed=13,
+    )
+    stores.append(FactStore.from_facts(generate_dataset(spec)))
+    for s in stores:
+        assert s.dump() == print_dataset(list(s.facts()))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from datalogmtl import syntax
+from datalogmtl.bench import GeneratorSpec, generate_dataset
 from datalogmtl.intervals import make
 from datalogmtl.syntax import (
     BinaryOp,
@@ -152,6 +154,30 @@ def test_dataset_faults_carry_their_dataset_position(text, line, column, message
         parse_dataset(text)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_fact_lines_skip_the_full_parser(monkeypatch):
+    # criterion 8's generator: five unary predicates over 200 constants
+    spec = GeneratorSpec(
+        predicates=tuple((f"P{i}", 1) for i in range(5)),
+        constant_pool=200,
+        fact_count=2500,
+        endpoint_range=make(0, 2000),
+        max_interval_length=Fraction(10),
+        granularity=Fraction(1),
+        seed=88,
+    )
+    facts = generate_dataset(spec)
+    lines = print_dataset(facts).splitlines()
+    text = "".join(f"{line}\n\n# fact {i}\n" for i, line in enumerate(lines))
+
+    def refuse(*_):
+        raise AssertionError("the full parser was called")
+
+    monkeypatch.setattr(syntax, "_Parser", refuse)
+    assert parse_dataset(text) == facts
+    with pytest.raises(AssertionError, match="full parser"):
+        parse_dataset("P0(c1)@[0,1]\nP0(c1)@[0,")
 
 
 def test_is_predicate_name():
