@@ -5,14 +5,17 @@ whenever Q occurs in the body of a rule whose head predicate is R.  TOP and
 BOTTOM are not vertices; rules with BOTTOM heads contribute no edges but are
 part of every relevant subprogram, since they can fire inconsistency.
 `propagation` classifies a program by the direction in which its rules carry
-facts along the timeline.
+facts along the timeline.  `instance_granularity` and `total_reach` measure
+an instance's time scale and its operators' combined reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .syntax import BinaryOp, MetricAtom, Program, UnaryOp
+from .intervals import Bound, gcd_rationals, is_finite, rational
+from .syntax import BinaryOp, Fact, MetricAtom, Program, UnaryOp
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,44 @@ def propagation(program: Program) -> int:
     if body <= {"DIAMONDPLUS", "BOXPLUS", "UNTIL"} and heads <= {"BOXMINUS"}:
         return -1
     return 0
+
+
+def instance_granularity(program: Program, facts: Sequence[Fact]) -> Bound:
+    """gcd of all finite endpoint magnitudes and operator bounds; 1 if all zero."""
+    vals = []
+    for f in facts:
+        for b in (f.interval.left, f.interval.right):
+            if is_finite(b):
+                vals.append(abs(b))
+    for r in program.rules:
+        for m in (r.head, *r.body):
+            vals.extend(_operator_bounds(m))
+    vals = [v for v in vals if v != 0]
+    if not vals:
+        return 1
+    return gcd_rationals(vals)
+
+
+def _operator_bounds(m: MetricAtom) -> list[Bound]:
+    out = []
+    if isinstance(m, (UnaryOp, BinaryOp)):
+        for b in (m.interval.left, m.interval.right):
+            if is_finite(b):
+                out.append(abs(b))
+    if isinstance(m, UnaryOp):
+        out += _operator_bounds(m.sub)
+    elif isinstance(m, BinaryOp):
+        out += _operator_bounds(m.left) + _operator_bounds(m.right)
+    return out
+
+
+def total_reach(program: Program) -> Bound:
+    """Sum of all finite operator bounds; pads the evaluation range."""
+    total = 0
+    for r in program.rules:
+        for m in (r.head, *r.body):
+            total += sum(_operator_bounds(m))
+    return rational(total)
 
 
 def to_dot(info: DependencyInfo) -> str:

@@ -15,9 +15,11 @@ states.  Every interval the search handles (data, horizon, span, cells, and
 the sums and intersections of them that operators and heads produce) has
 int endpoints, so the cells one meets are exactly the cells it contains, a
 contiguous run that `cells_in` computes by arithmetic; `cells_interval`
-maps a run back.  The engine keeps the letter store of the last window it
-built, one interval per run of cells, because the search expands a state
-right after checking the window that led to it.
+maps a run back.  The atoms a span cell must hold are those of the least
+model of the data, which `materialise` computes with every round clipped to
+the span widened by the program's total reach.  The engine keeps the letter
+store of the last window it built, one interval per run of cells, because
+the search expands a state right after checking the window that led to it.
 
 Unbounded operator intervals are supported where the shipped pipeline
 produces them: the entailment reduction's rule BOTTOM :- anchor, BOX[0,inf)M
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .dense_grid import instance_granularity, total_reach
+from .analysis import instance_granularity, total_reach
 from .evaluation import apply_operator, merge_intervals, reverse_head
 from .intervals import (
     Bound,
@@ -49,7 +51,7 @@ from .intervals import (
     point,
     rational,
 )
-from .materialisation import apply_rules
+from .materialisation import materialise
 from .store import AtomKey, FactStore
 from .syntax import (
     BinaryOp,
@@ -334,14 +336,6 @@ def _extract_obligations(program: Program, dataset: Sequence[Fact]) -> list[Obli
 # ---------------------------------------------------------------- engine
 
 
-def _clip_store(store: FactStore, horizon: Interval) -> FactStore:
-    s = FactStore.from_intervals(
-        {key: [intersect(iv, horizon) for iv in lst] for key, lst in store.atoms.items()}
-    )
-    s.bottom_intervals = list(store.bottom_intervals)
-    return s
-
-
 class _Engine:
     def __init__(
         self,
@@ -453,16 +447,15 @@ class _Engine:
             raise SearchBudgetExceeded("automata state budget exhausted")
 
     def _span_materialise(self, horizon: Interval) -> Optional[FactStore]:
-        store = _clip_store(FactStore.from_facts(self.facts), horizon)
-        # bounded horizon + int endpoints => finitely many stores
-        while True:
-            self._poll()
-            new = _clip_store(apply_rules(self.program, store), horizon)
-            if new.contains_bottom:
-                return None
-            if new.equals(store):
-                return store
-            store = new
+        """The least model of the data, clipped to `horizon` round by round,
+        or None when it derives BOTTOM.  Each round polls once; the bounded
+        horizon and int endpoints admit finitely many stores, so it ends."""
+        by_key: dict[AtomKey, list[Interval]] = {}
+        for f in self.facts:
+            by_key.setdefault(f.atom.key(), []).append(intersect(f.interval, horizon))
+        start = FactStore.from_intervals(by_key)
+        out = materialise(self.program, start, horizon=horizon, poll=self._poll)
+        return None if out.status == "Inconsistent" else out.store
 
     # -- letters
 

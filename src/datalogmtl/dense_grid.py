@@ -13,16 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .analysis import instance_granularity, total_reach
 from .intervals import (
-    Bound,
     Interval,
     coalesce,
-    gcd_rationals,
     intersect,
     is_finite,
     normalize,
     point,
-    rational,
     subset,
 )
 from .syntax import (
@@ -40,44 +38,6 @@ from .syntax import (
 # A cell is (k, kind): kind 0 = the point k*d, kind 1 = the segment
 # (k*d, (k+1)*d).
 Cell = tuple[int, int]
-
-
-def instance_granularity(program: Program, facts: Sequence[Fact]) -> Bound:
-    """gcd of all finite endpoint magnitudes and operator bounds; 1 if all zero."""
-    vals = []
-    for f in facts:
-        for b in (f.interval.left, f.interval.right):
-            if is_finite(b):
-                vals.append(abs(b))
-    for r in program.rules:
-        for m in (r.head, *r.body):
-            vals.extend(_operator_bounds(m))
-    vals = [v for v in vals if v != 0]
-    if not vals:
-        return 1
-    return gcd_rationals(vals)
-
-
-def _operator_bounds(m: MetricAtom) -> list[Bound]:
-    out = []
-    if isinstance(m, (UnaryOp, BinaryOp)):
-        for b in (m.interval.left, m.interval.right):
-            if is_finite(b):
-                out.append(abs(b))
-    if isinstance(m, UnaryOp):
-        out += _operator_bounds(m.sub)
-    elif isinstance(m, BinaryOp):
-        out += _operator_bounds(m.left) + _operator_bounds(m.right)
-    return out
-
-
-def total_reach(program: Program) -> Bound:
-    """Sum of all finite operator bounds; pads the evaluation range."""
-    total = 0
-    for r in program.rules:
-        for m in (r.head, *r.body):
-            total += sum(_operator_bounds(m))
-    return rational(total)
 
 
 class GridOracle:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Optional
+from typing import Callable, Optional
 
 from .evaluation import evaluate_rule
-from .intervals import NEG_INF, POS_INF, Interval, subset
+from .intervals import NEG_INF, POS_INF, Interval, intersect, subset
 from .store import FactStore
 from .syntax import Fact, Program
 
@@ -25,8 +25,8 @@ def apply_rules(
     program: Program,
     store: FactStore,
     changed: Optional[set[str]] = None,
-    gained: Optional[set[str]] = None,
     grown: Optional[set] = None,
+    horizon: Optional[Interval] = None,
 ) -> FactStore:
     """One round of the immediate consequence operator.
 
@@ -38,10 +38,10 @@ def apply_rules(
     produced `store`.  A rule whose body mentions none of them is skipped:
     its body interval lists are those it was last evaluated on, so what it
     derives is already stored.  None evaluates every rule, as a first round
-    must.  The predicates whose coverage grows in this round are added to
-    `gained` when it is given; an empty `gained` and no BOTTOM mean that the
-    round changed nothing.  The atom keys whose coverage grows are added to
-    `grown` when it is given.
+    must.  The atom keys whose coverage grows in this round are added to
+    `grown` when it is given; an empty `grown` and no BOTTOM mean that the
+    round changed nothing.  With a `horizon`, each derived interval is
+    intersected with it before insertion; BOTTOM intervals are kept whole.
     """
     out = store.snapshot()
     by_key: dict = {}
@@ -54,10 +54,10 @@ def apply_rules(
             else:
                 by_key.setdefault(derived.atom.key(), []).append(derived.interval)
     for key, ivs in by_key.items():
-        if out.insert_intervals(key, ivs) and gained is not None:
-            gained.add(key[0])
-            if grown is not None:
-                grown.add(key)
+        if horizon is not None:
+            ivs = [intersect(iv, horizon) for iv in ivs]
+        if out.insert_intervals(key, ivs) and grown is not None:
+            grown.add(key)
     return out
 
 
@@ -101,12 +101,16 @@ def materialise(
     max_rounds: Optional[int] = None,
     target: Optional[Fact] = None,
     direction: int = 0,
+    horizon: Optional[Interval] = None,
+    poll: Optional[Callable[[], None]] = None,
 ) -> MaterialisationOutcome:
     """Iterate apply_rules until a target is entailed, a fixpoint or the
     round limit is reached, or inconsistency is derived.
 
-    Each round after the first evaluates only the rules whose body reads a
-    predicate the round before it grew.  The fixpoint is the first round that
+    Each round first calls `poll`, when given; what it raises ends the loop.
+    A round after the first evaluates only the rules whose body reads a
+    predicate the round before it grew, and a `horizon` clips what each
+    round derives (see apply_rules).  The fixpoint is the first round that
     grows nothing; it counts in `rounds`.
 
     `direction` is the program's `analysis.propagation`, given with a
@@ -125,19 +129,20 @@ def materialise(
     rounds = 0
     changed = None
     while max_rounds is None or rounds < max_rounds:
+        if poll is not None:
+            poll()
         t0 = time.perf_counter()
-        gained: set[str] = set()
-        grown: Optional[set] = set() if direction else None
-        new = apply_rules(program, store, changed, gained, grown)
+        grown: set = set()
+        new = apply_rules(program, store, changed, grown, horizon)
         coalescing_time += time.perf_counter() - t0
         rounds += 1
         if new.contains_bottom:
             return MaterialisationOutcome(new, "Inconsistent", rounds, coalescing_time)
         if target is not None and new.entails_fact(target):
             return MaterialisationOutcome(new, "TargetEntailed", rounds, coalescing_time)
-        if not gained:
+        if not grown:
             return MaterialisationOutcome(new, "Fixpoint", rounds, coalescing_time)
         if direction and _out_of_reach(store, new, grown, target, direction):
             return MaterialisationOutcome(new, "OutOfReach", rounds, coalescing_time)
-        store, changed = new, gained
+        store, changed = new, {k[0] for k in grown}
     return MaterialisationOutcome(store, "RoundLimit", rounds, coalescing_time)

@@ -58,18 +58,18 @@ def pre_materialise(
     rounds = 0
     changed = None
     while True:
-        gained: set[str] = set()
-        new = apply_rules(program, store, changed, gained)
+        grown: set = set()
+        new = apply_rules(program, store, changed, grown)
         rounds += 1
         if new.contains_bottom:
             return new, "Inconsistent", rounds
         if target is not None and new.entails_fact(target):
             return new, "TargetEntailed", rounds
-        if not gained:
+        if not grown:
             return new, "Fixpoint", rounds
-        if gained <= recursive:
+        store, changed = new, {k[0] for k in grown}
+        if changed <= recursive:
             return new, "PreDone", rounds
-        store, changed = new, gained
 
 
 def _materialisation_result(

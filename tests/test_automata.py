@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from datalogmtl import automata
+from datalogmtl.analysis import _operator_bounds, instance_granularity
 from datalogmtl.automata import (
+    Cancelled,
     ReductionOutput,
     SearchBudgetExceeded,
     _check_window,
@@ -20,7 +22,6 @@ from datalogmtl.automata import (
     consistent,
     entail_to_inconsist,
 )
-from datalogmtl.dense_grid import _operator_bounds, instance_granularity
 from datalogmtl.evaluation import reverse_head
 from datalogmtl.intervals import (
     EMPTY,
@@ -43,7 +44,7 @@ from datalogmtl.syntax import (
 )
 
 from helpers import load_dataset, load_program
-from test_materialisation import fixture_and_criterion_6_instances
+from test_materialisation import clip_store, fixture_and_criterion_6_instances, naive_materialise
 
 
 def facts_of(text):
@@ -418,13 +419,62 @@ def test_engine_runs_on_the_unit_grid():
     assert {Fraction(1, 2), 2, 3} <= scales  # the rescale was exercised
 
 
+UNAVOIDABLE_BOTTOM = (
+    parse_program("Immune(X) :- BOXMINUS[0,2] NoSympt(X) .\nBOTTOM :- Immune(X) ."),
+    facts_of("NoSympt(j)@[0,3]"),
+)
+
+
 def test_span_unavoidable_bottom():
-    prog = parse_program(
-        "Immune(X) :- BOXMINUS[0,2] NoSympt(X) .\nBOTTOM :- Immune(X) ."
-    )
-    data = facts_of("NoSympt(j)@[0,3]")
+    prog, data = UNAVOIDABLE_BOTTOM
     assert _Engine(prog, data).inconsistent_in_span
     assert not consistent(prog, data)
+
+
+def test_span_materialisation_matches_the_naive_clipped_loop(monkeypatch):
+    # the reference re-applies every rule each round and clips the whole
+    # store after it; the engine clips only what each round derives
+    horizons = []
+    span_materialise = _Engine._span_materialise
+
+    def record(self, horizon):
+        horizons.append(horizon)
+        return span_materialise(self, horizon)
+
+    monkeypatch.setattr(_Engine, "_span_materialise", record)
+    for program, facts in (WIDE_VIOLATION, UNAVOIDABLE_BOTTOM, *fixture_and_criterion_6_instances()):
+        eng = _Engine(program, facts)
+        horizon = horizons[-1]
+        start = clip_store(FactStore.from_facts(eng.facts), horizon)
+        want, status, _ = naive_materialise(eng.program, start, horizon=horizon)
+        if status == "Inconsistent":
+            assert eng.base_store is None, program
+        else:
+            assert eng.base_store.atoms == want.atoms, program
+
+
+def test_span_materialisation_polls_every_round():
+    # the span of this reduction runs one materialisation round per yearly
+    # tick; each round polls the token and spends one state
+    red = birthday_reduction("401/2")
+    polls = []
+
+    def cancel_after(k):
+        def cancelled():
+            polls.append(None)
+            return len(polls) > k
+        return cancelled
+
+    eng = _Engine(red.program, list(red.dataset), cancelled=cancel_after(10**6), max_states=10**6)
+    rounds = len(polls)
+    assert rounds == 10**6 - eng.states_left and rounds > 100
+    polls.clear()
+    with pytest.raises(Cancelled):
+        _Engine(red.program, list(red.dataset), cancelled=cancel_after(rounds // 2))
+    assert len(polls) == rounds // 2 + 1
+    with pytest.raises(SearchBudgetExceeded):
+        _Engine(red.program, list(red.dataset), max_states=rounds - 1)
+    assert _Engine(red.program, list(red.dataset), max_states=rounds).states_left == 0
 
 
 # -- tail loops

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from datalogmtl.dense_grid import GridOracle, instance_granularity, total_reach
+from datalogmtl.analysis import instance_granularity, total_reach
+from datalogmtl.dense_grid import GridOracle
 from datalogmtl.evaluation import (
     apply_operator,
     evaluate_rule,

@@ -239,11 +239,13 @@ def test_scan_finds_unnamed_definitions():
     assert unnamed_definitions(sources) == ["a.K", "a.K.m", "a.outer", "a.recursive"]
 
 
-# Definitions that only tests name, kept because tests/test_acceptance.py
-# uses them.  The reference oracle, dense_grid.py, is skipped as a whole.
+# Definitions that only tests or the benchmark name, kept because
+# tests/test_acceptance.py, the tests' reference loops or benchmark/spans.py
+# use them.  The reference oracle, dense_grid.py, is skipped as a whole.
 TEST_ONLY = {
     "intervals.contains_point": "pointwise membership, the reference for interval operations",
     "store.FactStore.check_invariants": "checks that a materialised store is sorted and coalesced",
+    "store.FactStore.equals": "the reference loops' fixpoint test; benchmark/spans.py times it",
     "bench.census": "criterion 7's T1..T5 histogram",
 }
 

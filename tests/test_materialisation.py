@@ -121,14 +121,25 @@ def test_nonrecursive_fixpoint_matches_oracle():
             assert got == want, (trial, lits[i])
 
 
-def naive_materialise(program, store, max_rounds=None):
+def clip_store(store, horizon):
+    """The store with every atom's intervals clipped to `horizon`; BOTTOM
+    intervals are kept whole."""
+    out = FactStore.from_intervals({key: clip(lst, horizon) for key, lst in store.atoms.items()})
+    out.bottom_intervals = list(store.bottom_intervals)
+    return out
+
+
+def naive_materialise(program, store, max_rounds=None, horizon=None):
     """Reference loop: every round applies every rule, and the fixpoint is
-    a round whose output equals its input."""
+    a round whose output equals its input.  With a `horizon`, each round's
+    output is clipped to it."""
     if store.contains_bottom:
         return store, "Inconsistent", 0
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
         new = apply_rules(program, store)
+        if horizon is not None:
+            new = clip_store(new, horizon)
         rounds += 1
         if new.contains_bottom:
             return new, "Inconsistent", rounds
