@@ -6,13 +6,14 @@ BOTTOM are not vertices; rules with BOTTOM heads contribute no edges but are
 part of every relevant subprogram, since they can fire inconsistency.
 `propagation` classifies a program by the direction in which its rules carry
 facts along the timeline.  `instance_granularity` and `total_reach` measure
-an instance's time scale and its operators' combined reach.
+an instance's time scale and its operators' combined reach.  All three read
+`operator_nodes`, the one walk over a metric atom's operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .intervals import Bound, gcd_rationals, is_finite, rational
 from .syntax import BinaryOp, Fact, MetricAtom, Program, UnaryOp
@@ -90,13 +91,16 @@ def relevant_rules(program: Program, predicate: str) -> Program:
     return Program(tuple(r for r in program.rules if r.head_predicate() in keep))
 
 
-def _operators(m: MetricAtom) -> set[str]:
-    """The temporal operators anywhere inside m."""
+def operator_nodes(m: MetricAtom) -> Iterator[UnaryOp | BinaryOp]:
+    """The UnaryOp and BinaryOp nodes of m, outermost first, a left operand
+    before the right one."""
     if isinstance(m, UnaryOp):
-        return {m.op} | _operators(m.sub)
-    if isinstance(m, BinaryOp):
-        return {m.op} | _operators(m.left) | _operators(m.right)
-    return set()
+        yield m
+        yield from operator_nodes(m.sub)
+    elif isinstance(m, BinaryOp):
+        yield m
+        yield from operator_nodes(m.left)
+        yield from operator_nodes(m.right)
 
 
 def propagation(program: Program) -> int:
@@ -115,9 +119,8 @@ def propagation(program: Program) -> int:
     for rule in program.rules:
         if rule.head_predicate() is None:
             return 0
-        heads |= _operators(rule.head)
-        for lit in rule.body:
-            body |= _operators(lit)
+        heads |= {n.op for n in operator_nodes(rule.head)}
+        body |= {n.op for lit in rule.body for n in operator_nodes(lit)}
     if body <= {"DIAMONDMINUS", "BOXMINUS", "SINCE"} and heads <= {"BOXPLUS"}:
         return 1
     if body <= {"DIAMONDPLUS", "BOXPLUS", "UNTIL"} and heads <= {"BOXMINUS"}:
@@ -142,16 +145,13 @@ def instance_granularity(program: Program, facts: Sequence[Fact]) -> Bound:
 
 
 def _operator_bounds(m: MetricAtom) -> list[Bound]:
-    out = []
-    if isinstance(m, (UnaryOp, BinaryOp)):
-        for b in (m.interval.left, m.interval.right):
-            if is_finite(b):
-                out.append(abs(b))
-    if isinstance(m, UnaryOp):
-        out += _operator_bounds(m.sub)
-    elif isinstance(m, BinaryOp):
-        out += _operator_bounds(m.left) + _operator_bounds(m.right)
-    return out
+    """The magnitudes of the finite bounds of m's operator intervals."""
+    return [
+        abs(b)
+        for n in operator_nodes(m)
+        for b in (n.interval.left, n.interval.right)
+        if is_finite(b)
+    ]
 
 
 def total_reach(program: Program) -> Bound:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .analysis import instance_granularity, total_reach
+from .analysis import instance_granularity, operator_nodes, total_reach
 from .evaluation import apply_operator, merge_intervals, reverse_head
 from .intervals import (
     Bound,
@@ -274,17 +274,10 @@ class Obligation:
 
 
 def _contains_unbounded(m: MetricAtom) -> bool:
-    if isinstance(m, UnaryOp):
-        return not (
-            is_finite(m.interval.left) and is_finite(m.interval.right)
-        ) or _contains_unbounded(m.sub)
-    if isinstance(m, BinaryOp):
-        return (
-            not (is_finite(m.interval.left) and is_finite(m.interval.right))
-            or _contains_unbounded(m.left)
-            or _contains_unbounded(m.right)
-        )
-    return False
+    return any(
+        not (is_finite(n.interval.left) and is_finite(n.interval.right))
+        for n in operator_nodes(m)
+    )
 
 
 def _extract_obligations(program: Program, dataset: Sequence[Fact]) -> list[Obligation]:

@@ -21,6 +21,7 @@ from .intervals import (
     interval_op,
     is_finite,
     normalize,
+    reflect,
 )
 from .store import FactStore
 from .syntax import (
@@ -105,24 +106,10 @@ def _since(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
 
 
 def _until(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalList:
-    """Mirror of _since towards the future: witness t' with t' - t in rho."""
-    out: IntervalList = []
-    if not rho.left_open and rho.left == 0:
-        out.extend(right)
-    rho_pos = _positive_part(rho)
-    if not rho_pos.is_empty:
-        for t1, near in _sweep(left, right):
-            w_range = normalize(t1.left, t1.right, True, _inf_open(t1.right))
-            lower = normalize(t1.left, POS_INF, _inf_open(t1.left), True)
-            for t2 in near:
-                w = intersect(t2, w_range)
-                if w.is_empty:
-                    continue
-                cand = interval_op("minus", w, rho_pos)
-                cand = intersect(cand, lower)
-                if not cand.is_empty:
-                    out.append(cand)
-    return coalesce(out)
+    """t holds iff some t' with t' - t in rho satisfies the right side and
+    the left side holds throughout (t, t'): SINCE mirrored in time, as -t'
+    witnesses SINCE at -t over the reflected lists."""
+    return reflect(_since(rho, reflect(left), reflect(right)))
 
 
 def _sweep(left: IntervalList, right: IntervalList):
@@ -180,7 +167,7 @@ def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
 def reverse_head(head: MetricAtom, interval: Interval):
     """Map a body-satisfaction interval through the head's box operators.
 
-    Returns a Fact, or None to flag a BOTTOM derivation at `interval`.
+    Returns a Fact, or ("bottom", interval) for a BOTTOM derivation.
     Raises on heads outside the grammar's head restriction.
     """
     if interval.is_empty:

@@ -178,6 +178,14 @@ def interval_op(kind: str, i1: Interval, i2: Optional[Interval] = None) -> Inter
     raise ValueError(f"unknown interval operation {kind!r}")
 
 
+def reflect(intervals: list[Interval]) -> list[Interval]:
+    """A coalesced list mirrored in time, itself coalesced: each point t
+    becomes -t, and an infinite bound the opposite POS_INF/NEG_INF constant
+    itself (through bound_sub)."""
+    zero = point(0)
+    return [interval_op("minus", zero, iv) for iv in reversed(intervals)]
+
+
 def intersect(i1: Interval, i2: Interval) -> Interval:
     if i1.is_empty or i2.is_empty:
         return EMPTY

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Optional
 
 from .evaluation import evaluate_rule
-from .intervals import NEG_INF, POS_INF, Interval, intersect, subset
+from .intervals import POS_INF, Interval, bound_sub, intersect, reflect, subset
 from .store import FactStore
 from .syntax import Fact, Program
 
@@ -18,7 +17,6 @@ class MaterialisationOutcome:
     store: FactStore
     status: str  # Fixpoint | TargetEntailed | RoundLimit | OutOfReach | Inconsistent
     rounds: int
-    coalescing_time: float = 0.0
 
 
 def apply_rules(
@@ -67,22 +65,18 @@ def _new_point_bound(old: list[Interval], new: list[Interval], direction: int):
     and `old` does not.
 
     The first changed interval of `new` starts that far when it does not
-    keep the end of the first old interval inside it; when it does, the new
-    points lie beyond that old interval's other end.
+    keep the start of the first old interval inside it; when it does, the
+    new points lie beyond that old interval's other end.  Direction -1 is
+    direction 1 on the lists mirrored in time.
     """
     if direction == -1:
-        old, new = old[::-1], new[::-1]
+        return bound_sub(0, _new_point_bound(reflect(old), reflect(new), 1))
     # the lists agree interval by interval up to the first changed one
     for o, n in zip_longest(old, new):
-        if o == n:
-            continue
-        kept = o is not None and subset(o, n)
-        if direction == 1:
-            kept = kept and (o.left, o.left_open) == (n.left, n.left_open)
+        if o != n:
+            kept = o is not None and subset(o, n) and (o.left, o.left_open) == (n.left, n.left_open)
             return o.right if kept else n.left
-        kept = kept and (o.right, o.right_open) == (n.right, n.right_open)
-        return o.left if kept else n.right
-    return POS_INF if direction == 1 else NEG_INF  # no new point
+    return POS_INF  # no new point
 
 
 def _out_of_reach(old: FactStore, new: FactStore, grown: set, target: Fact, direction: int) -> bool:
@@ -121,28 +115,25 @@ def materialise(
     target either.  -1 is the mirror, before the target's left end; 0 never
     stops early.
     """
-    coalescing_time = 0.0
     if store.contains_bottom:
-        return MaterialisationOutcome(store, "Inconsistent", 0, coalescing_time)
+        return MaterialisationOutcome(store, "Inconsistent", 0)
     if target is not None and store.entails_fact(target):
-        return MaterialisationOutcome(store, "TargetEntailed", 0, coalescing_time)
+        return MaterialisationOutcome(store, "TargetEntailed", 0)
     rounds = 0
     changed = None
     while max_rounds is None or rounds < max_rounds:
         if poll is not None:
             poll()
-        t0 = time.perf_counter()
         grown: set = set()
         new = apply_rules(program, store, changed, grown, horizon)
-        coalescing_time += time.perf_counter() - t0
         rounds += 1
         if new.contains_bottom:
-            return MaterialisationOutcome(new, "Inconsistent", rounds, coalescing_time)
+            return MaterialisationOutcome(new, "Inconsistent", rounds)
         if target is not None and new.entails_fact(target):
-            return MaterialisationOutcome(new, "TargetEntailed", rounds, coalescing_time)
+            return MaterialisationOutcome(new, "TargetEntailed", rounds)
         if not grown:
-            return MaterialisationOutcome(new, "Fixpoint", rounds, coalescing_time)
+            return MaterialisationOutcome(new, "Fixpoint", rounds)
         if direction and _out_of_reach(store, new, grown, target, direction):
-            return MaterialisationOutcome(new, "OutOfReach", rounds, coalescing_time)
+            return MaterialisationOutcome(new, "OutOfReach", rounds)
         store, changed = new, {k[0] for k in grown}
-    return MaterialisationOutcome(store, "RoundLimit", rounds, coalescing_time)
+    return MaterialisationOutcome(store, "RoundLimit", rounds)

@@ -79,7 +79,10 @@ class FactStore:
         pattern: RelationalAtom,
         partial: dict[Variable, Constant],
     ) -> Iterator[tuple[dict[Variable, Constant], list[Interval]]]:
-        """Extensions of `partial` grounding `pattern` to a stored atom."""
+        """Extensions of `partial` grounding `pattern` to a stored atom.  The
+        index fixes the pattern's constants and bound variables, so a
+        candidate key is dropped only when a free variable that occurs twice
+        takes two values on it."""
         partial = dict(partial)
         bound: list[tuple[int, str]] = []
         for pos, term in enumerate(pattern.args):
@@ -104,20 +107,14 @@ class FactStore:
 
         for key in sorted(candidates):
             sigma = dict(partial)
-            ok = True
             for term, const in zip(pattern.args, key[1]):
-                if isinstance(term, Constant):
-                    if term.name != const:
-                        ok = False
-                        break
-                else:
+                if isinstance(term, Variable):
                     prev = sigma.get(term)
                     if prev is None:
                         sigma[term] = Constant(const)
                     elif prev.name != const:
-                        ok = False
                         break
-            if ok:
+            else:
                 yield sigma, self.atoms[key]
 
     def constants(self) -> set[str]:

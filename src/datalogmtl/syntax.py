@@ -258,14 +258,12 @@ class Program:
 
 @dataclass(frozen=True)
 class Fact:
+    """A ground atom over a non-empty interval.  A plain record: the parser
+    rejects a non-ground atom or an empty interval at the edge, and the
+    reasoner builds facts only from ground atoms and non-empty intervals."""
+
     atom: RelationalAtom
     interval: Interval
-
-    def __post_init__(self):
-        if not self.atom.is_ground():
-            raise SyntaxFault(f"fact must be ground: {self.atom}")
-        if self.interval.is_empty:
-            raise SyntaxFault(f"fact interval must be non-empty: {self.atom}")
 
     def __str__(self):
         return f"{self.atom}@{self.interval}"

@@ -69,6 +69,8 @@ def test_materialize_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "Fixpoint" and payload["rounds"] == 2
+    assert payload.keys() == {"status", "rounds", "facts", "coalescing_s"}
+    assert isinstance(payload["coalescing_s"], float) and payload["coalescing_s"] >= 0
 
 
 def test_materialize_round_limit_exit_code(capsys):

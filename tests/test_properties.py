@@ -33,6 +33,7 @@ from datalogmtl.intervals import (
     intersect,
     make,
     normalize,
+    reflect,
     subset,
     union_if_coalescable,
 )
@@ -165,6 +166,20 @@ def test_since_sweep_matches_all_pairs(rho, left, right):
 @settings(max_examples=300)
 def test_until_sweep_matches_all_pairs(rho, left, right):
     assert _until(rho, left, right) == until_reference(rho, left, right)
+
+
+@given(coalesced_lists)
+def test_reflect_mirrors_a_coalesced_list_in_time(x):
+    mirrored = reflect(x)
+    assert reflect(mirrored) == x
+    assert coalesce(mirrored) == mirrored
+    for k in range(-4, 30):  # a quarter grid over the lists' finite endpoints
+        p = Fraction(k, 4)
+        assert any(contains_point(iv, -p) for iv in mirrored) == any(contains_point(iv, p) for iv in x)
+    for iv in mirrored:
+        for b in (iv.left, iv.right):
+            canonical = type(b) is int or (type(b) is Fraction and b.denominator != 1)
+            assert canonical or b is POS_INF or b is NEG_INF, (iv, b)
 
 
 @given(coalesced_lists, coalesced_lists)

@@ -88,6 +88,23 @@ def test_match_respects_partial_substitution():
     assert len(out) == 1 and out[0][0][Variable("X")] == Constant("a")
 
 
+def test_match_rejects_a_repeated_variable_with_two_values():
+    s = FactStore.from_facts(parse_dataset(
+        "P(a,a)@[0,1]\nP(a,b)@[0,1]\nP(b,b)@[0,1]\nQ(a,b,a)@[0,1]\nQ(a,b,b)@[0,1]"
+    ))
+    X, Y = Variable("X"), Variable("Y")
+
+    def names(pattern, partial):
+        return [{v.name: c.name for v, c in sigma.items()} for sigma, _ in s.match(pattern, partial)]
+
+    assert names(RelationalAtom("P", (X, X)), {}) == [{"X": "a"}, {"X": "b"}]
+    assert names(RelationalAtom("Q", (X, Constant("b"), X)), {}) == [{"X": "a"}]
+    assert names(RelationalAtom("P", (X, Y)), {X: Constant("a")}) == [
+        {"X": "a", "Y": "a"},
+        {"X": "a", "Y": "b"},
+    ]
+
+
 def test_equality_order_independent():
     facts = parse_dataset("P(a)@[0,2]\nP(a)@[2,4]\nQ(b)@[1,1]")
     s1 = FactStore.from_facts(facts)

@@ -105,14 +105,13 @@ def test_parse_dataset_basics():
     ]
 
 
-def test_parse_dataset_rejects_variables():
-    with pytest.raises(SyntaxFault):
-        parse_dataset("P(X)@[0,1]")
-
-
-def test_parse_dataset_rejects_empty_interval():
-    with pytest.raises(SyntaxFault):
-        parse_dataset("P(a)@[2,1]")
+@pytest.mark.parametrize("parse", [parse_dataset, parse_fact], ids=["dataset", "fact"])
+@pytest.mark.parametrize("text", ["P(X)@[0,1]", "P(a)@[2,1]", "P(a)@[1,1)", "P(a)@(1,1]"])
+def test_parser_rejects_non_ground_facts_and_empty_intervals(parse, text):
+    # a positioned fault: the parser rejects these, not the Fact record
+    with pytest.raises(SyntaxFault) as exc:
+        parse(text)
+    assert exc.value.line > 0 and exc.value.column > 0
 
 
 def test_parse_fact_negative_endpoint():
