@@ -17,9 +17,17 @@ int endpoints, so the cells one meets are exactly the cells it contains, a
 contiguous run that `cells_in` computes by arithmetic; `cells_interval`
 maps a run back.  The atoms a span cell must hold are those of the least
 model of the data, which `materialise` computes with every round clipped to
-the span widened by the program's total reach.  The engine keeps the letter
-store of the last window it built, one interval per run of cells, because
-the search expands a state right after checking the window that led to it.
+the span widened by the program's total reach.
+
+Window checks run on cell bitmasks.  The engine compiles each ground rule
+once per cell parity (a point or an open segment): the cells a unary
+operator reads, the cells a head must cover and the cells whose firing
+covers a cell are offsets from the cell, so a body literal's truth over a
+window is shifts, ORs and ANDs of its atoms' masks, and a check is a bit
+test.  SINCE and UNTIL are left to `apply_operator` over the window's
+letter store, built only for a window that meets one.  The engine keeps
+the masks of the last window it built, because the search expands a state
+right after checking the window that led to it.
 
 Unbounded operator intervals are supported where the shipped pipeline
 produces them: the entailment reduction's rule BOTTOM :- anchor, BOX[0,inf)M
@@ -34,11 +42,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .analysis import instance_granularity, operator_nodes, total_reach
-from .evaluation import apply_operator, merge_intervals, reverse_head
+from .evaluation import apply_operator, reverse_head
 from .intervals import (
     Bound,
     Interval,
@@ -157,11 +164,8 @@ def _op_extent(iv: Interval) -> Bound:
 # between the points (c-1)/2 and (c+1)/2
 
 
-@lru_cache(maxsize=4096)
 def cells_interval(lo: int, hi: int) -> Interval:
-    """The interval that cells lo..hi cover; EMPTY when hi < lo.  Cached,
-    as the result is immutable: the search asks for the same few runs of
-    cells again and again, and a hit costs a tenth of building an Interval."""
+    """The interval that cells lo..hi cover; EMPTY when hi < lo."""
     return normalize(lo // 2, (hi + 1) // 2, lo % 2 == 1, hi % 2 == 1)
 
 
@@ -217,37 +221,218 @@ def _letters_store(lo: int, letters: Sequence[Letter]) -> FactStore:
     )
 
 
-def _check_window(
-    span: Interval,
-    ground_rules: Sequence[Rule],
-    lo: int,
-    letters: Sequence[Letter],
-    store: FactStore,
-) -> tuple[bool, bool]:
-    """Validate rules over a window whose letter store is `store`.
+Offsets = tuple[tuple[int, int], tuple[int, int]]  # per cell parity: first, last
+
+
+def _offsets(region) -> Offsets:
+    """Per cell parity q, the first and last offset d such that cell q + d
+    meets region(cells_interval(q, q)), a non-empty interval."""
+    out = []
+    for q in (0, 1):
+        run = cells_in(region(cells_interval(q, q)))
+        out.append((run.start - q, run.stop - 1 - q))
+    return tuple(out)
+
+
+def _shifts(x: int, first: int, last: int, every: bool) -> int:
+    """The AND (every) or OR over d = first..last of x shifted so that bit i
+    reads bit i + d."""
+    out = -1 if every else 0
+    for d in range(first, last + 1):
+        s = x >> d if d >= 0 else x << -d
+        out = out & s if every else out | s
+    return out
+
+
+class _Templates:
+    """Ground rules compiled for window checks on cell bitmasks.
+
+    Each distinct body literal becomes a node: ("rel", key); ("op", sub,
+    every, offsets) for a bounded unary operator, which holds at a cell iff
+    its sub-node holds at every (box) or some (diamond) cell within the
+    cell's offsets; ("zero",) for a box over an unbounded interval on an
+    atom, which no finite window satisfies; ("eval", literal) for the rest
+    (SINCE, UNTIL, TOP, BOTTOM), which `apply_operator` evaluates over the
+    window's letter store.  Offsets depend only on the parity of the cell,
+    as ground rules and reaches are shift-invariant on the unit ruler.
+    """
+
+    def __init__(self, ground_rules: Sequence[Rule]):
+        self.literals: list = []  # literal index -> node
+        index: dict[MetricAtom, int] = {}
+        # per rule, in order: (body literal indices, None for a BOTTOM head
+        # or (head key, the offsets of the cells its head must cover))
+        self.checks: list = []
+        # head key -> [(body literal indices, body reaches in cells, the
+        # offsets of the cells whose firing covers a cell)]
+        self.by_head: dict[AtomKey, list] = {}
+        # the cells around a window that nested operators read
+        self.margin = 0
+        for rule in ground_rules:
+            for lit in rule.body:
+                if lit not in index:
+                    index[lit] = len(self.literals)
+                    self.literals.append(self._node(lit))
+            body = tuple(index[lit] for lit in rule.body)
+            reaches = tuple(2 * _literal_reach(lit) for lit in rule.body)
+            self.margin = max(self.margin, 2 * _literal_reach(rule.head), *reaches)
+            m, boxes = rule.head, []
+            while isinstance(m, UnaryOp):
+                boxes.append(m)
+                m = m.sub
+            if not isinstance(m, Rel):
+                self.checks.append((body, None))
+                continue
+            region = _offsets(lambda iv: reverse_head(rule.head, iv).interval)
+            self.checks.append((body, (m.atom.key(), region)))
+            fire = _offsets(lambda iv: _firing(boxes, iv))
+            self.by_head.setdefault(m.atom.key(), []).append((body, reaches, fire))
+
+    def _node(self, m: MetricAtom) -> tuple:
+        if isinstance(m, Rel):
+            return ("rel", m.atom.key())
+        if isinstance(m, UnaryOp):
+            every = m.op.startswith("BOX")
+            if is_finite(m.interval.left) and is_finite(m.interval.right):
+                kind = "minus" if m.op.endswith("MINUS") else "plus"
+                offsets = _offsets(lambda iv: interval_op(kind, iv, m.interval))
+                return ("op", self._node(m.sub), every, offsets)
+            if every and isinstance(m.sub, Rel):
+                return ("zero",)
+        return ("eval", m)
+
+
+def _firing(boxes: Sequence[UnaryOp], iv: Interval) -> Interval:
+    """The points at which a body firing makes a head with these boxes
+    (outermost first) cover a point of iv."""
+    for box in boxes:
+        iv = interval_op("plus" if box.op == "BOXMINUS" else "minus", iv, box.interval)
+    return iv
+
+
+class _Window:
+    """One window's letters as cell bitmasks.  Bit i stands for cell base +
+    i; base is even, so bit parity is cell parity, and at least the
+    templates' margin below lo, so nested operators can read the cells
+    around the window, where the letter store holds nothing."""
+
+    def __init__(self, templates: _Templates, lo: int, letters: Sequence[Letter]):
+        self.templates = templates
+        self.lo, self.letters = lo, tuple(letters)
+        self.hi = lo + len(letters) - 1
+        self.base = lo - templates.margin
+        self.base -= self.base & 1
+        off = lo - self.base
+        self.bits = ((1 << len(letters)) - 1) << off  # the window's own cells
+        width = off + len(letters) + templates.margin
+        self.full = (1 << (width + (width & 1))) - 1
+        self.even = self.full // 3  # an even width makes this 0b0101...01
+        self.odd = self.full ^ self.even
+        self.masks: dict[AtomKey, int] = {}  # key -> the cells that hold it
+        for i, letter in enumerate(self.letters, off):
+            for key in letter:
+                self.masks[key] = self.masks.get(key, 0) | 1 << i
+        self._held: dict[int, int] = {}  # literal index -> its mask
+        self._store: Optional[FactStore] = None
+
+    def run(self, first: int, last: int) -> int:
+        """The mask of cells first..last."""
+        if first > last:
+            return 0
+        return ((1 << (last - first + 1)) - 1) << (first - self.base)
+
+    def by_parity(self, x: int, offsets: Offsets, every: bool) -> int:
+        """The AND (every) or OR of x's shifts by each cell's own offsets."""
+        (a0, b0), (a1, b1) = offsets
+        if a0 == a1 and b0 == b1:
+            return _shifts(x, a0, b0, every) & self.full
+        return (_shifts(x, a0, b0, every) & self.even) | (
+            _shifts(x, a1, b1, every) & self.odd
+        )
+
+    def literal(self, i: int) -> int:
+        """The cells where literal i holds over the window's letter store:
+        exact on the window's own cells."""
+        held = self._held.get(i)
+        if held is None:
+            held = self._held[i] = self._mask(self.templates.literals[i])
+        return held
+
+    def justifiable(self, key: AtomKey, new_cell: int) -> bool:
+        """Could any rule still derive `key` over the new cell?
+
+        Only the least model matters for consistency (extra atoms can only
+        fire more rules), so atoms no rule can derive are never worth
+        guessing.  A rule counts as possible unless some body literal whose
+        whole evaluation region lies on the window's cells is false there.
+        """
+        for body, reaches, fire in self.templates.by_head.get(key, ()):
+            first, last = fire[new_cell & 1]
+            if new_cell + first < self.lo or new_cell + last > self.hi:
+                return True  # a firing cell outside the window: unknown
+            possible = self.run(new_cell + first, new_cell + last)
+            for i, rc in zip(body, reaches):
+                known = self.run(self.lo + rc, self.hi - rc)
+                if possible & known:
+                    possible &= self.literal(i) | ~known
+                    if not possible:
+                        break
+            if possible:
+                return True
+        return False
+
+    def _mask(self, node: tuple) -> int:
+        tag = node[0]
+        if tag == "rel":
+            return self.masks.get(node[1], 0)
+        if tag == "op":
+            return self.by_parity(self._mask(node[1]), node[3], node[2])
+        if tag == "zero":
+            return 0
+        if self._store is None:
+            self._store = _letters_store(self.lo, self.letters)
+        top = self.base + self.full.bit_length() - 1
+        out = 0
+        for iv in apply_operator(node[1], self._store):
+            first = 2 * iv.left + iv.left_open if is_finite(iv.left) else self.base
+            last = 2 * iv.right - iv.right_open if is_finite(iv.right) else top
+            out |= self.run(max(first, self.base), min(last, top))
+        return out
+
+
+def _check_window(win: _Window, span_lo: int, span_hi: int) -> tuple[bool, bool]:
+    """Validate the ground rules over a window.
 
     Each cell where a rule's body holds must have the head installed over
     the part of its required region inside the window: bodies are monotone
     in the letters, so a body already true with its head missing inside the
     fixed window can never be repaired.  A cell whose whole z-neighbourhood
     lies in the window has its whole head region there, so this is the full
-    check for it.  Returns (ok, fixable): fixable means the failure was a
-    missing head overlapping the span, which a different span assignment
+    check for it.  Returns (ok, fixable) for the first rule that fails, at
+    its first failing cell: fixable means the failure was a missing head
+    overlapping the span span_lo..span_hi, which a different span assignment
     might supply.
     """
-    wiv = cells_interval(lo, lo + len(letters) - 1)
-    for rule in ground_rules:
-        for iv in merge_intervals(apply_operator(lit, store) for lit in rule.body):
-            for c in cells_in(intersect(iv, wiv)):
-                req = reverse_head(rule.head, cells_interval(c, c))
-                if isinstance(req, tuple):  # BOTTOM fired; never repairable
-                    return False, False
-                part = intersect(req.interval, wiv)
-                if not part.is_empty and not store.entails_fact(
-                    Fact(req.atom, part)
-                ):
-                    fixable = not intersect(part, span).is_empty
-                    return False, fixable
+    for body, head in win.templates.checks:
+        held = win.bits
+        for i in body:
+            held &= win.literal(i)
+            if not held:
+                break
+        if not held:
+            continue
+        if head is None:  # BOTTOM fired; never repairable
+            return False, False
+        key, region = head
+        # a cell is covered when its head atom holds on every window cell
+        # of its region; cells outside the window count as holding
+        covered = win.by_parity(win.masks.get(key, 0) | ~win.bits, region, True)
+        bad = held & ~covered
+        if bad:
+            c = win.base + (bad & -bad).bit_length() - 1
+            first, last = region[c & 1]
+            fixable = max(c + first, win.lo, span_lo) <= min(c + last, win.hi, span_hi)
+            return False, fixable
     return True, False
 
 
@@ -369,13 +554,13 @@ class _Engine:
         self.cancelled = cancelled
         self.states_left = max_states
         self.span_fixable = False
-        self._window = None  # (lo, letters) of self._store
-        self._store: Optional[FactStore] = None
+        self._last: Optional[_Window] = None
 
         consts = program.constants() | {
             a.name for f in self.facts for a in f.atom.args
         }
         self.ground_rules = tuple(ground(program, consts))
+        self.templates = _Templates(self.ground_rules)
 
         # atoms worth guessing: head-predicate groundings (facts of other
         # predicates can be removed from any model without breaking it)
@@ -394,21 +579,6 @@ class _Engine:
                 keys.add((pred, combo))
         self.free_atoms: tuple[AtomKey, ...] = tuple(sorted(keys))
         self.prune_letters = prune_letters
-
-        # head key -> [(rule, box chain outermost-first, body reaches in cells)]
-        self.rules_by_head: dict[AtomKey, list] = {}
-        for rule in self.ground_rules:
-            m = rule.head
-            boxes = []
-            while isinstance(m, UnaryOp):
-                boxes.append((m.op, m.interval))
-                m = m.sub
-            if not isinstance(m, Rel):
-                continue
-            reaches = tuple(2 * _literal_reach(b) for b in rule.body)
-            self.rules_by_head.setdefault(m.atom.key(), []).append(
-                (rule, tuple(boxes), reaches)
-            )
 
         reach = total_reach(program)
         horizon = make(self.span.left - reach, self.span.right + reach)
@@ -452,66 +622,22 @@ class _Engine:
 
     # -- letters
 
-    def _window_store(self, lo: int, letters: Sequence[Letter]) -> FactStore:
-        """The letter store of a window, remembering the last one: the
-        search expands a state right after checking the window that led to
-        it, so both ask for the same store in turn."""
-        window = (lo, tuple(letters))
-        if window != self._window:
-            self._window = window
-            self._store = _letters_store(lo, letters)
-        return self._store
-
-    def _justifiable(
-        self, key: AtomKey, new_cell: int, lo: int, letters, store: FactStore
-    ) -> bool:
-        """Could any rule still derive `key` over the new cell?
-
-        Only the least model matters for consistency (extra atoms can only
-        fire more rules), so atoms no rule can derive are never worth
-        guessing.  A rule counts as possible unless some body literal whose
-        whole evaluation region lies on already-fixed cells is false there.
-        """
-        rules = self.rules_by_head.get(key)
-        if not rules:
-            return False
-        hi = lo + len(letters) - 1
-        wiv = cells_interval(lo, hi)
-        cell_iv = cells_interval(new_cell, new_cell)
-        for rule, boxes, reaches in rules:
-            fire_iv = cell_iv
-            for op, biv in boxes:
-                # firing points whose head region can cover the new cell
-                kind = "plus" if op == "BOXMINUS" else "minus"
-                fire_iv = interval_op(kind, fire_iv, biv)
-            held: dict[int, set[int]] = {}  # body literal -> window cells where it holds
-            for t in cells_in(fire_iv):
-                for i, (lit, rc) in enumerate(zip(rule.body, reaches)):
-                    if t - rc < lo or t + rc > hi:
-                        continue  # region leaves the fixed window: unknown
-                    if i not in held:
-                        held[i] = {
-                            c
-                            for iv in apply_operator(lit, store)
-                            for c in cells_in(intersect(iv, wiv))
-                        }
-                    if t not in held[i]:
-                        break
-                else:
-                    return True
-        return False
+    def _window(self, lo: int, letters: Sequence[Letter]) -> _Window:
+        """The bitmask window of (lo, letters), remembering the last one:
+        the search expands a state right after checking the window that led
+        to it, so both ask for the same window in turn."""
+        win = self._last
+        if win is None or win.lo != lo or win.letters != tuple(letters):
+            win = self._last = _Window(self.templates, lo, letters)
+        return win
 
     def _letters(
         self, must: Letter, new_cell: int, lo: int, letters: Sequence[Letter]
     ) -> Iterator[Letter]:
         free = [a for a in self.free_atoms if a not in must]
         if self.prune_letters and free:
-            store = self._window_store(lo, letters)
-            free = [
-                a
-                for a in free
-                if self._justifiable(a, new_cell, lo, letters, store)
-            ]
+            win = self._window(lo, letters)
+            free = [a for a in free if win.justifiable(a, new_cell)]
         for size in range(len(free) + 1):
             for extra in itertools.combinations(free, size):
                 yield must | frozenset(extra)
@@ -534,8 +660,7 @@ class _Engine:
             lo = hi - len(letters) + 1
         else:
             lo, letters = lo - 1, (letter, *letters)[:width]
-        store = self._window_store(lo, letters)
-        ok, fixable = _check_window(self.span, self.ground_rules, lo, letters, store)
+        ok, fixable = _check_window(self._window(lo, letters), self.span_lo, self.span_hi)
         if fixable:
             self.span_fixable = True
         return (lo, letters) if ok else None

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import datalogmtl
+from datalogmtl.automata import _literal_reach, cells_in, cells_interval
+from datalogmtl.evaluation import apply_operator, merge_intervals, reverse_head
 from datalogmtl.intervals import (
     EMPTY,
     Interval,
@@ -16,6 +18,7 @@ from datalogmtl.intervals import (
     POS_INF,
     coalesce,
     intersect,
+    interval_op,
     make,
 )
 from datalogmtl.syntax import (
@@ -217,3 +220,53 @@ def block_buffered_env() -> dict:
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+# ---------------------------------------------------------------------------
+# Interval references for the automata's window checks on cell bitmasks
+
+
+def check_window_reference(span, ground_rules, lo, letters, store):
+    """(ok, fixable) of the ground rules over the window (lo, letters), whose
+    letter store is `store`, computed on intervals: for the first rule whose
+    body holds at a window cell with the window part of its head region not
+    entailed, fixable says whether that part meets `span`; a fired BOTTOM
+    gives (False, False)."""
+    wiv = cells_interval(lo, lo + len(letters) - 1)
+    for rule in ground_rules:
+        for iv in merge_intervals(apply_operator(lit, store) for lit in rule.body):
+            for c in cells_in(intersect(iv, wiv)):
+                req = reverse_head(rule.head, cells_interval(c, c))
+                if isinstance(req, tuple):
+                    return False, False
+                part = intersect(req.interval, wiv)
+                if not part.is_empty and not store.entails_fact(Fact(req.atom, part)):
+                    return False, not intersect(part, span).is_empty
+    return True, False
+
+
+def justifiable_reference(ground_rules, key, new_cell, lo, letters, store):
+    """Could a ground rule with head atom `key` still derive it over
+    new_cell, given the window (lo, letters) and its store?  A firing cell
+    counts unless a body literal whose whole reach lies on window cells is
+    false there."""
+    hi = lo + len(letters) - 1
+    wiv = cells_interval(lo, hi)
+    for rule in ground_rules:
+        m, fire_iv = rule.head, cells_interval(new_cell, new_cell)
+        while isinstance(m, UnaryOp):
+            fire_iv = interval_op("plus" if m.op == "BOXMINUS" else "minus", fire_iv, m.interval)
+            m = m.sub
+        if not isinstance(m, Rel) or m.atom.key() != key:
+            continue
+        for t in cells_in(fire_iv):
+            for lit in rule.body:
+                rc = 2 * _literal_reach(lit)
+                if t - rc < lo or t + rc > hi:
+                    continue
+                held = {c for iv in apply_operator(lit, store) for c in cells_in(intersect(iv, wiv))}
+                if t not in held:
+                    break
+            else:
+                return True
+    return False

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from datalogmtl import automata
 from datalogmtl.analysis import _operator_bounds, instance_granularity
@@ -17,12 +17,14 @@ from datalogmtl.automata import (
     _check_window,
     _Engine,
     _letters_store,
+    _Templates,
+    _Window,
     cells_in,
     cells_interval,
     consistent,
     entail_to_inconsist,
 )
-from datalogmtl.evaluation import reverse_head
+from datalogmtl.evaluation import apply_operator, reverse_head
 from datalogmtl.intervals import (
     EMPTY,
     NEG_INF,
@@ -36,14 +38,18 @@ from datalogmtl.intervals import (
 from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
+    BinaryOp,
+    Bottom,
     Rel,
+    Rule,
+    Top,
     UnaryOp,
     parse_dataset,
     parse_fact,
     parse_program,
 )
 
-from helpers import load_dataset, load_program
+from helpers import check_window_reference, justifiable_reference, load_dataset, load_program
 from test_materialisation import clip_store, fixture_and_criterion_6_instances, naive_materialise
 
 
@@ -233,26 +239,33 @@ def _periodic_reduction():
     )
 
 
-def test_check_window_with_a_given_store_gives_the_same_verdict(monkeypatch):
-    seen = []
+def test_check_window_matches_the_interval_reference_in_the_search(monkeypatch):
+    engines, seen = [], []
+    init = _Engine.__init__
 
-    def check(span, rules, lo, letters, store):
-        # the engine passes the store of this very window
-        fresh = _letters_store(lo, letters)
-        assert store.atoms == fresh.atoms
-        verdict = _check_window(span, rules, lo, letters, store)
+    def record(eng, *args, **kwargs):
+        init(eng, *args, **kwargs)
+        engines.append(eng)
+
+    def check(win, span_lo, span_hi):
+        eng = engines[-1]
+        assert (span_lo, span_hi) == (eng.span_lo, eng.span_hi)
+        verdict = _check_window(win, span_lo, span_hi)
+        store = _letters_store(win.lo, win.letters)
+        assert verdict == check_window_reference(eng.span, eng.ground_rules, win.lo, win.letters, store)
         seen.append(verdict)
         return verdict
 
+    monkeypatch.setattr(_Engine, "__init__", record)
     monkeypatch.setattr(automata, "_check_window", check)
     red = _periodic_reduction()
     assert consistent(red.program, list(red.dataset))
     assert (True, False) in seen and len(set(seen)) > 1
 
 
-def test_each_window_store_is_built_once_in_turn(monkeypatch):
-    requested, built, counts = [], [], {"checks": 0, "tails": 0}
-    window_store, letters_store = _Engine._window_store, automata._letters_store
+def test_each_window_mask_is_built_once_in_turn(monkeypatch):
+    requested, built, stores, counts = [], [], [], {"checks": 0, "tails": 0}
+    window, Window = _Engine._window, automata._Window
     check_window, tail_ok = automata._check_window, _Engine.tail_ok
 
     def count(name, fn):
@@ -263,23 +276,140 @@ def test_each_window_store_is_built_once_in_turn(monkeypatch):
 
     def record_request(eng, lo, letters):
         requested.append((lo, tuple(letters)))
-        return window_store(eng, lo, letters)
+        return window(eng, lo, letters)
 
-    def record_build(lo, letters):
+    def record_build(templates, lo, letters):
         built.append((lo, tuple(letters)))
-        return letters_store(lo, letters)
+        return Window(templates, lo, letters)
 
-    monkeypatch.setattr(_Engine, "_window_store", record_request)
-    monkeypatch.setattr(automata, "_letters_store", record_build)
+    monkeypatch.setattr(_Engine, "_window", record_request)
+    monkeypatch.setattr(automata, "_Window", record_build)
+    monkeypatch.setattr(automata, "_letters_store", lambda *args: stores.append(args))
     monkeypatch.setattr(automata, "_check_window", count("checks", check_window))
     monkeypatch.setattr(_Engine, "tail_ok", count("tails", tail_ok))
     red = _periodic_reduction()
     assert consistent(red.program, list(red.dataset))
     # one build per run of equal windows asked for in sequence
     assert built == [w for i, w in enumerate(requested) if i == 0 or requested[i - 1] != w]
-    # a state's letters reuse the store of the check that accepted it; only
+    # a state's letters reuse the masks of the check that accepted it; only
     # the first span cell and each tail search's start window are new
     assert len(built) <= counts["checks"] + 1 + counts["tails"]
+    # no literal needs apply_operator, so no window builds a letter store
+    assert stores == []
+
+
+# -- window masks against the interval references
+
+CELL_ATOMS = [("P", ("a",)), ("Q", ("a",)), R_A]
+
+
+def _rel(key):
+    return Rel(parse_fact(f"{key[0]}(a)@[0,0]").atom)
+
+
+# int operator bounds: 0, punctual, open or closed at either end
+op_intervals = st.builds(
+    lambda a, width, lo, ro: make(a, a + width, lo and width > 0, ro and width > 0),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+    st.booleans(),
+)
+ground_literals = st.recursive(
+    st.sampled_from(CELL_ATOMS).map(_rel) | st.just(Top()),
+    lambda sub: (
+        st.builds(
+            UnaryOp,
+            st.sampled_from(["DIAMONDMINUS", "DIAMONDPLUS", "BOXMINUS", "BOXPLUS"]),
+            op_intervals,
+            sub,
+        )
+        | st.builds(
+            UnaryOp,
+            st.sampled_from(["BOXMINUS", "BOXPLUS"]),
+            st.sampled_from([make(0, POS_INF, False, True), make(0, POS_INF, True, True)]),
+            sub,
+        )
+        | st.builds(BinaryOp, st.sampled_from(["SINCE", "UNTIL"]), op_intervals, sub, sub)
+    ),
+    max_leaves=4,
+)
+cell_letters = st.lists(st.frozensets(st.sampled_from(CELL_ATOMS)), min_size=1, max_size=7)
+
+
+def _window_cells(win, mask):
+    """The window cells whose bits are set in mask."""
+    mask &= win.bits
+    return {win.base + i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+EMPTY_CELL, P_CELL = frozenset(), frozenset({CELL_ATOMS[0]})
+
+
+@settings(max_examples=500)
+@given(st.integers(-6, 6), cell_letters, ground_literals)
+# (1,2] reads offsets -4..-3 from a point cell and -4..-2 from a segment cell
+@example(
+    0,
+    [EMPTY_CELL, P_CELL, EMPTY_CELL, EMPTY_CELL, EMPTY_CELL],
+    UnaryOp("DIAMONDMINUS", make(1, 2, True, False), _rel(CELL_ATOMS[0])),
+)
+def test_literal_masks_match_apply_operator(lo, letters, lit):
+    win = _Window(_Templates((Rule(Bottom(), (lit,)),)), lo, letters)
+    store = _letters_store(lo, letters)
+    wiv = cells_interval(lo, lo + len(letters) - 1)
+    want = {c for iv in apply_operator(lit, store) for c in cells_in(intersect(iv, wiv))}
+    assert _window_cells(win, win.literal(0)) == want
+
+
+def _boxed(m, boxes):
+    for op, iv in boxes:
+        m = UnaryOp(op, iv, m)
+    return m
+
+
+box_heads = st.builds(
+    lambda key, boxes: _boxed(_rel(key), boxes),
+    st.sampled_from(CELL_ATOMS),
+    st.lists(st.tuples(st.sampled_from(["BOXMINUS", "BOXPLUS"]), op_intervals), max_size=2),
+)
+
+
+ground_rules = st.lists(
+    st.builds(
+        Rule,
+        box_heads | st.just(Bottom()),
+        st.lists(ground_literals, min_size=1, max_size=2).map(tuple),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300)
+@given(ground_rules, st.integers(-12, 12), cell_letters, st.integers(-4, 0), st.integers(0, 4))
+# firing at cell 0 could derive P over cell 2, and its body reads cell 2, past
+# the window: unknown, so P stays justifiable
+@example(
+    [Rule(UnaryOp("BOXPLUS", point(1), _rel(CELL_ATOMS[0])), (UnaryOp("DIAMONDPLUS", point(1), _rel(CELL_ATOMS[1])),))],
+    0,
+    [EMPTY_CELL, EMPTY_CELL],
+    0,
+    0,
+)
+def test_window_checks_match_the_interval_references(rules, lo, letters, span_left, span_right):
+    # the span [span_left, span_right] lies inside, across or outside the window
+    templates = _Templates(rules)
+    store = _letters_store(lo, letters)
+    span = make(span_left, span_right)
+    win = _Window(templates, lo, letters)
+    want = check_window_reference(span, rules, lo, letters, store)
+    assert _check_window(win, 2 * span_left, 2 * span_right) == want
+    hi = lo + len(letters) - 1
+    for key in CELL_ATOMS:
+        for new_cell in (lo - 1, hi + 1):
+            got = win.justifiable(key, new_cell)
+            assert got == justifiable_reference(rules, key, new_cell, lo, letters, store), (key, new_cell)
 
 
 # -- window checks
@@ -303,29 +433,29 @@ def test_check_window_missing_dataset_fact():
     assert assignments and all(P_A in letters[0] for letters in assignments)
 
 
-def _check_cell_0(span, rules, letter):
-    """_check_window over the one-cell window of cell 0, labelled `letter`."""
-    letters = (frozenset(letter),)
-    return _check_window(span, rules, 0, letters, _letters_store(0, letters))
+def _check_cell_0(rules, letter):
+    """_check_window over the one-cell window of cell 0, labelled `letter`,
+    with the span [0,0]."""
+    return _check_window(_Window(_Templates(rules), 0, (frozenset(letter),)), 0, 0)
 
 
 def test_check_window_unsatisfied_rule():
     eng = _point_engine("Q(a) :- P(a) .")
     # the missing head lies in the span, so another assignment could fix it
-    assert _check_cell_0(eng.span, eng.ground_rules, {P_A}) == (False, True)
-    ok = _check_cell_0(eng.span, eng.ground_rules, {P_A, Q_A})
+    assert _check_cell_0(eng.ground_rules, {P_A}) == (False, True)
+    ok = _check_cell_0(eng.ground_rules, {P_A, Q_A})
     assert ok == (True, False)
 
 
 def test_check_window_exact_dataset():
-    assert _check_cell_0(point(0), (), {P_A}) == (True, False)
+    assert _check_cell_0((), {P_A}) == (True, False)
     red = entail_to_inconsist(parse_program(""), facts_of("P(a)@[0,0]"), parse_fact("P(a)@[0,0]"))
     assert not consistent(red.program, list(red.dataset))
 
 
 def test_check_window_fired_bottom():
     eng = _point_engine("BOTTOM :- P(a) .")
-    assert _check_cell_0(eng.span, eng.ground_rules, {P_A}) == (False, False)
+    assert _check_cell_0(eng.ground_rules, {P_A}) == (False, False)
     assert not consistent(eng.program, facts_of("P(a)@[0,0]"))
 
 
@@ -366,7 +496,7 @@ def _growing_span_assignments(eng):
             eng._poll()
             cand = chosen + (letter,)
             store = _letters_store(cells[0], cand)
-            ok, fixable = _check_window(eng.span, eng.ground_rules, cells[0], cand, store)
+            ok, fixable = check_window_reference(eng.span, eng.ground_rules, cells[0], cand, store)
             if ok:
                 yield from rec(cand)
             elif fixable:
