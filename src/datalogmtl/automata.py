@@ -19,6 +19,14 @@ maps a run back.  The atoms a span cell must hold are those of the least
 model of the data, which `materialise` computes with every round clipped to
 the span widened by the program's total reach.
 
+`consistent` first splits the ground instance: ground rules that mention a
+common atom form one component, and each fact joins its atom's component.
+Components share no atom, so the union of models of each is a model of the
+whole, and the instance is consistent iff every component is.  A component
+without a BOTTOM-head rule always is: the interpretation where every atom
+holds everywhere satisfies each of its facts and atom-headed rules, boxes
+included.  Only the others get an engine, with its own scale and span.
+
 Window checks run on cell bitmasks.  The engine compiles each ground rule
 once per cell parity (a point or an open segment): the cells a unary
 operator reads, the cells a head must cover and the cells whose firing
@@ -44,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .analysis import instance_granularity, operator_nodes, total_reach
+from .analysis import _operator_bounds, instance_granularity, operator_nodes, total_reach
 from .evaluation import apply_operator, reverse_head
 from .intervals import (
     Bound,
@@ -562,25 +570,20 @@ class _Engine:
         self.ground_rules = tuple(ground(program, consts))
         self.templates = _Templates(self.ground_rules)
 
-        # atoms worth guessing: head-predicate groundings (facts of other
-        # predicates can be removed from any model without breaking it)
-        head_sigs = set()
-        for r in program.rules:
-            for a in relational_atoms(r.head):
-                head_sigs.add((a.predicate, len(a.args)))
-        if not prune_letters:
-            for r in program.rules:
-                for b in r.body:
-                    for a in relational_atoms(b):
-                        head_sigs.add((a.predicate, len(a.args)))
-        keys = set()
-        for pred, arity in head_sigs:
-            for combo in itertools.product(sorted(consts), repeat=arity):
-                keys.add((pred, combo))
-        self.free_atoms: tuple[AtomKey, ...] = tuple(sorted(keys))
+        # atoms worth guessing: ground head atoms (an atom no rule derives
+        # can be removed from any model without breaking it)
+        self.free_atoms: tuple[AtomKey, ...] = tuple(sorted({
+            a.key()
+            for r in self.ground_rules
+            for m in ((r.head,) if prune_letters else (r.head, *r.body))
+            for a in relational_atoms(m)
+        }))
         self.prune_letters = prune_letters
 
-        reach = total_reach(program)
+        # the ground copies of a rule share its bounds: pad by each distinct
+        # bound list once, as for the rules they came from
+        shapes = {tuple(map(tuple, map(_operator_bounds, (r.head, *r.body)))): r for r in program.rules}
+        reach = total_reach(Program(tuple(shapes.values())))
         horizon = make(self.span.left - reach, self.span.right + reach)
         self.base_store = self._span_materialise(horizon)
         self.inconsistent_in_span = self.base_store is None
@@ -758,9 +761,63 @@ class _Engine:
             return self.span_hi - width + 1, span_letters[-width:]
         return self.span_lo, span_letters[:width]
 
+    def decide(self, trace) -> bool:
+        """True iff the engine's program and facts have a model."""
+        if self.inconsistent_in_span:
+            if trace is not None:
+                trace.append("BOTTOM derived during span materialisation")
+            return False
+        first = True
+        for span_letters in self.span_assignments():
+            if trace is not None:
+                trace.append(f"span assignment over {len(span_letters)} cells")
+            sides_ok = True
+            for direction in (1, -1):
+                pend = frozenset(
+                    ob
+                    for ob in self.obligations
+                    if ob.direction == direction
+                    and not ob.discharged_by(self.span_lo, span_letters)
+                )
+                lo, letters = self.edge_window(span_letters, direction)
+                if not self.tail_ok(lo, letters, direction, pend):
+                    sides_ok = False
+                    break
+            if sides_ok:
+                return True
+            if first and not self.span_fixable:
+                # every failure so far was a fired BOTTOM or a pending
+                # obligation; larger span assignments only fire more rules
+                return False
+            first = False
+        return False
 
-def _has_bottom_head(program: Program) -> bool:
-    return any(r.head_predicate() is None for r in program.rules)
+
+def _components(rules: Sequence[Rule], facts: Sequence[Fact]) -> list[tuple[list, list]]:
+    """(ground rules, facts) per component: rules are joined when they
+    mention a common atom key, and a fact goes to the component of its key
+    (none mentions it: dropped).  Components come in the order of their first
+    rule, each a union-find tree rooted at its first rule."""
+    root = list(range(len(rules)))
+    owner: dict[AtomKey, int] = {}  # key -> the first rule that mentions it
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for i, r in enumerate(rules):
+        for m in (r.head, *r.body):
+            for a in relational_atoms(m):
+                j, k = sorted((find(owner.setdefault(a.key(), i)), find(i)))
+                root[k] = j
+    parts: dict[int, tuple[list, list]] = {}
+    for i, r in enumerate(rules):
+        parts.setdefault(find(i), ([], []))[0].append(r)
+    for f in facts:
+        if f.atom.key() in owner:
+            parts[find(owner[f.atom.key()])][1].append(f)
+    return list(parts.values())
 
 
 def consistent(
@@ -772,41 +829,37 @@ def consistent(
     trace=None,
     max_states: int = 200_000,
 ) -> bool:
-    """True iff the program and dataset have a model."""
-    if not _has_bottom_head(program):
+    """True iff the program and dataset have a model: iff each component of
+    the ground instance that holds a BOTTOM-head rule has one.  One engine
+    decides each such component in turn, under one state budget."""
+    if all(r.head_predicate() is not None for r in program.rules):
+        if trace is not None:
+            trace.append("no rule has a BOTTOM head: consistent without search")
         return True
-    eng = _Engine(
-        program,
-        dataset,
-        prune_letters=prune_letters,
-        cancelled=cancelled,
-        max_states=max_states,
-    )
-    if eng.inconsistent_in_span:
+    body_preds = set().union(*(r.body_predicates() for r in program.rules))
+    facts = [f for f in dataset if f.atom.predicate in body_preds]
+    consts = program.constants() | {a.name for f in facts for a in f.atom.args}
+    rules = list(ground(program, consts))
+    parts = _components(rules, facts)
+    kept = [p for p in parts if any(r.head_predicate() is None for r in p[0])]
+    if trace is not None:
+        dropped = len(rules) - sum(len(p[0]) for p in kept)
+        trace.append(f"dropped {len(parts) - len(kept)} components without BOTTOM, {dropped} ground rules")
+    for n, (part_rules, part_facts) in enumerate(kept, 1):
+        eng = _Engine(
+            Program(tuple(part_rules)),
+            part_facts,
+            prune_letters=prune_letters,
+            cancelled=cancelled,
+            max_states=max_states,
+        )
+        ok = eng.decide(trace)
         if trace is not None:
-            trace.append("BOTTOM derived during span materialisation")
-        return False
-    first = True
-    for span_letters in eng.span_assignments():
-        if trace is not None:
-            trace.append(f"span assignment over {len(span_letters)} cells")
-        sides_ok = True
-        for direction in (1, -1):
-            pend = frozenset(
-                ob
-                for ob in eng.obligations
-                if ob.direction == direction
-                and not ob.discharged_by(eng.span_lo, span_letters)
+            trace.append(
+                f"component {n} of {len(kept)}: {len(part_rules)} ground rules, {len(part_facts)} facts, "
+                f"{eng.span_hi - eng.span_lo + 1} span cells, {max_states - eng.states_left} states"
             )
-            lo, letters = eng.edge_window(span_letters, direction)
-            if not eng.tail_ok(lo, letters, direction, pend):
-                sides_ok = False
-                break
-        if sides_ok:
-            return True
-        if first and not eng.span_fixable:
-            # every failure so far was a fired BOTTOM or a pending
-            # obligation; larger span assignments only fire more rules
+        max_states = eng.states_left
+        if not ok:
             return False
-        first = False
-    return False
+    return True

@@ -168,15 +168,24 @@ def main(argv=None) -> int:
     try:
         with _wall_clock(getattr(args, "timeout", None)):
             return _dispatch(args)
-    except (OSError, SyntaxFault, ValueError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SearchBudgetExceeded, RuntimeError) as e:
-        print(f"limit: {e}", file=sys.stderr)
-        return 3
-    except WallClockExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    except BaseException as e:
+        failure = _failure(e)
+        if failure is None:
+            raise
+        print(f"{failure[1]}: {e}", file=sys.stderr)
+        return failure[0]
+
+
+def _failure(e: BaseException) -> tuple[int, str] | None:
+    """The exit code and message prefix of an error that ends a command, or
+    None for one that propagates."""
+    if isinstance(e, (OSError, SyntaxFault, ValueError)):
+        return 2, "error"
+    if isinstance(e, (SearchBudgetExceeded, RuntimeError)):
+        return 3, "limit"
+    if isinstance(e, WallClockExceeded):
+        return 3, "error"
+    return None
 
 
 def _dispatch(args) -> int:
@@ -238,10 +247,18 @@ def _dispatch(args) -> int:
     if args.command == "consistency":
         program, data, _ = _load(args)
         trace = [] if args.trace else None
-        flag = consistent(program, data, trace=trace)
-        if args.trace:
-            with open(args.trace, "w") as f:
-                f.write("\n".join(trace) + "\n")
+        try:
+            flag = consistent(program, data, trace=trace)
+            end = f"exit 0: {'consistent' if flag else 'inconsistent'}"
+        except BaseException as e:
+            failure = _failure(e)
+            end = f"exit {failure[0] if failure else '(uncaught)'}: {type(e).__name__}: {e}"
+            raise
+        finally:
+            # written on every way out, so a budget or timeout exit keeps its trace
+            if trace is not None:
+                with open(args.trace, "w") as f:
+                    f.write("\n".join([*trace, end]) + "\n")
         if args.json:
             print(json.dumps({"consistent": flag}))
         else:

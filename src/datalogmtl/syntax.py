@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import KeysView, Optional, Sequence, Union
 
 from .intervals import (
     EMPTY,
@@ -576,24 +576,25 @@ def print_dataset(facts: Sequence[Fact]) -> str:
 # Grounding
 
 
-def ground(program: Program, constants: set[str]) -> set[Rule]:
-    """All substitutions of rule variables by the given constants.
+def ground(program: Program, constants: set[str]) -> KeysView[Rule]:
+    """All substitutions of rule variables by the given constants (none for a
+    rule with variables when there are no constants), as a set that
+    iterates in rule order and, per rule, in sorted constant order, so the
+    order does not depend on PYTHONHASHSEED.
 
     Eager grounding serves the automata, which check every ground rule
     over each window; rule evaluation grounds lazily via index joins instead.
     """
     from itertools import product
 
-    out: set[Rule] = set()
+    out: dict[Rule, None] = {}
     consts = sorted(constants)
     for r in program.rules:
         variables = sorted(r.variables(), key=lambda v: v.name)
         if not variables:
-            out.add(r)
+            out[r] = None
             continue
-        if not consts:
-            raise ValueError("cannot ground a rule with variables over no constants")
         for combo in product(consts, repeat=len(variables)):
             sigma = {v: Constant(c) for v, c in zip(variables, combo)}
-            out.add(Rule(substitute(r.head, sigma), tuple(substitute(b, sigma) for b in r.body)))
-    return out
+            out[Rule(substitute(r.head, sigma), tuple(substitute(b, sigma) for b in r.body))] = None
+    return out.keys()

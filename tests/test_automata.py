@@ -49,7 +49,13 @@ from datalogmtl.syntax import (
     parse_program,
 )
 
-from helpers import check_window_reference, justifiable_reference, load_dataset, load_program
+from helpers import (
+    check_window_reference,
+    consistent_one_engine,
+    justifiable_reference,
+    load_dataset,
+    load_program,
+)
 from test_materialisation import clip_store, fixture_and_criterion_6_instances, naive_materialise
 
 
@@ -705,6 +711,96 @@ def test_state_budget_raises():
     red = birthday_reduction("1/2")
     with pytest.raises(SearchBudgetExceeded):
         consistent(red.program, list(red.dataset), max_states=2)
+
+
+# -- the split into ground components
+
+SPLIT_CONSTANTS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def split_instances(draw):
+    """A program over P, Q, R with a BOTTOM-head first rule, bounded unary
+    operators and at most the variable X, and facts over 2-4 constants."""
+    consts = SPLIT_CONSTANTS[: draw(st.integers(2, 4))]
+    term = st.sampled_from([*consts, "X"])
+    atom = st.builds("{}({})".format, st.sampled_from("PQR"), term)
+    literal = atom | st.builds(
+        "{}[{},{}] {}".format,
+        st.sampled_from(["DIAMONDMINUS", "DIAMONDPLUS", "BOXMINUS", "BOXPLUS"]),
+        st.integers(0, 1),
+        st.integers(1, 2),
+        atom,
+    )
+    rules = []
+    for n in range(draw(st.integers(1, 3))):
+        body = draw(st.lists(literal, min_size=1, max_size=2))
+        terms = consts + ["X"] * any("(X)" in b for b in body)
+        if n == 0 or draw(st.booleans()):
+            head = "BOTTOM"
+        else:
+            head = f"{draw(st.sampled_from('PQR'))}({draw(st.sampled_from(terms))})"
+        rules.append(f"{head} :- {', '.join(body)} .")
+    facts = []
+    for a in draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)):
+        pred, c, width = draw(st.sampled_from("PQR")), draw(st.sampled_from(consts)), draw(st.integers(0, 2))
+        facts.append(f"{pred}({c})@[{a},{a + width}]")
+    return parse_program("\n".join(rules)), facts_of("\n".join(facts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_instances())
+def test_split_agrees_with_one_engine(instance):
+    program, facts = instance
+    try:
+        want = consistent_one_engine(program, facts, max_states=3000)
+    except SearchBudgetExceeded:
+        return
+    assert consistent(program, facts, max_states=3000) == want
+
+
+def test_far_off_data_does_not_widen_the_query_component():
+    # c1's fact sits in a component with no BOTTOM head, so it is dropped,
+    # and the query's component is decided as if it were alone
+    red = _periodic_reduction()
+    alone = entail_to_inconsist(
+        parse_program("BOXPLUS[2,2] Bday(X) :- Bday(X) ."),
+        facts_of("Bday(c2)@[1,1]"),
+        parse_fact("Bday(c2)@[7/2,7/2]"),
+    )
+    traces = []
+    for r in (red, alone):
+        traces.append([])
+        assert consistent(r.program, list(r.dataset), trace=traces[-1])
+    assert traces[0][0] == "dropped 1 components without BOTTOM, 1 ground rules"
+    assert traces[1][0] == "dropped 0 components without BOTTOM, 0 ground rules"
+    assert traces[0][1:] == traces[1][1:]
+
+
+def test_unsupported_operator_without_bottom_is_not_rejected():
+    program = parse_program("Q(b) :- DIAMONDMINUS[0,+inf) P(b) .\nBOTTOM :- BOXMINUS[0,2] P(a) .")
+    facts = facts_of("P(a)@[0,1]\nP(b)@[0,1]")
+    with pytest.raises(NotImplementedError):
+        consistent_one_engine(program, facts)
+    assert consistent(program, facts)
+
+
+def test_rules_with_variables_over_no_constants_have_no_ground_copies():
+    # no fact on a body predicate names a constant, so BOTTOM :- Q(X) has no
+    # ground copy and cannot fire; grounding it used to raise ValueError
+    assert consistent(parse_program("BOTTOM :- Q(X) ."), facts_of("P(a)@[0,0]"))
+
+
+def test_one_state_budget_covers_every_component():
+    program = parse_program("BOTTOM :- BOXMINUS[0,2] P(X) .")
+    facts = facts_of("P(a)@[0,1]\nP(b)@[5,6]")
+    trace = []
+    assert consistent(program, facts, trace=trace)
+    used = [int(line.rsplit(", ", 1)[1].split()[0]) for line in trace if line.startswith("component")]
+    assert len(used) == 2 and min(used) > 0
+    assert consistent(program, facts, max_states=sum(used))
+    with pytest.raises(SearchBudgetExceeded):
+        consistent(program, facts, max_states=sum(used) - 1)
 
 
 def test_trace_collects_lines():

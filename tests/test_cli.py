@@ -14,6 +14,7 @@ import pytest
 import datalogmtl
 from datalogmtl import cli, materialisation, pipeline
 from datalogmtl.analysis import propagation
+from datalogmtl.automata import SearchBudgetExceeded, _Engine
 from datalogmtl.cli import main
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import parse_program
@@ -147,6 +148,73 @@ def test_consistency(capsys):
         "--json",
     )
     assert code == 0 and json.loads(out) == {"consistent": True}
+
+
+def consistency_files(tmp_path, program, data):
+    (tmp_path / "p.dmtl").write_text(program)
+    (tmp_path / "d.dtf").write_text(data)
+    return ("consistency", "--program", str(tmp_path / "p.dmtl"), "--data", str(tmp_path / "d.dtf"),
+            "--trace", str(tmp_path / "trace.txt"))
+
+
+def test_consistency_trace_is_written_on_exit_3(capsys, tmp_path):
+    args = consistency_files(tmp_path, "BOTTOM :- DIAMONDMINUS[0,+inf) P(a) .\n", "P(a)@[0,1]\n")
+    code, out, err = run(capsys, *args)
+    assert code == 3 and out == "" and err.startswith("limit: unbounded operator intervals")
+    last = (tmp_path / "trace.txt").read_text().splitlines()[-1]
+    assert last.startswith("exit 3: NotImplementedError: unbounded operator intervals")
+
+
+def test_consistency_trace_is_written_on_a_budget_exit(capsys, tmp_path, monkeypatch):
+    def exhausted(eng):
+        raise SearchBudgetExceeded("automata state budget exhausted")
+
+    monkeypatch.setattr(_Engine, "_poll", exhausted)
+    args = consistency_files(tmp_path, "BOTTOM :- BOXMINUS[0,2] P(a) .\n", "P(a)@[0,1]\n")
+    code, _, _ = run(capsys, *args)
+    assert code == 3
+    assert (tmp_path / "trace.txt").read_text().splitlines() == [
+        "dropped 0 components without BOTTOM, 0 ground rules",
+        "exit 3: SearchBudgetExceeded: automata state budget exhausted",
+    ]
+
+
+def test_consistency_trace_says_why_no_search_ran(capsys, tmp_path):
+    code, out, _ = run(capsys, *consistency_files(tmp_path, "Q(a) :- P(a) .\n", "P(a)@[0,1]\n"))
+    assert code == 0 and out.strip() == "consistent"
+    assert (tmp_path / "trace.txt").read_text().splitlines() == [
+        "no rule has a BOTTOM head: consistent without search",
+        "exit 0: consistent",
+    ]
+
+
+def test_consistency_answers_when_an_unsupported_operator_cannot_derive_bottom(capsys, tmp_path):
+    # the unbounded DIAMONDMINUS sits in a component with no BOTTOM head,
+    # which is consistent without search, so it is no longer rejected (exit 3)
+    program = "Q(b) :- DIAMONDMINUS[0,+inf) P(b) .\nBOTTOM :- BOXMINUS[0,2] P(a) .\n"
+    code, out, _ = run(capsys, *consistency_files(tmp_path, program, "P(a)@[0,1]\nP(b)@[0,1]\n"))
+    assert code == 0 and out.strip() == "consistent"
+    lines = (tmp_path / "trace.txt").read_text().splitlines()
+    assert lines[0] == "dropped 1 components without BOTTOM, 1 ground rules"
+    assert lines[-2].startswith("component 1 of 1: 1 ground rules, 1 facts, 13 span cells, ")
+    assert lines[-1] == "exit 0: consistent"
+
+
+def test_consistency_trace_does_not_depend_on_the_hash_seed(tmp_path):
+    # the components are decided in the order of their first ground rule
+    args = consistency_files(tmp_path, "BOTTOM :- BOXMINUS[0,2] P(X) .\n",
+                             "P(c)@[0,9]\nP(a)@[0,1]\nP(b)@[4,4]\n")
+    traces = []
+    for seed in ("1", "2"):
+        env = dict(block_buffered_env(), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-m", "datalogmtl.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 0 and done.stdout == "inconsistent\n", done.stderr
+        traces.append((tmp_path / "trace.txt").read_text())
+    assert traces[0] == traces[1]
+    assert [line.split(":")[0] for line in traces[0].splitlines() if line.startswith("component")] == [
+        "component 1 of 3", "component 2 of 3", "component 3 of 3",
+    ]
 
 
 def test_analyze_json(capsys):
