@@ -291,7 +291,7 @@ class _Templates:
             if not isinstance(m, Rel):
                 self.checks.append((body, None))
                 continue
-            region = _offsets(lambda iv: reverse_head(rule.head, iv).interval)
+            region = _offsets(lambda iv: reverse_head(rule.head, [iv])[0].interval)
             self.checks.append((body, (m.atom.key(), region)))
             fire = _offsets(lambda iv: _firing(boxes, iv))
             self.by_head.setdefault(m.atom.key(), []).append((body, reaches, fire))

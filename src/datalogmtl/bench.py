@@ -57,13 +57,17 @@ def generate_dataset(spec: GeneratorSpec) -> list[Fact]:
     max_len_steps = min(steps, Fraction(spec.max_interval_length) // g)
     consts = [f"c{i}" for i in range(spec.constant_pool)]
     out = []
+    atoms: dict[tuple[str, tuple[str, ...]], RelationalAtom] = {}  # facts on one atom share it
     for _ in range(spec.fact_count):
         pred, arity = rng.choice(spec.predicates)
-        args = tuple(Constant(rng.choice(consts)) for _ in range(arity))
+        names = tuple(rng.choice(consts) for _ in range(arity))
+        atom = atoms.get((pred, names))
+        if atom is None:
+            atom = atoms[pred, names] = RelationalAtom(pred, tuple(map(Constant, names)))
         start = lo + rng.randint(0, steps) * g
         length = rng.randint(0, max_len_steps) * g
         end = min(start + length, hi)
-        out.append(Fact(RelationalAtom(pred, args), make(start, end, False, False)))
+        out.append(Fact(atom, make(start, end, False, False)))
     return out
 
 

@@ -14,14 +14,14 @@ from typing import Iterable
 from .intervals import (
     FULL_LINE,
     Interval,
-    NEG_INF,
     POS_INF,
+    bound_add,
     coalesce,
     intersect,
-    interval_op,
     is_finite,
     normalize,
     reflect,
+    shift,
 )
 from .store import FactStore
 from .syntax import (
@@ -53,7 +53,12 @@ _UNARY_KIND = {
 
 
 def apply_operator(literal: MetricAtom, store: FactStore) -> IntervalList:
-    """Coalesced intervals where the ground literal holds over the store."""
+    """Coalesced intervals where the ground literal holds over the store.
+
+    A unary operator shifts its operand's whole coalesced list in one pass
+    (`intervals.shift`); SINCE and UNTIL sweep their two operand lists.
+    Operands are evaluated through this module's `apply_operator`.
+    """
     if isinstance(literal, Top):
         return [FULL_LINE]
     if isinstance(literal, Bottom):
@@ -61,10 +66,7 @@ def apply_operator(literal: MetricAtom, store: FactStore) -> IntervalList:
     if isinstance(literal, Rel):
         return list(store.intervals_for(literal.atom.key()))
     if isinstance(literal, UnaryOp):
-        sub = apply_operator(literal.sub, store)
-        kind = _UNARY_KIND[literal.op]
-        out = [interval_op(kind, t, literal.interval) for t in sub]
-        return coalesce(out)
+        return shift(_UNARY_KIND[literal.op], apply_operator(literal.sub, store), literal.interval)
     if isinstance(literal, BinaryOp):
         left = apply_operator(literal.left, store)
         right = apply_operator(literal.right, store)
@@ -88,20 +90,41 @@ def _since(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
         out.extend(right)
     rho_pos = _positive_part(rho)
     if not rho_pos.is_empty:
+        d_left, d_right = rho_pos.left, rho_pos.right
+        d_left_open, d_right_open = rho_pos.left_open, rho_pos.right_open
         for t1, near in _sweep(left, right):
             # witnesses may sit at the (possibly excluded) left endpoint of
             # t1 but strictly before its right endpoint; the result point may
-            # coincide with t1's right endpoint even when t1 is right-open
-            w_range = normalize(t1.left, t1.right, _inf_open(t1.left), True)
-            upper = normalize(NEG_INF, t1.right, True, _inf_open(t1.right))
+            # coincide with t1's right endpoint even when t1 is right-open.
+            # Each pair's candidate is built from its bounds directly: the
+            # witnesses w = t2 & [t1.left, t1.right), shifted by rho_pos,
+            # capped at (-inf, t1.right].
+            start, start_open = t1.left, _inf_open(t1.left)
+            cap, cap_open = t1.right, _inf_open(t1.right)
             for t2 in near:
-                w = intersect(t2, w_range)
-                if w.is_empty:
+                if t2.left > start:
+                    wl, wl_open = t2.left, t2.left_open
+                elif t2.left < start:
+                    wl, wl_open = start, start_open
+                else:
+                    wl, wl_open = start, start_open or t2.left_open
+                if t2.right < cap:
+                    wr, wr_open = t2.right, t2.right_open
+                else:
+                    wr, wr_open = cap, True
+                if wr < wl or (wr == wl and (wl_open or wr_open)):
                     continue
-                cand = interval_op("plus", w, rho_pos)
-                cand = intersect(cand, upper)
-                if not cand.is_empty:
-                    out.append(cand)
+                # w is non-empty and rho_pos's left end is finite
+                lo, lo_open = bound_add(wl, d_left), wl_open or d_left_open
+                hi, hi_open = bound_add(wr, d_right), wr_open or d_right_open
+                if cap < hi:
+                    hi, hi_open = cap, cap_open
+                elif hi == cap:
+                    hi_open = hi_open or cap_open
+                # an infinite end here is already open: it comes from an
+                # open end of w, rho_pos or the cap
+                if lo < hi or (lo == hi and not (lo_open or hi_open)):
+                    out.append(Interval(lo, hi, lo_open, hi_open))
     return coalesce(out)
 
 
@@ -147,45 +170,58 @@ def merge_intervals(lists: Iterable[IntervalList]) -> IntervalList:
 
 
 def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
-    """Linear two-cursor sweep over sorted disjoint lists."""
+    """Linear two-cursor sweep over sorted disjoint lists, comparing bounds
+    directly: each pair meets on the later start and the earlier end."""
     out: IntervalList = []
     i = j = 0
     while i < len(a) and j < len(b):
         x, y = a[i], b[j]
-        both = intersect(x, y)
-        if not both.is_empty:
-            out.append(both)
+        if x.left < y.left:
+            left, left_open = y.left, y.left_open
+        elif y.left < x.left:
+            left, left_open = x.left, x.left_open
+        else:
+            left, left_open = x.left, x.left_open or y.left_open
         # advance the cursor whose interval ends first; on equal right
         # bounds either may go, as neither meets the other's successor
-        if (x.right, x.right_open) <= (y.right, y.right_open):
+        if x.right < y.right:
+            right, right_open = x.right, x.right_open
             i += 1
-        else:
+        elif y.right < x.right:
+            right, right_open = y.right, y.right_open
             j += 1
+        else:
+            right, right_open = x.right, x.right_open or y.right_open
+            if x.right_open <= y.right_open:
+                i += 1
+            else:
+                j += 1
+        if left < right or (left == right and not (left_open or right_open)):
+            out.append(Interval(left, right, left_open, right_open))
     return out
 
 
-def reverse_head(head: MetricAtom, interval: Interval):
-    """Map a body-satisfaction interval through the head's box operators.
+def reverse_head(head: MetricAtom, intervals: IntervalList) -> list:
+    """Map a coalesced body list through the head's box operators, one
+    `shift` per box, and build the derivations on the head's one atom.
 
-    Returns a Fact, or ("bottom", interval) for a BOTTOM derivation.
-    Raises on heads outside the grammar's head restriction.
+    Returns Facts, or ("bottom", interval) pairs for a BOTTOM head, over a
+    coalesced list.  Raises on heads outside the grammar's head restriction.
     """
-    if interval.is_empty:
-        raise ValueError("reverse_head requires a non-empty interval")
     m = head
-    iv = interval
     while isinstance(m, UnaryOp):
         if m.op == "BOXMINUS":
-            iv = interval_op("minus", iv, m.interval)
+            intervals = shift("minus", intervals, m.interval)
         elif m.op == "BOXPLUS":
-            iv = interval_op("plus", iv, m.interval)
+            intervals = shift("plus", intervals, m.interval)
         else:
             raise ValueError(f"forbidden operator in head: {m.op}")
         m = m.sub
     if isinstance(m, Bottom):
-        return ("bottom", iv)
+        return [("bottom", iv) for iv in intervals]
     if isinstance(m, Rel):
-        return Fact(m.atom, iv)
+        atom = m.atom
+        return [Fact(atom, iv) for iv in intervals]
     raise ValueError(f"invalid head atom: {head}")
 
 
@@ -263,12 +299,13 @@ def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Const
 def evaluate_rule(rule: Rule, store: FactStore) -> list:
     """One-step consequences of a rule over a store snapshot.
 
-    Returns a list of Facts and ("bottom", interval) markers.
+    Returns a list of Facts and ("bottom", interval) markers: per
+    substitution, the coalesced body list mapped through the head by one
+    `reverse_head` call.
     """
     out = []
     for sigma in substitutions(rule, store):
         body = merge_intervals(apply_operator(substitute(lit, sigma), store) for lit in rule.body)
         if body:
-            head = substitute(rule.head, sigma)
-            out += [reverse_head(head, iv) for iv in body]
+            out += reverse_head(substitute(rule.head, sigma), body)
     return out

@@ -6,6 +6,9 @@ value is integral, a `fractions.Fraction` only when it is not (see
 Fraction.  The infinite ones are the two float constants NEG_INF and POS_INF,
 so bounds compare with the built-in operators.  All interval values are
 immutable; the empty interval is the single module-level EMPTY object.
+The list kernels `shift` and `reflect` map a coalesced list to a coalesced
+list in one pass, and `coalesce` builds one, in one pass when its input
+comes in order.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class Interval:
 
 
 def _fmt_bound(b: Bound) -> str:
-    if not is_finite(b):
+    if b.__class__ is float:
         return "+inf" if b > 0 else "-inf"
     return str(b)
 
@@ -137,53 +140,101 @@ def _coerce(v) -> Bound:
     return rational(Fraction(v))
 
 
+# The four shifts, as (sign, crossed, widening): the result's left end is
+# i1's left end plus sign times i2's left end (its right end when crossed),
+# and its right end likewise with i2's other end.  A widening shift opens an
+# end when either input's end is open; a narrowing one keeps it open only
+# when i1's end is open and i2's is closed.
+_SHIFTS = {
+    "plus": (1, False, True),
+    "minus": (-1, True, True),
+    "circleplus": (1, True, False),
+    "circleminus": (-1, False, False),
+}
+
+
 def interval_op(kind: str, i1: Interval, i2: Optional[Interval] = None) -> Interval:
     """The five endpoint/openness operations on intervals.
 
     kind is one of closure, minus, circleminus, plus, circleplus.  Inputs
-    must be non-empty (i2 is ignored for closure).
+    must be non-empty (i2 is ignored for closure).  The four shifts are
+    `shift` on the one-interval list [i1].
     """
     if i1.is_empty or (kind != "closure" and (i2 is None or i2.is_empty)):
         raise ValueError("interval_op requires non-empty inputs")
     if kind == "closure":
         return normalize(i1.left, i1.right, False, False)
-    if kind == "minus":
-        return normalize(
-            bound_sub(i1.left, i2.right),
-            bound_sub(i1.right, i2.left),
-            i1.left_open or i2.right_open,
-            i1.right_open or i2.left_open,
-        )
-    if kind == "circleminus":
-        return normalize(
-            bound_sub(i1.left, i2.left),
-            bound_sub(i1.right, i2.right),
-            i1.left_open and not i2.left_open,
-            i1.right_open and not i2.right_open,
-        )
-    if kind == "plus":
-        return normalize(
-            bound_add(i1.left, i2.left),
-            bound_add(i1.right, i2.right),
-            i1.left_open or i2.left_open,
-            i1.right_open or i2.right_open,
-        )
-    if kind == "circleplus":
-        return normalize(
-            bound_add(i1.left, i2.right),
-            bound_add(i1.right, i2.left),
-            i1.left_open and not i2.right_open,
-            i1.right_open and not i2.left_open,
-        )
-    raise ValueError(f"unknown interval operation {kind!r}")
+    if kind not in _SHIFTS:
+        raise ValueError(f"unknown interval operation {kind!r}")
+    return (shift(kind, [i1], i2) or [EMPTY])[0]
+
+
+def _scaled(sign: int, b: Bound) -> Bound:
+    """sign * b, with the infinity constants themselves for infinite b."""
+    if sign > 0:
+        return b
+    if isinstance(b, float):
+        return NEG_INF if b > 0 else POS_INF
+    return -b
+
+
+def shift(kind: str, intervals: list[Interval], rho: Interval) -> list[Interval]:
+    """interval_op(kind, t, rho) over a coalesced list, coalesced, in one pass.
+
+    Every left end moves by the same amount, so the results come out in
+    order; a widening shift merges each result into the one before it when
+    they meet, and a narrowing one only drops the empty results (its results
+    neither overlap nor touch).  Bounds follow bound_add/bound_sub: an
+    infinite end of t stays put, an infinite amount moves a finite end to
+    infinity.
+    """
+    sign, crossed, widen = _SHIFTS[kind]
+    if crossed:
+        dl, dl_open, dr, dr_open = rho.right, rho.right_open, rho.left, rho.left_open
+    else:
+        dl, dl_open, dr, dr_open = rho.left, rho.left_open, rho.right, rho.right_open
+    dl, dr = _scaled(sign, dl), _scaled(sign, dr)
+    dl_inf, dr_inf = isinstance(dl, float), isinstance(dr, float)
+    # an open end of rho fixes the result's openness at that end, a closed
+    # one leaves t's; an infinite end of t stays put, open
+    lo_fixed = widen if dl_open else None
+    ro_fixed = widen if dr_open else None
+    out: list[Interval] = []
+    for t in intervals:
+        left, lo, right, ro = t.left, t.left_open, t.right, t.right_open
+        if left.__class__ is not float:
+            if dl_inf:
+                left, lo = dl, True
+            else:
+                left = rational(left + dl)
+                lo = lo if lo_fixed is None else lo_fixed
+        if right.__class__ is not float:
+            if dr_inf:
+                right, ro = dr, True
+            else:
+                right = rational(right + dr)
+                ro = ro if ro_fixed is None else ro_fixed
+        if right < left or (left == right and (lo or ro)):
+            continue
+        if out:
+            prev = out[-1]
+            # rights grow along the list too (or both are +inf), so a merged
+            # result keeps the earlier left and the later right
+            if prev.right > left or (prev.right == left and not (prev.right_open and lo)):
+                out[-1] = Interval(prev.left, right, prev.left_open, ro)
+                continue
+        out.append(Interval(left, right, lo, ro))
+    return out
 
 
 def reflect(intervals: list[Interval]) -> list[Interval]:
     """A coalesced list mirrored in time, itself coalesced: each point t
-    becomes -t, and an infinite bound the opposite POS_INF/NEG_INF constant
-    itself (through bound_sub)."""
-    zero = point(0)
-    return [interval_op("minus", zero, iv) for iv in reversed(intervals)]
+    becomes -t, so each interval's ends are negated and swapped, and an
+    infinite bound becomes the opposite POS_INF/NEG_INF constant."""
+    return [
+        Interval(_scaled(-1, iv.right), _scaled(-1, iv.left), iv.right_open, iv.left_open)
+        for iv in reversed(intervals)
+    ]
 
 
 def intersect(i1: Interval, i2: Interval) -> Interval:
@@ -214,22 +265,20 @@ def union_if_coalescable(i1: Interval, i2: Interval) -> Optional[Interval]:
 
 
 def _union_ordered(a: Interval, b: Interval) -> Optional[Interval]:
-    """union_if_coalescable for non-empty a and b with a's sort key not
-    after b's."""
+    """union_if_coalescable for non-empty a and b with a's left end not
+    after b's (closed before open on equal bounds); a itself when it covers
+    b."""
     # gap iff a ends strictly before b starts, or they touch at a point
     # covered by neither side
     if a.right < b.left:
         return None
     if a.right == b.left and a.right_open and b.left_open:
         return None
-    left, left_open = a.left, a.left_open
     if a.right < b.right:
-        right, right_open = b.right, b.right_open
-    elif b.right < a.right:
-        right, right_open = a.right, a.right_open
-    else:
-        right, right_open = a.right, a.right_open and b.right_open
-    return normalize(left, right, left_open, right_open)
+        return Interval(a.left, b.right, a.left_open, b.right_open)
+    if b.right < a.right or a.right_open <= b.right_open:
+        return a
+    return Interval(a.left, a.right, a.left_open, False)
 
 
 def subset(i1: Interval, i2: Interval) -> bool:
@@ -273,12 +322,25 @@ def gcd_rationals(values: Iterable[Bound]) -> Bound:
 
 
 def coalesce(intervals: Iterable[Interval]) -> list[Interval]:
-    """Sorted, pairwise non-coalescable list covering the same point set."""
-    items = sorted((i for i in intervals if not i.is_empty), key=Interval.sort_key)
+    """Sorted, pairwise non-coalescable list covering the same point set.
+
+    One pass while the items arrive in order of their left ends (closed
+    before open), as the lists built from coalesced ones do: each item
+    merges into the last output or follows it.  The first item out of that
+    order sends it, the rest of the input and what is merged so far through
+    one sort and a second pass.
+    """
     out: list[Interval] = []
+    items = iter(intervals)
     for iv in items:
+        if iv is EMPTY:
+            continue
         if out:
-            merged = _union_ordered(out[-1], iv)
+            prev = out[-1]
+            if iv.left < prev.left or (iv.left == prev.left and prev.left_open and not iv.left_open):
+                rest = sorted([*out, iv, *items], key=Interval.sort_key)
+                return coalesce(rest)
+            merged = _union_ordered(prev, iv)
             if merged is not None:
                 out[-1] = merged
                 continue

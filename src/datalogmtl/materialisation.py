@@ -43,14 +43,17 @@ def apply_rules(
     """
     out = store.snapshot()
     by_key: dict = {}
+    bottoms: list[Interval] = []
     for rule in program.rules:
         if changed is not None and changed.isdisjoint(rule.body_predicates()):
             continue
         for derived in evaluate_rule(rule, store):
             if isinstance(derived, tuple):
-                out.mark_bottom(derived[1])
+                bottoms.append(derived[1])
             else:
                 by_key.setdefault(derived.atom.key(), []).append(derived.interval)
+    if bottoms:
+        out.mark_bottom(*bottoms)
     for key, ivs in by_key.items():
         if horizon is not None:
             ivs = [intersect(iv, horizon) for iv in ivs]

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .intervals import NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
+from .intervals import EMPTY, NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
 from .syntax import Constant, Fact, RelationalAtom, Variable
 
 AtomKey = tuple[str, tuple[str, ...]]
@@ -37,7 +37,7 @@ class FactStore:
     def insert_intervals(self, key: AtomKey, intervals: Iterable[Interval]) -> bool:
         """Coalesce the union into the stored list in one pass; True iff
         coverage strictly grew."""
-        extra = [iv for iv in intervals if not iv.is_empty]
+        extra = [iv for iv in intervals if iv is not EMPTY]
         if not extra:
             return False
         old = self.atoms.get(key, [])
@@ -48,8 +48,9 @@ class FactStore:
         self._index(key)
         return True
 
-    def mark_bottom(self, interval: Interval):
-        self.bottom_intervals = coalesce(self.bottom_intervals + [interval])
+    def mark_bottom(self, *intervals: Interval):
+        """Add BOTTOM intervals, all of them in one coalescing pass."""
+        self.bottom_intervals = coalesce([*self.bottom_intervals, *intervals])
 
     def _index(self, key: AtomKey):
         pred, consts = key

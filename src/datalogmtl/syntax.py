@@ -78,7 +78,15 @@ class RelationalAtom:
         return {a for a in self.args if isinstance(a, Variable)}
 
     def key(self) -> tuple[str, tuple[str, ...]]:
-        return (self.predicate, tuple(a.name for a in self.args))
+        # built once per atom object and kept outside the fields, so ==,
+        # hash and repr ignore it, and __getstate__ leaves it out of pickles
+        k = self.__dict__.get("_key")
+        if k is None:
+            k = self.__dict__["_key"] = (self.predicate, tuple(a.name for a in self.args))
+        return k
+
+    def __getstate__(self):
+        return {"predicate": self.predicate, "args": self.args}
 
     def __str__(self):
         if not self.args:
@@ -569,7 +577,17 @@ def print_program(program: Program) -> str:
 
 
 def print_dataset(facts: Sequence[Fact]) -> str:
-    return "\n".join(str(f) for f in facts) + ("\n" if facts else "")
+    """One `Fact.__str__` line per fact.  Each atom object is formatted
+    once: the parser, the store and the generator give the facts on one
+    ground atom one shared atom."""
+    prefixes: dict[int, str] = {}
+    lines = []
+    for f in facts:
+        prefix = prefixes.get(id(f.atom))
+        if prefix is None:
+            prefix = prefixes[id(f.atom)] = f"{f.atom}@"
+        lines.append(prefix + repr(f.interval))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def check_window_reference(span, ground_rules, lo, letters, store):
     for rule in ground_rules:
         for iv in merge_intervals(apply_operator(lit, store) for lit in rule.body):
             for c in cells_in(intersect(iv, wiv)):
-                req = reverse_head(rule.head, cells_interval(c, c))
+                [req] = reverse_head(rule.head, [cells_interval(c, c)])
                 if isinstance(req, tuple):
                     return False, False
                 part = intersect(req.interval, wiv)

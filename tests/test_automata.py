@@ -192,7 +192,7 @@ def test_head_regions_lie_within_z_cells(boxes):
         head = UnaryOp(op, box, head)
     zc = 2 * automata._literal_reach(head)
     for c in range(-8, 9):
-        req = reverse_head(head, cells_interval(c, c))
+        [req] = reverse_head(head, [cells_interval(c, c)])
         assert subset(req.interval, cells_interval(c - zc, c + zc)), (c, head)
 
 

@@ -118,14 +118,14 @@ def test_merge_intervals_draws_no_list_once_the_intersection_is_empty():
 
 def test_reverse_head_box_past():
     head = UnaryOp("BOXMINUS", make(0, 1), rel("ExcHeat(d)"))
-    f = reverse_head(head, make(2, 3))
+    [f] = reverse_head(head, [make(2, 3)])
     assert f.atom.predicate == "ExcHeat" and f.interval == make(1, 3)
 
 
 def test_reverse_head_plain_and_box_future():
-    f = reverse_head(rel("P(a)"), make(0, 5))
+    [f] = reverse_head(rel("P(a)"), [make(0, 5)])
     assert f.interval == make(0, 5)
-    f2 = reverse_head(UnaryOp("BOXPLUS", make(1, 1), rel("Bday(t)")), point(0))
+    [f2] = reverse_head(UnaryOp("BOXPLUS", make(1, 1), rel("Bday(t)")), [point(0)])
     assert f2.interval == make(1, 1)
 
 
