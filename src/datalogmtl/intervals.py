@@ -54,15 +54,6 @@ def bound_add(a: Bound, b: Bound) -> Bound:
     return rational(a + b)
 
 
-def bound_sub(a: Bound, b: Bound) -> Bound:
-    """a - b, under bound_add's rules (circleminus needs inf - inf = inf)."""
-    if not is_finite(a):
-        return a
-    if not is_finite(b):
-        return NEG_INF if b > 0 else POS_INF
-    return rational(a - b)
-
-
 @dataclass(frozen=True)
 class Interval:
     left: Bound
@@ -169,11 +160,9 @@ def interval_op(kind: str, i1: Interval, i2: Optional[Interval] = None) -> Inter
     return (shift(kind, [i1], i2) or [EMPTY])[0]
 
 
-def _scaled(sign: int, b: Bound) -> Bound:
-    """sign * b, with the infinity constants themselves for infinite b."""
-    if sign > 0:
-        return b
-    if isinstance(b, float):
+def negate(b: Bound) -> Bound:
+    """-b; an infinite bound becomes the opposite POS_INF/NEG_INF constant."""
+    if b.__class__ is float:
         return NEG_INF if b > 0 else POS_INF
     return -b
 
@@ -183,17 +172,17 @@ def shift(kind: str, intervals: list[Interval], rho: Interval) -> list[Interval]
 
     Every left end moves by the same amount, so the results come out in
     order; a widening shift merges each result into the one before it when
-    they meet, and a narrowing one only drops the empty results (its results
-    neither overlap nor touch).  Bounds follow bound_add/bound_sub: an
-    infinite end of t stays put, an infinite amount moves a finite end to
-    infinity.
+    they meet, and a narrowing one only drops the empty results (the others
+    stay pairwise apart).  Bounds follow bound_add: an infinite end of t
+    stays put, an infinite amount moves a finite end to infinity.
     """
     sign, crossed, widen = _SHIFTS[kind]
     if crossed:
         dl, dl_open, dr, dr_open = rho.right, rho.right_open, rho.left, rho.left_open
     else:
         dl, dl_open, dr, dr_open = rho.left, rho.left_open, rho.right, rho.right_open
-    dl, dr = _scaled(sign, dl), _scaled(sign, dr)
+    if sign < 0:
+        dl, dr = negate(dl), negate(dr)
     dl_inf, dr_inf = isinstance(dl, float), isinstance(dr, float)
     # an open end of rho fixes the result's openness at that end, a closed
     # one leaves t's; an infinite end of t stays put, open
@@ -232,7 +221,7 @@ def reflect(intervals: list[Interval]) -> list[Interval]:
     becomes -t, so each interval's ends are negated and swapped, and an
     infinite bound becomes the opposite POS_INF/NEG_INF constant."""
     return [
-        Interval(_scaled(-1, iv.right), _scaled(-1, iv.left), iv.right_open, iv.left_open)
+        Interval(negate(iv.right), negate(iv.left), iv.right_open, iv.left_open)
         for iv in reversed(intervals)
     ]
 

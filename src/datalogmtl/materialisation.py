@@ -7,7 +7,7 @@ from itertools import zip_longest
 from typing import Callable, Optional
 
 from .evaluation import evaluate_rule
-from .intervals import POS_INF, Interval, bound_sub, intersect, reflect, subset
+from .intervals import POS_INF, Interval, intersect, negate, reflect, subset
 from .store import FactStore
 from .syntax import Fact, Program
 
@@ -73,7 +73,7 @@ def _new_point_bound(old: list[Interval], new: list[Interval], direction: int):
     direction 1 on the lists mirrored in time.
     """
     if direction == -1:
-        return bound_sub(0, _new_point_bound(reflect(old), reflect(new), 1))
+        return negate(_new_point_bound(reflect(old), reflect(new), 1))
     # the lists agree interval by interval up to the first changed one
     for o, n in zip_longest(old, new):
         if o != n:
