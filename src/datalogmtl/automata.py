@@ -33,15 +33,18 @@ operator reads, the cells a head must cover and the cells whose firing
 covers a cell are offsets from the cell, so a body literal's truth over a
 window is shifts, ORs and ANDs of its atoms' masks, and a check is a bit
 test.  SINCE and UNTIL are left to `apply_operator` over the window's
-letter store, built only for a window that meets one.  The engine keeps
-the masks of the last window it built, because the search expands a state
-right after checking the window that led to it.
+letter store, built only for a window that meets one.  Each search state
+carries the window whose check admitted it, so the letters that expand the
+state are pruned with the masks that check already computed.
 
 Unbounded operator intervals are supported where the shipped pipeline
 produces them: the entailment reduction's rule BOTTOM :- anchor, BOX[0,inf)M
 with a punctual anchor fact.  Such a rule is equivalent to the obligation
 "some model makes M fail on the box side of the anchor", a one-shot
-eventuality tracked as a sticky discharge flag in the search state.  Other
+eventuality tracked as a sticky discharge flag in the search state.  The
+engine keeps only the obligation: its windows are finite and its span
+materialisation clips every list to a bounded horizon, so the box holds
+nowhere inside it and the rule is neither grounded nor compiled.  Other
 unbounded-interval literals in rules are rejected.
 """
 
@@ -258,9 +261,8 @@ class _Templates:
     Each distinct body literal becomes a node: ("rel", key); ("op", sub,
     every, offsets) for a bounded unary operator, which holds at a cell iff
     its sub-node holds at every (box) or some (diamond) cell within the
-    cell's offsets; ("zero",) for a box over an unbounded interval on an
-    atom, which no finite window satisfies; ("eval", literal) for the rest
-    (SINCE, UNTIL, TOP, BOTTOM), which `apply_operator` evaluates over the
+    cell's offsets; ("eval", literal) for the rest (SINCE, UNTIL, TOP,
+    BOTTOM, unbounded operators), which `apply_operator` evaluates over the
     window's letter store.  Offsets depend only on the parity of the cell,
     as ground rules and reaches are shift-invariant on the unit ruler.
     """
@@ -305,8 +307,6 @@ class _Templates:
                 kind = "minus" if m.op.endswith("MINUS") else "plus"
                 offsets = _offsets(lambda iv: interval_op(kind, iv, m.interval))
                 return ("op", self._node(m.sub), every, offsets)
-            if every and isinstance(m.sub, Rel):
-                return ("zero",)
         return ("eval", m)
 
 
@@ -395,8 +395,6 @@ class _Window:
             return self.masks.get(node[1], 0)
         if tag == "op":
             return self.by_parity(self._mask(node[1]), node[3], node[2])
-        if tag == "zero":
-            return 0
         if self._store is None:
             self._store = _letters_store(self.lo, self.letters)
         top = self.base + self.full.bit_length() - 1
@@ -473,10 +471,13 @@ def _contains_unbounded(m: MetricAtom) -> bool:
     )
 
 
-def _extract_obligations(program: Program, dataset: Sequence[Fact]) -> list[Obligation]:
-    """Recognise the reduction pattern; reject other unbounded literals."""
+def _extract_obligations(
+    program: Program, dataset: Sequence[Fact]
+) -> tuple[list[Obligation], Program]:
+    """The obligations of the rules that match the reduction pattern, and
+    the other rules; other unbounded literals are rejected."""
     head_preds = {r.head_predicate() for r in program.rules} - {None}
-    out = []
+    out, rest = [], []
     for rule in program.rules:
         if _contains_unbounded(rule.head):
             raise NotImplementedError(
@@ -484,6 +485,7 @@ def _extract_obligations(program: Program, dataset: Sequence[Fact]) -> list[Obli
             )
         unbounded = [b for b in rule.body if _contains_unbounded(b)]
         if not unbounded:
+            rest.append(rule)
             continue
         box = unbounded[0]
         anchor = next((b for b in rule.body if b is not box), None)
@@ -516,7 +518,16 @@ def _extract_obligations(program: Program, dataset: Sequence[Fact]) -> list[Obli
         if box.interval.left_open:
             base += direction  # strict: the anchor point itself cannot discharge
         out.append(Obligation(box.sub.atom.key(), base, direction))
-    return out
+    return out, Program(tuple(rest))
+
+
+def _instance(program: Program, dataset: Sequence[Fact]) -> tuple[list[Fact], set[str]]:
+    """The facts on the program's body predicates, and the constants of its
+    rules and of those facts.  A fact on a predicate no body reads feeds no
+    rule, so it cannot influence consistency."""
+    body_preds = set().union(*(r.body_predicates() for r in program.rules))
+    facts = [f for f in dataset if f.atom.predicate in body_preds]
+    return facts, program.constants() | {a.name for f in facts for a in f.atom.args}
 
 
 # ---------------------------------------------------------------- engine
@@ -532,17 +543,14 @@ class _Engine:
         cancelled=None,
         max_states: int = 200_000,
     ):
-        # facts on predicates never read by any body cannot influence
-        # consistency (they feed no rule), so drop them up front
-        body_preds = set()
-        for r in program.rules:
-            body_preds |= r.body_predicates()
-        facts = [f for f in dataset if f.atom.predicate in body_preds]
+        # read before the reduction rule is dropped: its anchor fact sets the
+        # span, and a constant only the query names is still grounded
+        facts, consts = _instance(program, dataset)
         # consistency is invariant under scaling time by a positive constant:
         # divide every bound by the instance gcd, so the search runs on the
         # unit ruler and every bound it handles is an int
         d = instance_granularity(program, facts)
-        self.program = program = Program(
+        program = Program(
             tuple(
                 Rule(_rescaled(r.head, d), tuple(_rescaled(b, d) for b in r.body))
                 for r in program.rules
@@ -558,15 +566,14 @@ class _Engine:
         z = max((_literal_reach(m) for r in program.rules for m in (r.head, *r.body)), default=0)
         self.span = make(-x - z, x + z)
         self.span_lo, self.span_hi, self.z_cells = -2 * (x + z), 2 * (x + z), 2 * z
-        self.obligations = _extract_obligations(program, self.facts)
+        # the reduction's box holds nowhere inside the engine: only its
+        # obligation is kept, and only the other rules run
+        self.obligations, program = _extract_obligations(program, self.facts)
+        self.program = program
         self.cancelled = cancelled
         self.states_left = max_states
         self.span_fixable = False
-        self._last: Optional[_Window] = None
 
-        consts = program.constants() | {
-            a.name for f in self.facts for a in f.atom.args
-        }
         self.ground_rules = tuple(ground(program, consts))
         self.templates = _Templates(self.ground_rules)
 
@@ -625,21 +632,9 @@ class _Engine:
 
     # -- letters
 
-    def _window(self, lo: int, letters: Sequence[Letter]) -> _Window:
-        """The bitmask window of (lo, letters), remembering the last one:
-        the search expands a state right after checking the window that led
-        to it, so both ask for the same window in turn."""
-        win = self._last
-        if win is None or win.lo != lo or win.letters != tuple(letters):
-            win = self._last = _Window(self.templates, lo, letters)
-        return win
-
-    def _letters(
-        self, must: Letter, new_cell: int, lo: int, letters: Sequence[Letter]
-    ) -> Iterator[Letter]:
+    def _letters(self, must: Letter, new_cell: int, win: _Window) -> Iterator[Letter]:
         free = [a for a in self.free_atoms if a not in must]
         if self.prune_letters and free:
-            win = self._window(lo, letters)
             free = [a for a in free if win.justifiable(a, new_cell)]
         for size in range(len(free) + 1):
             for extra in itertools.combinations(free, size):
@@ -652,38 +647,38 @@ class _Engine:
 
     # -- span assignments
 
-    def _slide(self, lo: int, letters: tuple, letter: Letter, direction: int):
-        """The window of at most 2z+1 cells that (lo, letters) slides to when
+    def _slide(self, win: _Window, letter: Letter, direction: int) -> Optional[_Window]:
+        """The window of at most 2z+1 cells that `win` slides to when
         `letter` labels the next cell on `direction`'s side, or None when
         _check_window rejects it."""
         width = 2 * self.z_cells + 1
         if direction == 1:
-            hi = lo + len(letters)
-            letters = (*letters, letter)[-width:]
-            lo = hi - len(letters) + 1
+            letters = (*win.letters, letter)[-width:]
+            lo = win.hi + 2 - len(letters)
         else:
-            lo, letters = lo - 1, (letter, *letters)[:width]
-        ok, fixable = _check_window(self._window(lo, letters), self.span_lo, self.span_hi)
+            lo, letters = win.lo - 1, (letter, *win.letters)[:width]
+        slid = _Window(self.templates, lo, letters)
+        ok, fixable = _check_window(slid, self.span_lo, self.span_hi)
         if fixable:
             self.span_fixable = True
-        return (lo, letters) if ok else None
+        return slid if ok else None
 
-    def _span_steps(self, lo: int, window: tuple) -> Iterator[tuple[Letter, int, tuple]]:
-        """(letter, lo, window) for each letter of the cell after `window`
+    def _span_steps(self, win: _Window) -> Iterator[tuple[Letter, _Window]]:
+        """(letter, slid window) for each letter of the cell after `win`
         that the slid window accepts."""
-        new_cell = lo + len(window)
+        new_cell = win.hi + 1
         must = self._cell_must(new_cell, 1)
-        for letter in self._letters(must, new_cell, lo, window):
+        for letter in self._letters(must, new_cell, win):
             self._poll()
-            slid = self._slide(lo, window, letter, 1)
+            slid = self._slide(win, letter, 1)
             if slid is not None:
-                yield letter, *slid
+                yield letter, slid
 
     def span_assignments(self) -> Iterator[tuple[Letter, ...]]:
         """Depth first over the span's cells, left to right, on an explicit
         stack: a span may have more cells than Python's recursion limit."""
         path: list[Letter] = []  # the letters of the cells the stack fixes
-        stack = [self._span_steps(self.span_lo, ())]
+        stack = [self._span_steps(_Window(self.templates, self.span_lo, ()))]
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -691,13 +686,13 @@ class _Engine:
                 if stack:
                     path.pop()  # the letter whose cell the popped frame followed
                 continue
-            letter, lo, window = step
+            letter, win = step
             path.append(letter)
-            if lo + len(window) > self.span_hi:
+            if win.hi >= self.span_hi:
                 yield tuple(path)
                 path.pop()
             else:
-                stack.append(self._span_steps(lo, window))
+                stack.append(self._span_steps(win))
 
     # -- infinite tails
 
@@ -708,14 +703,11 @@ class _Engine:
         direction: int,
         pending: frozenset,
     ) -> bool:
-        def key(lo, letters, pend):
-            if direction == 1 and lo > self.span_hi:
-                return ("free", letters, pend)
-            if direction == -1 and lo + len(letters) - 1 < self.span_lo:
-                return ("free", letters, pend)
-            return (lo, letters, pend)
+        def key(win, pend):
+            past = win.lo > self.span_hi if direction == 1 else win.hi < self.span_lo
+            return ("free" if past else win.lo, win.letters, pend)
 
-        start = (init_lo, init_letters, pending)
+        start = (_Window(self.templates, init_lo, init_letters), pending)
         on_path: set = {key(*start)}
         dead: set = set()
         stack: list = [(start, self._tail_steps(start, direction))]
@@ -731,7 +723,7 @@ class _Engine:
                 continue
             k = key(*nxt)
             if k in on_path:
-                if not nxt[2]:  # a cycle with no pending obligation: accept
+                if not nxt[1]:  # a cycle with no pending obligation: accept
                     return True
                 continue
             if k in dead:
@@ -741,18 +733,18 @@ class _Engine:
         return False
 
     def _tail_steps(self, state, direction) -> Iterator:
-        lo, letters, pending = state
-        new_cell = lo + len(letters) if direction == 1 else lo - 1
+        win, pending = state
+        new_cell = win.hi + 1 if direction == 1 else win.lo - 1
         must = self._cell_must(new_cell, direction)
-        for letter in self._letters(must, new_cell, lo, letters):
-            slid = self._slide(lo, letters, letter, direction)
+        for letter in self._letters(must, new_cell, win):
+            slid = self._slide(win, letter, direction)
             if slid is None:
                 continue
             npending = pending
             for ob in pending:
                 if ob.direction == direction and ob.discharged_by(new_cell, (letter,)):
                     npending = npending - {ob}
-            yield (*slid, npending)
+            yield slid, npending
 
     def edge_window(self, span_letters: tuple[Letter, ...], direction: int):
         # the span's 4(x+z)+1 cells are never fewer than 2*z_cells+1
@@ -836,9 +828,7 @@ def consistent(
         if trace is not None:
             trace.append("no rule has a BOTTOM head: consistent without search")
         return True
-    body_preds = set().union(*(r.body_predicates() for r in program.rules))
-    facts = [f for f in dataset if f.atom.predicate in body_preds]
-    consts = program.constants() | {a.name for f in facts for a in f.atom.args}
+    facts, consts = _instance(program, dataset)
     rules = list(ground(program, consts))
     parts = _components(rules, facts)
     kept = [p for p in parts if any(r.head_predicate() is None for r in p[0])]

@@ -30,6 +30,7 @@ from .syntax import (
     Constant,
     Fact,
     MetricAtom,
+    Program,
     Rel,
     RelationalAtom,
     Rule,
@@ -285,10 +286,7 @@ def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Const
     def complete(sigma: dict[Variable, Constant]):
         missing = [v for v in open_head if v not in sigma]
         if missing and not domain:
-            names = store.constants()
-            for m in (rule.head, *rule.body):
-                for a in relational_atoms(m):
-                    names |= {t.name for t in a.args if isinstance(t, Constant)}
+            names = store.constants() | Program((rule,)).constants()
             domain.extend(Constant(c) for c in sorted(names))
         for combo in itertools.product(domain, repeat=len(missing)):
             yield {**sigma, **dict(zip(missing, combo))}

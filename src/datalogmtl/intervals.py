@@ -80,9 +80,6 @@ class Interval:
         rb = ")" if self.right_open else "]"
         return f"{lb}{_fmt_bound(self.left)},{_fmt_bound(self.right)}{rb}"
 
-    def __str__(self):
-        return self.__repr__()
-
 
 def _fmt_bound(b: Bound) -> str:
     if b.__class__ is float:

@@ -104,6 +104,9 @@ def materialise(
     """Iterate apply_rules until a target is entailed, a fixpoint or the
     round limit is reached, or inconsistency is derived.
 
+    The given store is never written: each round inserts into a snapshot
+    (see apply_rules), so callers need not copy it.
+
     Each round first calls `poll`, when given; what it raises ends the loop.
     A round after the first evaluates only the rules whose body reads a
     predicate the round before it grew, and a `horizon` clips what each

@@ -49,7 +49,8 @@ def pre_materialise(
 ) -> tuple[FactStore, str, int]:
     """Advance materialisation until a round grows no non-recursive
     predicate; target, fixpoint and inconsistency exits still apply.  Rounds
-    are delta-driven, as in `materialise`.
+    are delta-driven, as in `materialise`.  Like it, this never writes the
+    given store: each round inserts into a snapshot.
 
     Returns (store, status, rounds) with status one of PreDone, Fixpoint,
     TargetEntailed, Inconsistent.
@@ -115,12 +116,12 @@ def check_entailment(
 
     if not recursive:
         t0 = time.perf_counter()
-        out = materialise(sub, store.snapshot(), target=query)
+        out = materialise(sub, store, target=query)
         timings["materialisation"] = time.perf_counter() - t0
         return _materialisation_result(out.status, out.rounds, timings, recursive=False)
 
     t0 = time.perf_counter()
-    dpre, status, pre_rounds = pre_materialise(sub, store.snapshot(), target=query)
+    dpre, status, pre_rounds = pre_materialise(sub, store, target=query)
     timings["pre_materialisation"] = time.perf_counter() - t0
     result = _materialisation_result(status, pre_rounds, timings)
     if result is not None:
@@ -134,9 +135,7 @@ def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     """Materialise under the round budget, stopping once the query is out of
     reach, then let the automata decide."""
     t0 = time.perf_counter()
-    out = materialise(
-        sub, dpre.snapshot(), max_rounds=round_budget, target=query, direction=propagation(sub)
-    )
+    out = materialise(sub, dpre, max_rounds=round_budget, target=query, direction=propagation(sub))
     timings["materialisation"] = time.perf_counter() - t0
     rounds = pre_rounds + out.rounds
     result = _materialisation_result(out.status, rounds, timings)

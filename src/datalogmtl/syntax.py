@@ -538,15 +538,13 @@ def parse_dataset(text: str) -> list[Fact]:
         if not stripped or stripped.startswith("#"):
             continue
         # each line parses on its own, its faults positioned in the dataset
-        p = _Parser(line, lineno)
-        facts.append(p.parse_fact())
-        if not p.at_eof():
-            p.fail("trailing input after fact")
+        facts.append(parse_fact(line, line=lineno))
     return facts
 
 
-def parse_fact(text: str) -> Fact:
-    p = _Parser(text)
+def parse_fact(text: str, line: int = 1) -> Fact:
+    """One fact; `line` is the line number its faults report."""
+    p = _Parser(text, line)
     fact = p.parse_fact()
     if not p.at_eof():
         p.fail("trailing input after fact")

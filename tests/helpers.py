@@ -277,26 +277,4 @@ def consistent_one_engine(program, dataset, *, max_states=200_000) -> bool:
     ran before it split the ground instance into components."""
     if all(r.head_predicate() is not None for r in program.rules):
         return True
-    eng = _Engine(program, dataset, max_states=max_states)
-    if eng.inconsistent_in_span:
-        return False
-    first = True
-    for span_letters in eng.span_assignments():
-        sides_ok = True
-        for direction in (1, -1):
-            pend = frozenset(
-                ob
-                for ob in eng.obligations
-                if ob.direction == direction
-                and not ob.discharged_by(eng.span_lo, span_letters)
-            )
-            lo, letters = eng.edge_window(span_letters, direction)
-            if not eng.tail_ok(lo, letters, direction, pend):
-                sides_ok = False
-                break
-        if sides_ok:
-            return True
-        if first and not eng.span_fixable:
-            return False
-        first = False
-    return False
+    return _Engine(program, dataset, max_states=max_states).decide(None)

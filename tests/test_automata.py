@@ -270,8 +270,8 @@ def test_check_window_matches_the_interval_reference_in_the_search(monkeypatch):
 
 
 def test_each_window_mask_is_built_once_in_turn(monkeypatch):
-    requested, built, stores, counts = [], [], [], {"checks": 0, "tails": 0}
-    window, Window = _Engine._window, automata._Window
+    built, stores, counts = [], [], {"checks": 0, "tails": 0}
+    Window = automata._Window
     check_window, tail_ok = automata._check_window, _Engine.tail_ok
 
     def count(name, fn):
@@ -280,23 +280,16 @@ def test_each_window_mask_is_built_once_in_turn(monkeypatch):
             return fn(*args)
         return wrapped
 
-    def record_request(eng, lo, letters):
-        requested.append((lo, tuple(letters)))
-        return window(eng, lo, letters)
-
     def record_build(templates, lo, letters):
         built.append((lo, tuple(letters)))
         return Window(templates, lo, letters)
 
-    monkeypatch.setattr(_Engine, "_window", record_request)
     monkeypatch.setattr(automata, "_Window", record_build)
     monkeypatch.setattr(automata, "_letters_store", lambda *args: stores.append(args))
     monkeypatch.setattr(automata, "_check_window", count("checks", check_window))
     monkeypatch.setattr(_Engine, "tail_ok", count("tails", tail_ok))
     red = _periodic_reduction()
     assert consistent(red.program, list(red.dataset))
-    # one build per run of equal windows asked for in sequence
-    assert built == [w for i, w in enumerate(requested) if i == 0 or requested[i - 1] != w]
     # a state's letters reuse the masks of the check that accepted it; only
     # the first span cell and each tail search's start window are new
     assert len(built) <= counts["checks"] + 1 + counts["tails"]
@@ -498,7 +491,7 @@ def _growing_span_assignments(eng):
             return
         new_cell = cells[len(chosen)]
         must = eng._cell_must(new_cell, 1)
-        for letter in eng._letters(must, new_cell, cells[0], chosen):
+        for letter in eng._letters(must, new_cell, _Window(eng.templates, cells[0], chosen)):
             eng._poll()
             cand = chosen + (letter,)
             store = _letters_store(cells[0], cand)
@@ -673,16 +666,29 @@ def test_consistent_periodic_no_collision():
     assert consistent(prog, facts_of("P(a)@[0,0]\nQ(a)@[1/2,1/2]"))
 
 
-def test_entailment_with_unbounded_facts():
+GROWING = "P(X) :- DIAMONDMINUS[0,1] P(X) .\n"
+
+
+@pytest.mark.parametrize(
+    "program, data, query, entailed",
+    [
+        ("", "P(a)@[0,+inf)", "P(a)@[3,+inf)", True),
+        ("", "P(a)@[0,5]", "P(a)@[3,+inf)", False),
+        ("", "P(a)@[0,+inf)", "P(a)@(-inf,0]", False),
+        # derived facts: the obligation alone stands for the unbounded box
+        (GROWING, "P(a)@[0,0]", "P(a)@[3,+inf)", True),
+        ("P(X) :- DIAMONDPLUS[0,1] P(X) .", "P(a)@[0,0]", "P(a)@(-inf,-3]", True),
+        ("BOXPLUS[1,1] P(X) :- P(X) .", "P(a)@[0,0]", "P(a)@[3,+inf)", False),
+        ("P(X) :- BOXMINUS[0,1] P(X) .", "P(a)@[0,1]", "P(a)@[3,+inf)", False),
+        (GROWING + "BOXPLUS[0,2] Q(X) :- P(X) .", "P(a)@[0,0]", "Q(a)@[1,+inf)", True),
+    ],
+    ids=["data", "bounded-data", "left-query", "diamondminus", "diamondplus", "boxplus-head",
+         "boxminus-body", "derived-head"],
+)
+def test_entailment_with_unbounded_facts(program, data, query, entailed):
     # obligations from the reduction's unbounded box must be discharged
-    prog = parse_program("")
-    data = facts_of("P(a)@[0,+inf)")
-    red = entail_to_inconsist(prog, data, parse_fact("P(a)@[3,+inf)"))
-    assert not consistent(red.program, list(red.dataset))  # entailed
-    red2 = entail_to_inconsist(prog, facts_of("P(a)@[0,5]"), parse_fact("P(a)@[3,+inf)"))
-    assert consistent(red2.program, list(red2.dataset))  # not entailed
-    red3 = entail_to_inconsist(prog, data, parse_fact("P(a)@(-inf,0]"))
-    assert consistent(red3.program, list(red3.dataset))  # not entailed
+    red = entail_to_inconsist(parse_program(program), facts_of(data), parse_fact(query))
+    assert consistent(red.program, list(red.dataset)) is not entailed
 
 
 def test_consistent_rejects_unbounded_rule_operators():

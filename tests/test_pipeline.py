@@ -138,6 +138,26 @@ NO_ANSWER_PROGRAM = (
     "BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) ."
 )
 
+def test_queries_leave_the_loaded_store_unchanged():
+    # check_entailment hands the caller's store to the materialisation
+    # loops without a copy: they must never write it
+    store = store_of("Bday(t)@[0,0]\nQ(a)@[0,5]")
+    dump, bottoms = store.dump(), list(store.bottom_intervals)
+    birthday = load_program("birthday")
+    queries = (
+        (birthday, "Bday(t)@[0,0]", {}, "T1"),
+        (parse_program("R(X) :- DIAMONDMINUS[0,1] Q(X) ."), "R(a)@[1,6]", {}, "T2"),
+        (birthday, "Bday(t)@[3,3]", {"sequential": True}, "T4"),
+        (birthday, "Bday(t)@[1/2,1/2]", {"sequential": True, "round_budget": 10}, "T5"),
+        (birthday, "Bday(t)@[1/2,1/2]", {"round_budget": 10}, "T5"),
+        (parse_program(PARTY_PROGRAM), PARTY_QUERY, {}, "T5"),
+    )
+    for program, query, kwargs, fact_type in queries:
+        r = check_entailment(program, store, parse_fact(query), **kwargs)
+        assert r.fact_type == fact_type, query
+        assert (store.dump(), store.bottom_intervals) == (dump, bottoms), query
+
+
 # birthday with a rule that looks ahead, so the program propagates both ways
 # and the race forks; Party(t) never holds at -2, and only the automata can
 # tell, as for Bday(t) at 1/2 on birthday alone
