@@ -19,6 +19,13 @@ maps a run back.  The atoms a span cell must hold are those of the least
 model of the data, which `materialise` computes with every round clipped to
 the span widened by the program's total reach.
 
+A search state is a window and the obligations still pending.  The span
+search and both tail searches step through one generator of states; the
+right tail starts from the span's last state, the left one from the span's
+first 2z+1 cells.  Each candidate letter polls once before its window
+check, so the state budget `max_states` counts the span-materialisation
+rounds plus every candidate letter either search checks.
+
 `consistent` first splits the ground instance: ground rules that mention a
 common atom form one component, and each fact joins its atom's component.
 Components share no atom, so the union of models of each is a model of the
@@ -454,14 +461,11 @@ class Obligation:
     min_cell: int
     direction: int  # +1 right, -1 left
 
-    def discharged_by(self, lo: int, letters: Sequence[Letter]) -> bool:
-        """Does the window (lo, letters) discharge it: has it a cell beyond
-        min_cell whose letter lacks the atom?"""
-        return any(
-            (c >= self.min_cell if self.direction == 1 else c <= self.min_cell)
-            and self.atom not in letter
-            for c, letter in enumerate(letters, lo)
-        )
+    def discharged_at(self, cell: int, letter: Letter) -> bool:
+        """Does `letter` on `cell` discharge it: is the cell beyond min_cell
+        and does its letter lack the atom?"""
+        beyond = cell >= self.min_cell if self.direction == 1 else cell <= self.min_cell
+        return beyond and self.atom not in letter
 
 
 def _contains_unbounded(m: MetricAtom) -> bool:
@@ -645,40 +649,37 @@ class _Engine:
             return self.must.get(c, frozenset())
         return self.tail_must[direction]
 
-    # -- span assignments
+    # -- search states: (window, pending obligations)
 
-    def _slide(self, win: _Window, letter: Letter, direction: int) -> Optional[_Window]:
-        """The window of at most 2z+1 cells that `win` slides to when
-        `letter` labels the next cell on `direction`'s side, or None when
-        _check_window rejects it."""
+    def _steps(self, state, direction: int) -> Iterator[tuple[Letter, tuple]]:
+        """(letter, next state) for each letter of the cell after `state`'s
+        window on `direction`'s side that the slid window accepts.  Each
+        candidate letter polls once before its window check; the new cell
+        discharges the obligations it can."""
+        win, pending = state
         width = 2 * self.z_cells + 1
-        if direction == 1:
-            letters = (*win.letters, letter)[-width:]
-            lo = win.hi + 2 - len(letters)
-        else:
-            lo, letters = win.lo - 1, (letter, *win.letters)[:width]
-        slid = _Window(self.templates, lo, letters)
-        ok, fixable = _check_window(slid, self.span_lo, self.span_hi)
-        if fixable:
-            self.span_fixable = True
-        return slid if ok else None
-
-    def _span_steps(self, win: _Window) -> Iterator[tuple[Letter, _Window]]:
-        """(letter, slid window) for each letter of the cell after `win`
-        that the slid window accepts."""
-        new_cell = win.hi + 1
-        must = self._cell_must(new_cell, 1)
+        new_cell = win.hi + 1 if direction == 1 else win.lo - 1
+        must = self._cell_must(new_cell, direction)
         for letter in self._letters(must, new_cell, win):
             self._poll()
-            slid = self._slide(win, letter, 1)
-            if slid is not None:
-                yield letter, slid
+            if direction == 1:
+                letters = (*win.letters, letter)[-width:]
+                slid = _Window(self.templates, new_cell + 1 - len(letters), letters)
+            else:
+                slid = _Window(self.templates, new_cell, (letter, *win.letters)[:width])
+            ok, fixable = _check_window(slid, self.span_lo, self.span_hi)
+            if fixable:
+                self.span_fixable = True
+            if ok:
+                yield letter, (slid, pending - {ob for ob in pending if ob.discharged_at(new_cell, letter)})
 
-    def span_assignments(self) -> Iterator[tuple[Letter, ...]]:
-        """Depth first over the span's cells, left to right, on an explicit
-        stack: a span may have more cells than Python's recursion limit."""
+    def span_assignments(self) -> Iterator[tuple[tuple[Letter, ...], tuple]]:
+        """Each span assignment's letters and its last state, depth first
+        over the span's cells, left to right, on an explicit stack: a span
+        may have more cells than Python's recursion limit."""
         path: list[Letter] = []  # the letters of the cells the stack fixes
-        stack = [self._span_steps(_Window(self.templates, self.span_lo, ()))]
+        start = (_Window(self.templates, self.span_lo, ()), frozenset(self.obligations))
+        stack = [self._steps(start, 1)]
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -686,41 +687,41 @@ class _Engine:
                 if stack:
                     path.pop()  # the letter whose cell the popped frame followed
                 continue
-            letter, win = step
+            letter, state = step
             path.append(letter)
-            if win.hi >= self.span_hi:
-                yield tuple(path)
+            if state[0].hi >= self.span_hi:
+                yield tuple(path), state
                 path.pop()
             else:
-                stack.append(self._span_steps(win))
+                stack.append(self._steps(state, 1))
 
     # -- infinite tails
 
-    def tail_ok(
-        self,
-        init_lo: int,
-        init_letters: tuple[Letter, ...],
-        direction: int,
-        pending: frozenset,
-    ) -> bool:
+    def tail_ok(self, start: tuple, direction: int) -> bool:
+        """Does the state `start` extend to infinitely many cells on
+        `direction`'s side, discharging its obligations on that side?  Depth
+        first with cycle detection on shift-invariant states: a cycle with
+        no pending obligation is an infinite run."""
+
         def key(win, pend):
             past = win.lo > self.span_hi if direction == 1 else win.hi < self.span_lo
             return ("free" if past else win.lo, win.letters, pend)
 
-        start = (_Window(self.templates, init_lo, init_letters), pending)
+        win, pending = start
+        start = (win, frozenset(ob for ob in pending if ob.direction == direction))
         on_path: set = {key(*start)}
         dead: set = set()
-        stack: list = [(start, self._tail_steps(start, direction))]
+        stack: list = [(start, self._steps(start, direction))]
         while stack:
-            self._poll()
             state, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
+            step = next(it, None)
+            if step is None:
                 stack.pop()
                 k = key(*state)
                 on_path.discard(k)
                 dead.add(k)
                 continue
+            nxt = step[1]
             k = key(*nxt)
             if k in on_path:
                 if not nxt[1]:  # a cycle with no pending obligation: accept
@@ -729,29 +730,8 @@ class _Engine:
             if k in dead:
                 continue
             on_path.add(k)
-            stack.append((nxt, self._tail_steps(nxt, direction)))
+            stack.append((nxt, self._steps(nxt, direction)))
         return False
-
-    def _tail_steps(self, state, direction) -> Iterator:
-        win, pending = state
-        new_cell = win.hi + 1 if direction == 1 else win.lo - 1
-        must = self._cell_must(new_cell, direction)
-        for letter in self._letters(must, new_cell, win):
-            slid = self._slide(win, letter, direction)
-            if slid is None:
-                continue
-            npending = pending
-            for ob in pending:
-                if ob.direction == direction and ob.discharged_by(new_cell, (letter,)):
-                    npending = npending - {ob}
-            yield slid, npending
-
-    def edge_window(self, span_letters: tuple[Letter, ...], direction: int):
-        # the span's 4(x+z)+1 cells are never fewer than 2*z_cells+1
-        width = 2 * self.z_cells + 1
-        if direction == 1:
-            return self.span_hi - width + 1, span_letters[-width:]
-        return self.span_lo, span_letters[:width]
 
     def decide(self, trace) -> bool:
         """True iff the engine's program and facts have a model."""
@@ -759,23 +739,15 @@ class _Engine:
             if trace is not None:
                 trace.append("BOTTOM derived during span materialisation")
             return False
+        # the span's 4(x+z)+1 cells are never fewer than 2*z_cells+1
+        width = 2 * self.z_cells + 1
         first = True
-        for span_letters in self.span_assignments():
+        for letters, last in self.span_assignments():
             if trace is not None:
-                trace.append(f"span assignment over {len(span_letters)} cells")
-            sides_ok = True
-            for direction in (1, -1):
-                pend = frozenset(
-                    ob
-                    for ob in self.obligations
-                    if ob.direction == direction
-                    and not ob.discharged_by(self.span_lo, span_letters)
-                )
-                lo, letters = self.edge_window(span_letters, direction)
-                if not self.tail_ok(lo, letters, direction, pend):
-                    sides_ok = False
-                    break
-            if sides_ok:
+                trace.append(f"span assignment over {len(letters)} cells")
+            if self.tail_ok(last, 1) and self.tail_ok(
+                (_Window(self.templates, self.span_lo, letters[:width]), last[1]), -1
+            ):
                 return True
             if first and not self.span_fixable:
                 # every failure so far was a fired BOTTOM or a pending
@@ -823,7 +795,10 @@ def consistent(
 ) -> bool:
     """True iff the program and dataset have a model: iff each component of
     the ground instance that holds a BOTTOM-head rule has one.  One engine
-    decides each such component in turn, under one state budget."""
+    decides each such component in turn, under one state budget:
+    `max_states` counts span-materialisation rounds plus every candidate
+    letter that the span or tail search checks, and `cancelled` is polled
+    at each of them."""
     if all(r.head_predicate() is not None for r in program.rules):
         if trace is not None:
             trace.append("no rule has a BOTTOM head: consistent without search")

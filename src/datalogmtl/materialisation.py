@@ -7,7 +7,7 @@ from itertools import zip_longest
 from typing import Callable, Optional
 
 from .evaluation import evaluate_rule
-from .intervals import POS_INF, Interval, intersect, negate, reflect, subset
+from .intervals import POS_INF, Interval, coalesce, intersect, negate, reflect, subset
 from .store import FactStore
 from .syntax import Fact, Program
 
@@ -63,13 +63,13 @@ def apply_rules(
 
 
 def _new_point_bound(old: list[Interval], new: list[Interval], direction: int):
-    """For coalesced lists with `old` covered by `new`: a bound that is not
-    past the earliest (direction 1) or latest (-1) point that `new` covers
-    and `old` does not.
+    """For coalesced lists with `old` covered by `new`: the infimum
+    (direction 1) or supremum (-1) of the points that `new` covers and
+    `old` does not.
 
-    The first changed interval of `new` starts that far when it does not
+    The first changed interval of `new` starts there when it does not
     keep the start of the first old interval inside it; when it does, the
-    new points lie beyond that old interval's other end.  Direction -1 is
+    new points start at that old interval's other end.  Direction -1 is
     direction 1 on the lists mirrored in time.
     """
     if direction == -1:
@@ -84,12 +84,13 @@ def _new_point_bound(old: list[Interval], new: list[Interval], direction: int):
 
 def _out_of_reach(old: FactStore, new: FactStore, grown: set, target: Fact, direction: int) -> bool:
     """Do all points that `new` adds to `old` on the keys in `grown` lie
-    after the target's right end (direction 1) or before its left end (-1)?"""
-    if direction == 1:
-        end = target.interval.right
-        return all(_new_point_bound(old.intervals_for(k), new.intervals_for(k), 1) > end for k in grown)
-    end = target.interval.left
-    return all(_new_point_bound(old.intervals_for(k), new.intervals_for(k), -1) < end for k in grown)
+    after the first target point that `new` does not cover (direction 1),
+    or before the last one (-1)?  Those are the ends of the points that
+    covering the target would add to `new`."""
+    covered = new.intervals_for(target.atom.key())
+    edge = _new_point_bound(covered, coalesce([*covered, target.interval]), direction)
+    bounds = (_new_point_bound(old.intervals_for(k), new.intervals_for(k), direction) for k in grown)
+    return all(b > edge if direction == 1 else b < edge for b in bounds)
 
 
 def materialise(
@@ -115,11 +116,11 @@ def materialise(
 
     `direction` is the program's `analysis.propagation`, given with a
     target.  When it is 1, a round whose new points all lie after the
-    target's right end ends with OutOfReach: in a forward-propagating
-    program a point derived in one round needs a point new in the round
-    before at the same time or earlier, so no later round reaches the
-    target either.  -1 is the mirror, before the target's left end; 0 never
-    stops early.
+    first target point that the round's store does not cover ends with
+    OutOfReach: in a forward-propagating program a point derived in one
+    round needs a point new in the round before at the same time or
+    earlier, so no later round covers that point either.  -1 is the
+    mirror, before the last uncovered target point; 0 never stops early.
     """
     if store.contains_bottom:
         return MaterialisationOutcome(store, "Inconsistent", 0)

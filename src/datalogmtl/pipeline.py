@@ -5,8 +5,9 @@ materialisation loop for non-recursive subprograms, and for recursive ones a
 pre-materialisation followed by a bounded materialisation run with an
 automata fallback or, for programs that propagate both ways, a race.
 Materialisation of a program that propagates one way (`propagation`) stops
-with OutOfReach once its rounds add points only past the query, so that
-finish needs no race and runs in the calling process, in both modes.  The
+with OutOfReach once its rounds add points only past the first query point
+not yet derived, so that finish needs no race and runs in the calling
+process, in both modes.  The
 race runs continued materialisation in a forked child process and the
 automata decision in the calling thread, so the two engines do not share an
 interpreter lock; it needs the POSIX `fork` start method.  Both modes bound

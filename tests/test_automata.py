@@ -428,7 +428,7 @@ def test_check_window_missing_dataset_fact():
     # assignment can leave P(a) out of its cell
     eng = _point_engine("Q(a) :- P(a) .")
     assert eng.must == {0: frozenset({P_A, Q_A})}
-    assignments = list(eng.span_assignments())
+    assignments = [letters for letters, _ in eng.span_assignments()]
     assert assignments and all(P_A in letters[0] for letters in assignments)
 
 
@@ -463,14 +463,14 @@ def test_check_window_fired_bottom():
 
 def test_span_assignments_trivial():
     eng = _Engine(parse_program(""), [])
-    assert next(eng.span_assignments()) == (frozenset(),)
+    assert next(eng.span_assignments())[0] == (frozenset(),)
 
 
 def test_first_span_assignment_matches_materialised_model():
     prog = parse_program("Immune(X) :- BOXMINUS[0,2] NoSympt(X) .")
     data = facts_of("NoSympt(j)@[0,3]")
     eng = _Engine(prog, data)
-    first = next(eng.span_assignments())
+    first, _ = next(eng.span_assignments())
     assert len(first) == eng.span_hi - eng.span_lo + 1
     out = materialise(prog, FactStore.from_facts(data))
     for cell, letter in enumerate(first, start=eng.span_lo):
@@ -529,7 +529,8 @@ def test_sliding_span_window_matches_a_growing_window():
         sliding = _Engine(program, facts, max_states=3000)
         growing = _Engine(program, facts, max_states=3000)
         want = _first_assignments(growing, _growing_span_assignments(growing))
-        assert _first_assignments(sliding, sliding.span_assignments()) == want, program
+        sliding_letters = (letters for letters, _ in sliding.span_assignments())
+        assert _first_assignments(sliding, sliding_letters) == want, program
 
 
 def test_engine_runs_on_the_unit_grid():
@@ -611,8 +612,72 @@ def test_span_materialisation_polls_every_round():
 
 def test_tail_ok_trivial():
     eng = _Engine(parse_program(""), [])
-    assert eng.tail_ok(0, (frozenset(),), 1, frozenset())
-    assert eng.tail_ok(0, (frozenset(),), -1, frozenset())
+    start = (_Window(eng.templates, 0, (frozenset(),)), frozenset())
+    assert eng.tail_ok(start, 1)
+    assert eng.tail_ok(start, -1)
+
+
+def _counting_checks(monkeypatch):
+    """Count _check_window calls through the module global."""
+    checks = []
+    check_window = automata._check_window
+
+    def counted(*args):
+        checks.append(None)
+        return check_window(*args)
+
+    monkeypatch.setattr(automata, "_check_window", counted)
+    return checks
+
+
+# the reduction of an entailed query whose tail search checks many letters
+# per state: with a poll per state only, it ran for hours under the default
+# state budget
+PROFESSOR_CHAIR = entail_to_inconsist(
+    load_program("professor"), load_dataset("professor"), parse_fact("Chair(b)@[3,+inf)")
+)
+
+
+def test_state_budget_bounds_the_tail_search(monkeypatch):
+    checks = _counting_checks(monkeypatch)
+    with pytest.raises(SearchBudgetExceeded):
+        consistent(PROFESSOR_CHAIR.program, list(PROFESSOR_CHAIR.dataset), max_states=1600)
+    assert 0 < len(checks) <= 1600
+
+
+@pytest.mark.parametrize("k", [200, 1000])
+def test_cancellation_bounds_the_tail_search(monkeypatch, k):
+    checks, polls = _counting_checks(monkeypatch), []
+
+    def cancelled():
+        polls.append(None)
+        return len(polls) > k
+
+    with pytest.raises(Cancelled):
+        consistent(PROFESSOR_CHAIR.program, list(PROFESSOR_CHAIR.dataset), cancelled=cancelled)
+    assert len(checks) <= k
+
+
+def test_every_window_check_follows_its_own_poll(monkeypatch):
+    # each candidate letter polls once before its check, in the span and in
+    # both tails; span-materialisation rounds poll without a check
+    credit = [0]
+    check_window, poll = automata._check_window, _Engine._poll
+
+    def counted_poll(self):
+        credit[0] += 1
+        return poll(self)
+
+    def counted_check(*args):
+        credit[0] -= 1
+        assert credit[0] >= 0, "a window check without a poll"
+        return check_window(*args)
+
+    monkeypatch.setattr(_Engine, "_poll", counted_poll)
+    monkeypatch.setattr(automata, "_check_window", counted_check)
+    for program, facts in fixture_and_criterion_6_instances():
+        credit[0] = 0
+        consistent(program, list(facts), max_states=3000)
 
 
 # -- top-level consistency

@@ -258,6 +258,28 @@ def test_stop_ends_forward_and_backward_rounds():
         assert (out.status, out.rounds) == (status, rounds)
 
 
+FORWARD_TICKS = "BOXPLUS[1,1] Bday(X) :- Bday(X) ."
+BACKWARD_TICKS = "BOXMINUS[1,1] Bday(X) :- Bday(X) ."
+
+
+@pytest.mark.parametrize("program, data, target, direction, status, rounds", [
+    # round k adds the point k (-k); the first target point the store does
+    # not cover is 3 (-3), or just after 2 (-2) for [2,5] once 2 is derived
+    (FORWARD_TICKS, "Bday(a)@[0,0]", "Bday(a)@[3,+inf)", 1, "OutOfReach", 4),
+    (BACKWARD_TICKS, "Bday(a)@[0,0]", "Bday(a)@(-inf,-3]", -1, "OutOfReach", 4),
+    (FORWARD_TICKS, "Bday(a)@[0,0]", "Bday(a)@[2,5]", 1, "OutOfReach", 3),
+    (BACKWARD_TICKS, "Bday(a)@[0,0]", "Bday(a)@[-5,-2]", -1, "OutOfReach", 3),
+    # new points past the target's start still reach its uncovered part
+    ("BOXPLUS[1,1] P(X) :- P(X) .", "P(a)@[0,1]", "P(a)@[0,3]", 1, "TargetEntailed", 2),
+    ("BOXMINUS[1,1] P(X) :- P(X) .", "P(a)@[-1,0]", "P(a)@[-3,0]", -1, "TargetEntailed", 2),
+], ids=["forward-unbounded", "backward-unbounded", "forward-bounded", "backward-bounded",
+        "forward-entailed", "backward-entailed"])
+def test_stop_reads_the_first_uncovered_target_point(program, data, target, direction, status, rounds):
+    out = materialise(parse_program(program), store_of(data), max_rounds=1000,
+                      target=parse_fact(target), direction=direction)
+    assert (out.status, out.rounds) == (status, rounds)
+
+
 def test_materialise_without_a_direction_never_checks_the_stop(monkeypatch):
     def fail(*args):
         raise AssertionError("stop checked")

@@ -301,6 +301,21 @@ def test_sequential_birthday_stops_once_the_query_is_out_of_reach():
     assert r.rounds <= 3
 
 
+@pytest.mark.parametrize("sequential", [True, False], ids=["sequential", "race"])
+@pytest.mark.parametrize("program, query", [
+    ("BOXPLUS[1,1] Bday(X) :- Bday(X) .", "Bday(a)@[3,+inf)"),
+    ("BOXMINUS[1,1] Bday(X) :- Bday(X) .", "Bday(a)@(-inf,-3]"),
+], ids=["forward", "backward"])
+def test_an_unbounded_query_stops_at_its_first_uncovered_point(program, query, sequential):
+    # the query's far end is infinite, but its first point not yet derived,
+    # 3 (-3), is out of reach once a round adds 4 (-4): the budget of 1000
+    # rounds is not spent
+    r = check_entailment(parse_program(program), store_of("Bday(a)@[0,0]"), parse_fact(query),
+                         sequential=sequential)
+    assert (r.answer, r.fact_type, r.winner) == (False, "T5", "automata")
+    assert r.rounds == 4
+
+
 def test_irrelevant_rules_are_dropped():
     # the unrelated recursive rule must not push the query to the automata
     prog = parse_program("Loop(X) :- DIAMONDMINUS[1,1] Loop(X) .\nP(X) :- Q(X) .")
