@@ -404,12 +404,11 @@ class _Window:
             return self.by_parity(self._mask(node[1]), node[3], node[2])
         if self._store is None:
             self._store = _letters_store(self.lo, self.letters)
-        top = self.base + self.full.bit_length() - 1
+        cover = cells_interval(self.base, self.base + self.full.bit_length() - 1)
         out = 0
         for iv in apply_operator(node[1], self._store):
-            first = 2 * iv.left + iv.left_open if is_finite(iv.left) else self.base
-            last = 2 * iv.right - iv.right_open if is_finite(iv.right) else top
-            out |= self.run(max(first, self.base), min(last, top))
+            run = cells_in(intersect(iv, cover))
+            out |= self.run(run.start, run.stop - 1)
         return out
 
 
@@ -494,17 +493,13 @@ def _extract_obligations(
         box = unbounded[0]
         anchor = next((b for b in rule.body if b is not box), None)
         ok = (
-            rule.head_predicate() is None
-            and isinstance(rule.head, Bottom)
+            isinstance(rule.head, Bottom)
             and len(rule.body) == 2
             and len(unbounded) == 1
             and isinstance(box, UnaryOp)
             and box.op in ("BOXMINUS", "BOXPLUS")
             and isinstance(box.sub, Rel)
-            and box.sub.atom.is_ground()
-            and is_finite(box.interval.left)
             and isinstance(anchor, Rel)
-            and anchor.atom.is_ground()
             and anchor.atom.predicate not in head_preds
         )
         anchor_facts = (
@@ -538,6 +533,10 @@ def _instance(program: Program, dataset: Sequence[Fact]) -> tuple[list[Fact], se
 
 
 class _Engine:
+    """Decides one ground component, as `consistent` hands it over: every
+    rule of `program` is ground, and a rule with a variable raises
+    ValueError."""
+
     def __init__(
         self,
         program: Program,
@@ -547,9 +546,10 @@ class _Engine:
         cancelled=None,
         max_states: int = 200_000,
     ):
-        # read before the reduction rule is dropped: its anchor fact sets the
-        # span, and a constant only the query names is still grounded
-        facts, consts = _instance(program, dataset)
+        if any(r.variables() for r in program.rules):
+            raise ValueError("the engine takes ground rules only")
+        # read before the reduction rule is dropped: its anchor fact sets the span
+        facts, _ = _instance(program, dataset)
         # consistency is invariant under scaling time by a positive constant:
         # divide every bound by the instance gcd, so the search runs on the
         # unit ruler and every bound it handles is an int
@@ -578,7 +578,7 @@ class _Engine:
         self.states_left = max_states
         self.span_fixable = False
 
-        self.ground_rules = tuple(ground(program, consts))
+        self.ground_rules = program.rules
         self.templates = _Templates(self.ground_rules)
 
         # atoms worth guessing: ground head atoms (an atom no rule derives
@@ -644,11 +644,6 @@ class _Engine:
             for extra in itertools.combinations(free, size):
                 yield must | frozenset(extra)
 
-    def _cell_must(self, c: int, direction: int) -> Letter:
-        if self.span_lo <= c <= self.span_hi:
-            return self.must.get(c, frozenset())
-        return self.tail_must[direction]
-
     # -- search states: (window, pending obligations)
 
     def _steps(self, state, direction: int) -> Iterator[tuple[Letter, tuple]]:
@@ -659,7 +654,7 @@ class _Engine:
         win, pending = state
         width = 2 * self.z_cells + 1
         new_cell = win.hi + 1 if direction == 1 else win.lo - 1
-        must = self._cell_must(new_cell, direction)
+        must = self.must.get(new_cell, self.tail_must[direction])
         for letter in self._letters(must, new_cell, win):
             self._poll()
             if direction == 1:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import bench as benchmod
 from .analysis import dependency_info, relevant_rules, to_dot
-from .automata import SearchBudgetExceeded, consistent
+from .automata import consistent
 from .intervals import make
 from .materialisation import materialise
 from .pipeline import check_entailment
@@ -181,7 +181,7 @@ def _failure(e: BaseException) -> tuple[int, str] | None:
     None for one that propagates."""
     if isinstance(e, (OSError, SyntaxFault, ValueError)):
         return 2, "error"
-    if isinstance(e, (SearchBudgetExceeded, RuntimeError)):
+    if isinstance(e, RuntimeError):  # SearchBudgetExceeded among them
         return 3, "limit"
     if isinstance(e, WallClockExceeded):
         return 3, "error"

@@ -1,9 +1,10 @@
 """End-to-end fact entailment.
 
-Fast path over the stored dataset, relevant-rule extraction, a plain
-materialisation loop for non-recursive subprograms, and for recursive ones a
-pre-materialisation followed by a bounded materialisation run with an
-automata fallback or, for programs that propagate both ways, a race.
+Fast path over the stored dataset, relevant-rule extraction, then a
+pre-materialisation of the relevant subprogram.  A non-recursive subprogram
+never stops there early, so its pre-materialisation is its whole
+materialisation.  A recursive one goes on to a bounded materialisation run
+with an automata fallback or, for programs that propagate both ways, a race.
 Materialisation of a program that propagates one way (`propagation`) stops
 with OutOfReach once its rounds add points only past the first query point
 not yet derived, so that finish needs no race and runs in the calling
@@ -14,8 +15,9 @@ interpreter lock; it needs the POSIX `fork` start method.  Both modes bound
 materialisation by the same round budget.
 
 Fact types mirror the answering code path: T1 dataset fast path, T2
-non-recursive loop, T3 fixpoint during recursive materialisation, T4 target
-hit during recursive materialisation, T5 automata.
+materialisation of a non-recursive subprogram, T3 fixpoint during recursive
+materialisation, T4 target hit during recursive materialisation, T5
+automata.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ def pre_materialise(
     """Advance materialisation until a round grows no non-recursive
     predicate; target, fixpoint and inconsistency exits still apply.  Rounds
     are delta-driven, as in `materialise`.  Like it, this never writes the
-    given store: each round inserts into a snapshot.
+    given store: each round inserts into a snapshot.  A program with no
+    recursive predicate never stops with PreDone, since every round before
+    its fixpoint grows some predicate, so this materialises it in full.
 
     Returns (store, status, rounds) with status one of PreDone, Fixpoint,
     TargetEntailed, Inconsistent.
@@ -115,16 +119,10 @@ def check_entailment(
     recursive = is_recursive(sub)
     timings["analysis"] = time.perf_counter() - t0
 
-    if not recursive:
-        t0 = time.perf_counter()
-        out = materialise(sub, store, target=query)
-        timings["materialisation"] = time.perf_counter() - t0
-        return _materialisation_result(out.status, out.rounds, timings, recursive=False)
-
     t0 = time.perf_counter()
     dpre, status, pre_rounds = pre_materialise(sub, store, target=query)
-    timings["pre_materialisation"] = time.perf_counter() - t0
-    result = _materialisation_result(status, pre_rounds, timings)
+    timings["pre_materialisation" if recursive else "materialisation"] = time.perf_counter() - t0
+    result = _materialisation_result(status, pre_rounds, timings, recursive)
     if result is not None:
         return result
 

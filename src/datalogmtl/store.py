@@ -12,7 +12,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .intervals import EMPTY, NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
+from .intervals import NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
 from .syntax import Constant, Fact, RelationalAtom, Variable
 
 AtomKey = tuple[str, tuple[str, ...]]
@@ -37,11 +37,8 @@ class FactStore:
     def insert_intervals(self, key: AtomKey, intervals: Iterable[Interval]) -> bool:
         """Coalesce the union into the stored list in one pass; True iff
         coverage strictly grew."""
-        extra = [iv for iv in intervals if iv is not EMPTY]
-        if not extra:
-            return False
         old = self.atoms.get(key, [])
-        merged = coalesce(old + extra)
+        merged = coalesce([*old, *intervals])
         if merged == old:
             return False
         self.atoms[key] = merged

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import datalogmtl
-from datalogmtl.automata import _Engine, _literal_reach, cells_in, cells_interval
+from datalogmtl.automata import _Engine, _instance, _literal_reach, cells_in, cells_interval
 from datalogmtl.evaluation import apply_operator, merge_intervals, reverse_head
 from datalogmtl.intervals import (
     EMPTY,
@@ -33,6 +33,7 @@ from datalogmtl.syntax import (
     Top,
     UnaryOp,
     Variable,
+    ground,
     parse_dataset,
     parse_program,
 )
@@ -272,9 +273,16 @@ def justifiable_reference(ground_rules, key, new_cell, lo, letters, store):
     return False
 
 
+def ground_instance(program, dataset) -> tuple[Program, list[Fact]]:
+    """The ground rules and the facts that `automata.consistent` splits into
+    components, before it splits them: an engine takes only ground rules."""
+    facts, consts = _instance(program, dataset)
+    return Program(tuple(ground(program, consts))), facts
+
+
 def consistent_one_engine(program, dataset, *, max_states=200_000) -> bool:
     """`automata.consistent` with one engine over the whole instance, as it
     ran before it split the ground instance into components."""
     if all(r.head_predicate() is not None for r in program.rules):
         return True
-    return _Engine(program, dataset, max_states=max_states).decide(None)
+    return _Engine(*ground_instance(program, dataset), max_states=max_states).decide(None)

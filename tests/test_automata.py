@@ -52,6 +52,7 @@ from datalogmtl.syntax import (
 from helpers import (
     check_window_reference,
     consistent_one_engine,
+    ground_instance,
     justifiable_reference,
     load_dataset,
     load_program,
@@ -461,6 +462,14 @@ def test_check_window_fired_bottom():
 # -- span search
 
 
+def test_engine_takes_ground_rules_only():
+    # `consistent` grounds the instance before it builds an engine
+    program, facts = parse_program("BOTTOM :- P(X) ."), facts_of("P(a)@[0,0]")
+    with pytest.raises(ValueError):
+        _Engine(program, facts)
+    assert not _Engine(*ground_instance(program, facts)).decide(None)
+
+
 def test_span_assignments_trivial():
     eng = _Engine(parse_program(""), [])
     assert next(eng.span_assignments())[0] == (frozenset(),)
@@ -469,7 +478,7 @@ def test_span_assignments_trivial():
 def test_first_span_assignment_matches_materialised_model():
     prog = parse_program("Immune(X) :- BOXMINUS[0,2] NoSympt(X) .")
     data = facts_of("NoSympt(j)@[0,3]")
-    eng = _Engine(prog, data)
+    eng = _Engine(*ground_instance(prog, data))
     first, _ = next(eng.span_assignments())
     assert len(first) == eng.span_hi - eng.span_lo + 1
     out = materialise(prog, FactStore.from_facts(data))
@@ -490,7 +499,7 @@ def _growing_span_assignments(eng):
             yield chosen
             return
         new_cell = cells[len(chosen)]
-        must = eng._cell_must(new_cell, 1)
+        must = eng.must[new_cell]
         for letter in eng._letters(must, new_cell, _Window(eng.templates, cells[0], chosen)):
             eng._poll()
             cand = chosen + (letter,)
@@ -526,8 +535,8 @@ def test_sliding_span_window_matches_a_growing_window():
     # a new cell's violations fire within z cells of it and read cells within
     # 2z of it, so the last 2z+1 cells see what the whole prefix sees
     for program, facts in (WIDE_VIOLATION, *fixture_and_criterion_6_instances()):
-        sliding = _Engine(program, facts, max_states=3000)
-        growing = _Engine(program, facts, max_states=3000)
+        sliding = _Engine(*ground_instance(program, facts), max_states=3000)
+        growing = _Engine(*ground_instance(program, facts), max_states=3000)
         want = _first_assignments(growing, _growing_span_assignments(growing))
         sliding_letters = (letters for letters, _ in sliding.span_assignments())
         assert _first_assignments(sliding, sliding_letters) == want, program
@@ -540,7 +549,7 @@ def test_engine_runs_on_the_unit_grid():
     scales = set()
     for program, facts in (half, *fixture_and_criterion_6_instances()):
         scales.add(instance_granularity(program, facts))
-        eng = _Engine(program, facts, max_states=3000)
+        eng = _Engine(*ground_instance(program, facts), max_states=3000)
         bounds = [abs(b) for f in eng.facts for b in (f.interval.left, f.interval.right)]
         for r in eng.program.rules:
             for m in (r.head, *r.body):
@@ -557,7 +566,7 @@ UNAVOIDABLE_BOTTOM = (
 
 def test_span_unavoidable_bottom():
     prog, data = UNAVOIDABLE_BOTTOM
-    assert _Engine(prog, data).inconsistent_in_span
+    assert _Engine(*ground_instance(prog, data)).inconsistent_in_span
     assert not consistent(prog, data)
 
 
@@ -573,7 +582,7 @@ def test_span_materialisation_matches_the_naive_clipped_loop(monkeypatch):
 
     monkeypatch.setattr(_Engine, "_span_materialise", record)
     for program, facts in (WIDE_VIOLATION, UNAVOIDABLE_BOTTOM, *fixture_and_criterion_6_instances()):
-        eng = _Engine(program, facts)
+        eng = _Engine(*ground_instance(program, facts))
         horizon = horizons[-1]
         start = clip_store(FactStore.from_facts(eng.facts), horizon)
         want, status, _ = naive_materialise(eng.program, start, horizon=horizon)
@@ -595,16 +604,16 @@ def test_span_materialisation_polls_every_round():
             return len(polls) > k
         return cancelled
 
-    eng = _Engine(red.program, list(red.dataset), cancelled=cancel_after(10**6), max_states=10**6)
+    eng = _Engine(*ground_instance(red.program, red.dataset), cancelled=cancel_after(10**6), max_states=10**6)
     rounds = len(polls)
     assert rounds == 10**6 - eng.states_left and rounds > 100
     polls.clear()
     with pytest.raises(Cancelled):
-        _Engine(red.program, list(red.dataset), cancelled=cancel_after(rounds // 2))
+        _Engine(*ground_instance(red.program, red.dataset), cancelled=cancel_after(rounds // 2))
     assert len(polls) == rounds // 2 + 1
     with pytest.raises(SearchBudgetExceeded):
-        _Engine(red.program, list(red.dataset), max_states=rounds - 1)
-    assert _Engine(red.program, list(red.dataset), max_states=rounds).states_left == 0
+        _Engine(*ground_instance(red.program, red.dataset), max_states=rounds - 1)
+    assert _Engine(*ground_instance(red.program, red.dataset), max_states=rounds).states_left == 0
 
 
 # -- tail loops
@@ -746,9 +755,19 @@ GROWING = "P(X) :- DIAMONDMINUS[0,1] P(X) .\n"
         ("BOXPLUS[1,1] P(X) :- P(X) .", "P(a)@[0,0]", "P(a)@[3,+inf)", False),
         ("P(X) :- BOXMINUS[0,1] P(X) .", "P(a)@[0,1]", "P(a)@[3,+inf)", False),
         (GROWING + "BOXPLUS[0,2] Q(X) :- P(X) .", "P(a)@[0,0]", "Q(a)@[1,+inf)", True),
+        # a query open at its finite end: the anchor point cannot discharge
+        ("", "P(a)@(3,+inf)", "P(a)@(3,+inf)", True),
+        ("", "P(a)@(3,+inf)", "P(a)@[3,+inf)", False),
+        ("", "P(a)@(-inf,-3)", "P(a)@(-inf,-3)", True),
+        ("", "P(a)@(-inf,-3)", "P(a)@(-inf,-3]", False),
+        (GROWING, "P(a)@[0,0]", "P(a)@(3,+inf)", True),
+        ("P(X) :- DIAMONDPLUS[0,1] P(X) .", "P(a)@[0,0]", "P(a)@(-inf,0)", True),
+        # a left-unbounded fact forces its atom on every cell of the left tail
+        ("", "P(a)@(-inf,0]", "P(a)@(-inf,-3]", True),
     ],
     ids=["data", "bounded-data", "left-query", "diamondminus", "diamondplus", "boxplus-head",
-         "boxminus-body", "derived-head"],
+         "boxminus-body", "derived-head", "open-right", "open-data-closed-right", "open-left",
+         "open-data-closed-left", "open-diamondminus", "open-diamondplus", "left-data-tail"],
 )
 def test_entailment_with_unbounded_facts(program, data, query, entailed):
     # obligations from the reduction's unbounded box must be discharged

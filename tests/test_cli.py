@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -232,6 +233,19 @@ def test_analyze_json(capsys):
     assert len(payload["relevant_rules"]) == 1
 
 
+def test_analyze_text(capsys):
+    code, out, _ = run(capsys, "analyze", "--program", fix("professor.dmtl"), "--predicate", "AssistantProfessor")
+    assert code == 0
+    assert out.splitlines() == [
+        "recursive: yes",
+        "recursive predicates: Chair, FullProfessor",
+        "rules relevant to AssistantProfessor:",
+        "  AssistantProfessor(X) :- BOXMINUS[0,3] Lecturer(X) .",
+    ]
+    code, out, _ = run(capsys, "analyze", "--program", fix("immune.dmtl"))
+    assert code == 0 and out.splitlines() == ["recursive: no", "recursive predicates: (none)"]
+
+
 def test_analyze_json_does_not_depend_on_the_hash_seed():
     outputs = []
     for seed in ("1", "2"):
@@ -284,6 +298,23 @@ def test_generate_and_bench(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert len(report["queries"]) == 2 and "census" in report
+
+
+def test_bench_text(capsys, tmp_path):
+    queries = tmp_path / "q.dtf"
+    queries.write_text("Immune(james)@[7,10]\nImmune(james)@[6,10]\nNoSympt(james)@[1,2]\n")
+    code, out, _ = run(capsys, "bench", "--program", fix("immune.dmtl"), "--data", fix("immune.dtf"),
+                       "--queries", str(queries))
+    assert code == 0
+    *rows, census = out.splitlines()
+    rows = [row.split("\t") for row in rows]
+    assert [row[:4] for row in rows] == [
+        ["Immune(james)@[7,10]", "True", "T2", "rounds=1"],
+        ["Immune(james)@[6,10]", "False", "T2", "rounds=2"],
+        ["NoSympt(james)@[1,2]", "True", "T1", "rounds=0"],
+    ]
+    assert all(len(row) == 5 and re.fullmatch(r"total=\d+\.\d{3}s", row[4]) for row in rows)
+    assert census == "census: {'T1': 1, 'T2': 2, 'T3': 0, 'T4': 0, 'T5': 0}"
 
 
 def test_missing_file_exit_2(capsys):

@@ -13,7 +13,19 @@ from datalogmtl.dense_grid import GridOracle
 from datalogmtl.intervals import NEG_INF, POS_INF, coalesce, make
 from datalogmtl.materialisation import _new_point_bound, apply_rules, materialise
 from datalogmtl.store import FactStore
-from datalogmtl.syntax import Constant, Fact, RelationalAtom, ground, parse_dataset, parse_fact, parse_program
+from datalogmtl.syntax import (
+    Constant,
+    Fact,
+    Program,
+    Rel,
+    RelationalAtom,
+    Rule,
+    UnaryOp,
+    ground,
+    parse_dataset,
+    parse_fact,
+    parse_program,
+)
 
 from helpers import (
     FIXTURES,
@@ -22,6 +34,7 @@ from helpers import (
     load_program,
     rand_bounded_instance,
     rand_bounded_literal,
+    rand_op_interval,
     wrap_literals_in_rules,
 )
 from test_acceptance import SCALE_PROGRAM
@@ -119,6 +132,32 @@ def test_nonrecursive_fixpoint_matches_oracle():
                 oracle.cells_to_intervals(oracle.model.get(key, set()) & set(oracle.window_cells()))
             )
             assert got == want, (trial, lits[i])
+
+
+def test_boxed_heads_match_oracle():
+    # criterion 2's shape with one or two boxes on each head: the heads
+    # cover the box regions of the cells where their bodies hold
+    rng = random.Random(7)
+    for trial in range(100):
+        facts, atoms = rand_bounded_instance(rng)
+        rules = []
+        for i in range(2):
+            head = Rel(RelationalAtom(f"H{i}", ()))
+            for _ in range(rng.randint(1, 2)):
+                head = UnaryOp(rng.choice(("BOXMINUS", "BOXPLUS")), rand_op_interval(rng, hi=4), head)
+            rules.append(Rule(head, (rand_bounded_literal(rng, atoms),)))
+        prog = Program(tuple(rules))
+        out = materialise(prog, FactStore.from_facts(facts))
+        assert out.status == "Fixpoint"
+        oracle = GridOracle(prog, facts)
+        oracle.materialise(sorted(ground(prog, set()), key=str))
+        for i, rule in enumerate(rules):
+            key = (f"H{i}", ())
+            got = clip(out.store.intervals_for(key), oracle.window)
+            want = coalesce(
+                oracle.cells_to_intervals(oracle.model.get(key, set()) & set(oracle.window_cells()))
+            )
+            assert got == want, (trial, str(rule))
 
 
 def clip_store(store, horizon):

@@ -1,6 +1,6 @@
-"""End-to-end entailment: fast path, non-recursive loop, pre-materialisation,
-sequential finish, and the race between a forked materialisation child and
-the automata."""
+"""End-to-end entailment: fast path, pre-materialisation, which settles
+non-recursive subprograms, sequential finish, and the race between a forked
+materialisation child and the automata."""
 
 import errno
 import multiprocessing
@@ -314,6 +314,24 @@ def test_an_unbounded_query_stops_at_its_first_uncovered_point(program, query, s
                          sequential=sequential)
     assert (r.answer, r.fact_type, r.winner) == (False, "T5", "automata")
     assert r.rounds == 4
+
+
+@pytest.mark.parametrize("sequential", [True, False], ids=["sequential", "race"])
+@pytest.mark.parametrize("program, data, query, inconsistent", [
+    ("BOXPLUS[1,1] Bday(X) :- Bday(X) .", "Bday(a)@[0,0]", "Bday(a)@[1,1]", False),
+    ("BOXPLUS[1,1] P(X) :- P(X) .\nBOTTOM :- P(X), Q(X) .", "P(a)@[0,0]\nQ(a)@[0,0]", "P(b)@[0,0]", True),
+], ids=["target", "bottom"])
+def test_pre_materialisation_answers_a_recursive_query(monkeypatch, program, data, query, inconsistent, sequential):
+    # the first round derives the query, or BOTTOM, which entails every fact:
+    # neither finish runs and nothing forks
+    def fork_fails(child):
+        raise OSError(errno.EAGAIN, "fork failed")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_fails)
+    r = check_entailment(parse_program(program), store_of(data), parse_fact(query), sequential=sequential)
+    assert (r.answer, r.fact_type, r.rounds, r.winner) == (True, "T4", 1, "materialisation")
+    assert r.inconsistent is inconsistent
+    assert set(r.timings) == {"fastpath", "analysis", "pre_materialisation"}
 
 
 def test_irrelevant_rules_are_dropped():
