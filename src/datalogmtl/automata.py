@@ -535,7 +535,8 @@ def _instance(program: Program, dataset: Sequence[Fact]) -> tuple[list[Fact], se
 class _Engine:
     """Decides one ground component, as `consistent` hands it over: every
     rule of `program` is ground, and a rule with a variable raises
-    ValueError."""
+    ValueError.  `must` holds each span cell's forced atoms, or is None
+    when the span materialisation derives BOTTOM."""
 
     def __init__(
         self,
@@ -567,6 +568,8 @@ class _Engine:
             (abs(b) for f in self.facts for b in (f.interval.left, f.interval.right) if is_finite(b)),
             default=0,
         )
+        # z counts the reduction box's start: `tail_ok` keys states past the span
+        # without their position, so no obligation may start further out
         z = max((_literal_reach(m) for r in program.rules for m in (r.head, *r.body)), default=0)
         self.span = make(-x - z, x + z)
         self.span_lo, self.span_hi, self.z_cells = -2 * (x + z), 2 * (x + z), 2 * z
@@ -596,13 +599,11 @@ class _Engine:
         shapes = {tuple(map(tuple, map(_operator_bounds, (r.head, *r.body)))): r for r in program.rules}
         reach = total_reach(Program(tuple(shapes.values())))
         horizon = make(self.span.left - reach, self.span.right + reach)
-        self.base_store = self._span_materialise(horizon)
-        self.inconsistent_in_span = self.base_store is None
-
-        self.must: dict[int, Letter] = {}
-        if self.base_store is not None:
+        base_store = self._span_materialise(horizon)
+        self.must: Optional[dict[int, Letter]] = None
+        if base_store is not None:
             must = {c: set() for c in range(self.span_lo, self.span_hi + 1)}
-            for key, lst in self.base_store.atoms.items():
+            for key, lst in base_store.atoms.items():
                 for iv in lst:
                     for c in cells_in(intersect(iv, self.span)):
                         must[c].add(key)
@@ -625,12 +626,9 @@ class _Engine:
 
     def _span_materialise(self, horizon: Interval) -> Optional[FactStore]:
         """The least model of the data, clipped to `horizon` round by round,
-        or None when it derives BOTTOM.  Each round polls once; the bounded
+        or None on BOTTOM, kept as `must`.  Each round polls once; the bounded
         horizon and int endpoints admit finitely many stores, so it ends."""
-        by_key: dict[AtomKey, list[Interval]] = {}
-        for f in self.facts:
-            by_key.setdefault(f.atom.key(), []).append(intersect(f.interval, horizon))
-        start = FactStore.from_intervals(by_key)
+        start = FactStore.from_facts(Fact(f.atom, intersect(f.interval, horizon)) for f in self.facts)
         out = materialise(self.program, start, horizon=horizon, poll=self._poll)
         return None if out.status == "Inconsistent" else out.store
 
@@ -730,7 +728,7 @@ class _Engine:
 
     def decide(self, trace) -> bool:
         """True iff the engine's program and facts have a model."""
-        if self.inconsistent_in_span:
+        if self.must is None:
             if trace is not None:
                 trace.append("BOTTOM derived during span materialisation")
             return False

@@ -118,27 +118,25 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the program and the data come first in every command that reads both
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--program", required=True)
+    inputs.add_argument("--data", required=True)
 
-    p = sub.add_parser("check", help="decide fact entailment")
-    p.add_argument("--program", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("check", help="decide fact entailment", parents=[inputs])
     p.add_argument("--fact", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--sequential", action="store_true")
     p.add_argument("--max-rounds", type=_rounds, default=1000)
     p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
 
-    p = sub.add_parser("materialize", help="run materialisation to fixpoint")
-    p.add_argument("--program", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("materialize", help="run materialisation to fixpoint", parents=[inputs])
     p.add_argument("--max-rounds", type=_rounds, default=1000)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
 
-    p = sub.add_parser("consistency", help="automata-based consistency check")
-    p.add_argument("--program", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("consistency", help="automata-based consistency check", parents=[inputs])
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", default=None, help="write search trace to this file")
     p.add_argument("--timeout", type=_seconds, default=None, help=TIMEOUT_HELP)
@@ -154,9 +152,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("bench", help="time entailment over a query file")
-    p.add_argument("--program", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("bench", help="time entailment over a query file", parents=[inputs])
     p.add_argument("--queries", required=True)
     p.add_argument("--json", action="store_true")
 

@@ -207,23 +207,16 @@ def reverse_head(head: MetricAtom, intervals: IntervalList) -> list:
     `shift` per box, and build the derivations on the head's one atom.
 
     Returns Facts, or ("bottom", interval) pairs for a BOTTOM head, over a
-    coalesced list.  Raises on heads outside the grammar's head restriction.
+    coalesced list.  `head` is a `Rule`'s head, which `Rule` has checked:
+    BOXMINUS and BOXPLUS boxes over BOTTOM or one relational atom.
     """
     m = head
     while isinstance(m, UnaryOp):
-        if m.op == "BOXMINUS":
-            intervals = shift("minus", intervals, m.interval)
-        elif m.op == "BOXPLUS":
-            intervals = shift("plus", intervals, m.interval)
-        else:
-            raise ValueError(f"forbidden operator in head: {m.op}")
+        intervals = shift("minus" if m.op == "BOXMINUS" else "plus", intervals, m.interval)
         m = m.sub
     if isinstance(m, Bottom):
         return [("bottom", iv) for iv in intervals]
-    if isinstance(m, Rel):
-        atom = m.atom
-        return [Fact(atom, iv) for iv in intervals]
-    raise ValueError(f"invalid head atom: {head}")
+    return [Fact(m.atom, iv) for iv in intervals]
 
 
 def _join_order(body: tuple[MetricAtom, ...]) -> list[MetricAtom]:

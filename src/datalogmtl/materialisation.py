@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Optional
 
+from .analysis import propagation
 from .evaluation import evaluate_rule
 from .intervals import POS_INF, Interval, coalesce, intersect, negate, reflect, subset
 from .store import FactStore
@@ -98,7 +99,6 @@ def materialise(
     store: FactStore,
     max_rounds: Optional[int] = None,
     target: Optional[Fact] = None,
-    direction: int = 0,
     horizon: Optional[Interval] = None,
     poll: Optional[Callable[[], None]] = None,
 ) -> MaterialisationOutcome:
@@ -114,18 +114,20 @@ def materialise(
     round derives (see apply_rules).  The fixpoint is the first round that
     grows nothing; it counts in `rounds`.
 
-    `direction` is the program's `analysis.propagation`, given with a
-    target.  When it is 1, a round whose new points all lie after the
-    first target point that the round's store does not cover ends with
-    OutOfReach: in a forward-propagating program a point derived in one
-    round needs a point new in the round before at the same time or
+    With a target, the stop comes from the program's
+    `analysis.propagation`.  When it is 1, a round whose new points all lie
+    after the first target point that the round's store does not cover
+    ends with OutOfReach: in a forward-propagating program a point derived
+    in one round needs a point new in the round before at the same time or
     earlier, so no later round covers that point either.  -1 is the
-    mirror, before the last uncovered target point; 0 never stops early.
+    mirror, before the last uncovered target point; a program that
+    propagates both ways (0) never stops early.
     """
     if store.contains_bottom:
         return MaterialisationOutcome(store, "Inconsistent", 0)
     if target is not None and store.entails_fact(target):
         return MaterialisationOutcome(store, "TargetEntailed", 0)
+    direction = propagation(program) if target is not None else 0
     rounds = 0
     changed = None
     while max_rounds is None or rounds < max_rounds:

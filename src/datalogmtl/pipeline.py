@@ -134,7 +134,7 @@ def _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     """Materialise under the round budget, stopping once the query is out of
     reach, then let the automata decide."""
     t0 = time.perf_counter()
-    out = materialise(sub, dpre, max_rounds=round_budget, target=query, direction=propagation(sub))
+    out = materialise(sub, dpre, max_rounds=round_budget, target=query)
     timings["materialisation"] = time.perf_counter() - t0
     rounds = pre_rounds + out.rounds
     result = _materialisation_result(out.status, rounds, timings)

@@ -81,7 +81,6 @@ class FactStore:
         index fixes the pattern's constants and bound variables, so a
         candidate key is dropped only when a free variable that occurs twice
         takes two values on it."""
-        partial = dict(partial)
         bound: list[tuple[int, str]] = []
         for pos, term in enumerate(pattern.args):
             if isinstance(term, Constant):

@@ -566,30 +566,30 @@ UNAVOIDABLE_BOTTOM = (
 
 def test_span_unavoidable_bottom():
     prog, data = UNAVOIDABLE_BOTTOM
-    assert _Engine(*ground_instance(prog, data)).inconsistent_in_span
+    assert _Engine(*ground_instance(prog, data)).must is None
     assert not consistent(prog, data)
 
 
 def test_span_materialisation_matches_the_naive_clipped_loop(monkeypatch):
     # the reference re-applies every rule each round and clips the whole
     # store after it; the engine clips only what each round derives
-    horizons = []
+    calls = []  # (horizon, the store it returned)
     span_materialise = _Engine._span_materialise
 
     def record(self, horizon):
-        horizons.append(horizon)
-        return span_materialise(self, horizon)
+        calls.append((horizon, span_materialise(self, horizon)))
+        return calls[-1][1]
 
     monkeypatch.setattr(_Engine, "_span_materialise", record)
     for program, facts in (WIDE_VIOLATION, UNAVOIDABLE_BOTTOM, *fixture_and_criterion_6_instances()):
         eng = _Engine(*ground_instance(program, facts))
-        horizon = horizons[-1]
+        horizon, got = calls[-1]
         start = clip_store(FactStore.from_facts(eng.facts), horizon)
         want, status, _ = naive_materialise(eng.program, start, horizon=horizon)
         if status == "Inconsistent":
-            assert eng.base_store is None, program
+            assert got is None and eng.must is None, program
         else:
-            assert eng.base_store.atoms == want.atoms, program
+            assert got.atoms == want.atoms, program
 
 
 def test_span_materialisation_polls_every_round():
@@ -775,10 +775,28 @@ def test_entailment_with_unbounded_facts(program, data, query, entailed):
     assert consistent(red.program, list(red.dataset)) is not entailed
 
 
+UNBOUNDED_HEAD = ("BOXPLUS[0,+inf) P(X) :- Q(X) .\nBOTTOM :- P(X), R(X) .", "Q(a)@[0,1]\nR(a)@[5,6]")
+
+
 def test_consistent_rejects_unbounded_rule_operators():
-    prog = parse_program("BOTTOM :- DIAMONDMINUS[0,+inf) P(a) .")
-    with pytest.raises(NotImplementedError):
-        consistent(prog, facts_of("P(a)@[0,1]"))
+    for (program, data), where in (
+        (("BOTTOM :- DIAMONDMINUS[0,+inf) P(a) .", "P(a)@[0,1]"), "bodies"),
+        (UNBOUNDED_HEAD, "heads"),
+    ):
+        with pytest.raises(NotImplementedError, match=f"in rule {where}"):
+            consistent(parse_program(program), facts_of(data))
+
+
+@pytest.mark.parametrize("program, data", [
+    ("BOTTOM :- A, BOXPLUS[5,+inf) M .", "A@[0,0]\nM@[0,1]"),
+    ("BOTTOM :- A, BOXPLUS(5,+inf) M .", "A@[0,0]\nM@[0,1]"),
+    ("BOTTOM :- A, BOXMINUS[5,+inf) M .", "A@[0,0]\nM@[-1,0]"),
+    ("BOTTOM :- A, BOXMINUS(5,+inf) M .", "A@[0,0]\nM@[-1,0]"),
+], ids=["plus-closed", "plus-open", "minus-closed", "minus-open"])
+def test_obligation_starting_past_the_data_is_discharged(program, data):
+    # M is absent from 5 on (before -5 on): the span must reach the box's
+    # start, which only z, counting the reduction box, makes it do
+    assert consistent(parse_program(program), facts_of(data))
 
 
 def test_prune_letters_does_not_change_decision():

@@ -166,6 +166,19 @@ def test_consistency_trace_is_written_on_exit_3(capsys, tmp_path):
     assert last.startswith("exit 3: NotImplementedError: unbounded operator intervals")
 
 
+def test_consistency_rejects_an_unbounded_head_exit_3(capsys, tmp_path):
+    program = "BOXPLUS[0,+inf) P(X) :- Q(X) .\nBOTTOM :- P(X), R(X) .\n"
+    code, out, err = run(capsys, *consistency_files(tmp_path, program, "Q(a)@[0,1]\nR(a)@[5,6]\n"))
+    assert (code, out, err) == (3, "", "limit: unbounded operator intervals in rule heads are unsupported\n")
+
+
+def test_consistency_discharges_an_obligation_past_the_data(capsys, tmp_path):
+    # M is absent from 5 on, where the reduction-shaped rule's box starts
+    program = "BOTTOM :- A, BOXPLUS[5,+inf) M .\n"
+    code, out, _ = run(capsys, *consistency_files(tmp_path, program, "A@[0,0]\nM@[0,1]\n"))
+    assert code == 0 and out == "consistent\n"
+
+
 def test_consistency_trace_is_written_on_a_budget_exit(capsys, tmp_path, monkeypatch):
     def exhausted(eng):
         raise SearchBudgetExceeded("automata state budget exhausted")
@@ -284,6 +297,8 @@ def test_generate_and_bench(capsys, tmp_path):
     assert len(text1.strip().splitlines()) == 20
     run(capsys, "generate", "--spec", str(spec_file), "-o", str(data_file))
     assert data_file.read_text() == text1
+    code, out, _ = run(capsys, "generate", "--spec", str(spec_file))
+    assert code == 0 and out == text1
 
     queries = tmp_path / "q.dtf"
     queries.write_text("NoSympt(c0)@[1,2]\nImmune(c1)@[10,12]\n")
@@ -402,6 +417,12 @@ def test_generate_malformed_spec_exit_2(capsys, tmp_path, change, field):
     code, out, err = run(capsys, "generate", "--spec", str(tmp_path / "spec.json"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and field in err
+
+
+def test_generate_spec_must_be_an_object_exit_2(capsys, tmp_path):
+    (tmp_path / "spec.json").write_text("[1,2]")
+    code, out, err = run(capsys, "generate", "--spec", str(tmp_path / "spec.json"))
+    assert (code, out, err) == (2, "", "error: generator spec must be a JSON object\n")
 
 
 @pytest.mark.parametrize(

@@ -14,12 +14,14 @@ from datalogmtl.intervals import NEG_INF, POS_INF, coalesce, make
 from datalogmtl.materialisation import _new_point_bound, apply_rules, materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
+    Bottom,
     Constant,
     Fact,
     Program,
     Rel,
     RelationalAtom,
     Rule,
+    Top,
     UnaryOp,
     ground,
     parse_dataset,
@@ -160,6 +162,31 @@ def test_boxed_heads_match_oracle():
             assert got == want, (trial, str(rule))
 
 
+def test_bottom_heads_and_top_bodies_match_oracle():
+    # one BOTTOM head and one TOP body literal: the first round derives every
+    # BOTTOM interval, and H0 with it, since no body reads a head predicate
+    rng = random.Random(11)
+    for trial in range(100):
+        facts, atoms = rand_bounded_instance(rng)
+        prog = Program((
+            Rule(Bottom(), (rand_bounded_literal(rng, atoms),)),
+            Rule(Rel(RelationalAtom("H0", ())), (Top(), rand_bounded_literal(rng, atoms))),
+        ))
+        out = materialise(prog, FactStore.from_facts(facts))
+        oracle = GridOracle(prog, facts)
+        oracle.materialise(sorted(ground(prog, set()), key=str))
+        window = set(oracle.window_cells())
+
+        def oracle_cells(key):
+            return oracle.cells_to_intervals(oracle.model.get(key, set()) & window)
+
+        bottom = oracle_cells(("#bottom#", ()))
+        assert clip(out.store.bottom_intervals, oracle.window) == bottom, (trial, prog)
+        assert (out.status == "Inconsistent") == bool(bottom), (trial, prog)
+        got = clip(out.store.intervals_for(("H0", ())), oracle.window)
+        assert got == oracle_cells(("H0", ())), (trial, prog)
+
+
 def clip_store(store, horizon):
     """The store with every atom's intervals clipped to `horizon`; BOTTOM
     intervals are kept whole."""
@@ -284,7 +311,7 @@ def test_new_point_bound(old, new, first, last):
 def test_stop_ends_forward_and_backward_rounds():
     professor = materialise(
         load_program("professor"), FactStore.from_facts(load_dataset("professor")),
-        max_rounds=1000, target=parse_fact("FullProfessor(a)@[0,1]"), direction=1,
+        max_rounds=1000, target=parse_fact("FullProfessor(a)@[0,1]"),
     )
     assert (professor.status, professor.rounds) == ("OutOfReach", 3)
     backward = parse_program("BOXMINUS[1,1] Bday(X) :- Bday(X) .")
@@ -293,7 +320,7 @@ def test_stop_ends_forward_and_backward_rounds():
                                    ("Bday(a)@[-7/2,-7/2]", "OutOfReach", 4),
                                    ("Bday(a)@[-5,-5]", "TargetEntailed", 5)):
         out = materialise(backward, store_of("Bday(a)@[0,0]"), max_rounds=1000,
-                          target=parse_fact(target), direction=-1)
+                          target=parse_fact(target))
         assert (out.status, out.rounds) == (status, rounds)
 
 
@@ -314,31 +341,37 @@ BACKWARD_TICKS = "BOXMINUS[1,1] Bday(X) :- Bday(X) ."
 ], ids=["forward-unbounded", "backward-unbounded", "forward-bounded", "backward-bounded",
         "forward-entailed", "backward-entailed"])
 def test_stop_reads_the_first_uncovered_target_point(program, data, target, direction, status, rounds):
+    assert propagation(parse_program(program)) == direction
     out = materialise(parse_program(program), store_of(data), max_rounds=1000,
-                      target=parse_fact(target), direction=direction)
+                      target=parse_fact(target))
     assert (out.status, out.rounds) == (status, rounds)
 
 
 def test_materialise_without_a_direction_never_checks_the_stop(monkeypatch):
+    """A program that propagates both ways has no direction to stop in:
+    birthday's forward head box plus a backward body diamond."""
     def fail(*args):
         raise AssertionError("stop checked")
 
     monkeypatch.setattr(materialisation, "_out_of_reach", fail)
     monkeypatch.setattr(materialisation, "_new_point_bound", fail)
-    out = materialise(load_program("birthday"), store_of("Bday(a)@[0,0]"), max_rounds=5,
+    program = Program((*load_program("birthday").rules,
+                       *parse_program("Party(X) :- DIAMONDPLUS[0,1] Bday(X) .").rules))
+    assert propagation(program) == 0
+    out = materialise(program, store_of("Bday(a)@[0,0]"), max_rounds=5,
                       target=parse_fact("Bday(a)@[1/2,1/2]"))
     assert (out.status, out.rounds) == ("RoundLimit", 5)
 
 
 def assert_stop_is_sound(program, store, target, max_rounds=30):
-    """Materialise with the stop; when it fires, 200 more rounds without it
-    never entail the target.  Returns whether it fired."""
-    out = materialise(program, store, max_rounds=max_rounds, target=target,
-                      direction=propagation(program))
+    """Materialise with the stop; when it fires, 200 more rounds without a
+    target, so without the stop, entail neither the target nor BOTTOM:
+    rounds only add facts.  Returns whether it fired."""
+    out = materialise(program, store, max_rounds=max_rounds, target=target)
     if out.status != "OutOfReach":
         return False
-    more = materialise(program, out.store, max_rounds=200, target=target)
-    assert more.status not in ("TargetEntailed", "Inconsistent"), (program, target)
+    more = materialise(program, out.store, max_rounds=200).store
+    assert not more.entails_fact(target) and not more.contains_bottom, (program, target)
     return True
 
 
