@@ -128,7 +128,7 @@ def entail_to_inconsist(
 
     Adds BOTTOM :- Q_f, B and Q_f@[p,p], where B holds at the anchor p iff
     the query atom holds throughout the query interval.  Query intervals
-    unbounded on both sides are rejected.
+    unbounded on both sides raise NotImplementedError.
     """
     rho = query.interval
     m = Rel(query.atom)
@@ -148,7 +148,7 @@ def entail_to_inconsist(
         p = rho.right
         b = UnaryOp("BOXMINUS", make(0, POS_INF, rho.right_open, True), m)
     else:
-        raise ValueError("query intervals unbounded on both sides are unsupported")
+        raise NotImplementedError("query intervals unbounded on both sides are unsupported")
     fresh = _fresh_predicate(program, dataset)
     qf = RelationalAtom(fresh, ())
     rule = Rule(Bottom(), (Rel(qf), b))

@@ -49,8 +49,8 @@ TIMEOUT_HELP = "wall-clock budget in seconds; exit 3 when it runs out"
 
 class WallClockExceeded(BaseException):
     """The --timeout budget ran out.  Like KeyboardInterrupt it is no
-    Exception, so no handler on its way (the race's wait for its child)
-    takes it for an engine's failure; `finally` blocks still run."""
+    Exception, so the race's `except Exception` does not take it for an
+    engine's failure; `finally` blocks still run."""
 
 
 def _seconds(text: str) -> float:
@@ -72,8 +72,8 @@ def _rounds(text: str) -> int:
 
 @contextlib.contextmanager
 def _wall_clock(seconds):
-    """Raise WallClockExceeded in this thread once `seconds` of wall time
-    have passed.  The timer is not inherited by a forked child."""
+    """Raise WallClockExceeded in the main thread once `seconds` of wall
+    time have passed, through SIGALRM, so only on POSIX systems."""
     if seconds is None:
         yield
         return

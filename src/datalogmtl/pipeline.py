@@ -7,11 +7,9 @@ materialisation.  A recursive one goes on to a bounded materialisation run
 with an automata fallback or, for programs that propagate both ways, a race.
 Materialisation of a program that propagates one way (`propagation`) stops
 with OutOfReach once its rounds add points only past the first query point
-not yet derived, so that finish needs no race and runs in the calling
-process, in both modes.  The
-race runs continued materialisation in a forked child process and the
-automata decision in the calling thread, so the two engines do not share an
-interpreter lock; it needs the POSIX `fork` start method.  Both modes bound
+not yet derived, so that finish needs no race, in both modes.  The race runs
+in the calling process: the automata decide, and their cancellation poll
+hands materialisation its rounds (`_race_finish`).  Both modes bound
 materialisation by the same round budget.
 
 Fact types mirror the answering code path: T1 dataset fast path, T2
@@ -22,9 +20,6 @@ automata.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import signal
 import time
 from dataclasses import dataclass, field
 
@@ -61,28 +56,37 @@ def pre_materialise(
     TargetEntailed, Inconsistent.
     """
     recursive = dependency_info(program).recursive
-    rounds = 0
-    changed = None
-    while True:
-        grown: set = set()
-        new = apply_rules(program, store, changed, grown)
-        rounds += 1
-        if new.contains_bottom:
-            return new, "Inconsistent", rounds
-        if target is not None and new.entails_fact(target):
-            return new, "TargetEntailed", rounds
-        if not grown:
-            return new, "Fixpoint", rounds
-        store, changed = new, {k[0] for k in grown}
+    for rounds, (store, status, changed) in enumerate(_steps(program, store, target), 1):
+        if status is not None:
+            return store, status, rounds
         if changed <= recursive:
-            return new, "PreDone", rounds
+            return store, "PreDone", rounds
+
+
+def _steps(program: Program, store: FactStore, target: Fact | None):
+    """Delta-driven materialisation rounds from `store`, one per `next`, as
+    in `materialise`.  Each yields (store, status, changed): `changed` names
+    the predicates the round grew, and status is Inconsistent,
+    TargetEntailed or Fixpoint on the last round, None before it."""
+    changed, status = None, None
+    while status is None:
+        grown: set = set()
+        store = apply_rules(program, store, changed, grown)
+        changed = {k[0] for k in grown}
+        if store.contains_bottom:
+            status = "Inconsistent"
+        elif target is not None and store.entails_fact(target):
+            status = "TargetEntailed"
+        elif not grown:
+            status = "Fixpoint"
+        yield store, status, changed
 
 
 def _materialisation_result(
-    status: str, rounds: int, timings: dict, recursive: bool = True
+    status: str | None, rounds: int, timings: dict, recursive: bool = True
 ) -> EntailmentResult | None:
     """The answer a materialisation status gives, or None for statuses that
-    give none (PreDone, RoundLimit, OutOfReach)."""
+    give none (PreDone, RoundLimit, OutOfReach, a round's None)."""
     if status not in ("Inconsistent", "TargetEntailed", "Fixpoint"):
         return None
     if not recursive:
@@ -152,83 +156,52 @@ def _race_finish(sub, dpre, query, pre_rounds, timings, round_budget):
     automata decision; the first answer wins.
 
     A program that propagates one way does not race: its materialisation
-    stops once the query is out of reach, so it finishes sequentially here,
-    with no fork.
+    stops once the query is out of reach, so it finishes sequentially here.
 
-    Materialisation runs in a forked child, which sends back one message: its
-    answer, None when it runs out of rounds, or its exception.  The automata
-    run here and stop at the next state once the child has sent an answer.
-    When neither engine answers, the automata's error is raised.  The child is
-    killed and reaped on every way out: SIGALRM and SIGINT, which the child
-    keeps blocked, are blocked here only until the `try` that reaps it.
+    Otherwise both engines run here, and the automata hand materialisation
+    its rounds: the `cancelled` callback they poll before every candidate
+    letter runs one round whenever, since the last round ended, they have
+    run at least as long as that round took, so each engine gets about half
+    the time.  A materialisation answer cancels the automata, and an error
+    in a round ends materialisation's rounds only.  If the automata raise,
+    materialisation runs the rest of its budget alone; when that gives no
+    answer either, the automata's error is raised.
     """
     t0 = time.perf_counter()
     if propagation(sub):
         result = _sequential_finish(sub, dpre, query, pre_rounds, timings, round_budget)
         timings["race"] = time.perf_counter() - t0
         return result
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    message = []  # the child's one message, once received
+    steps = _steps(sub, dpre, query)
+    rounds, last, due, result = pre_rounds, pre_rounds + round_budget, t0, None
 
-    def receive():
+    def turn():
+        nonlocal rounds, last, due, result
+        start = time.perf_counter()
         try:
-            message.append(receiver.recv())
-        except EOFError:  # the child died without sending
-            message.append(None)
+            status = next(steps)[1]
+        except Exception:  # ends materialisation's rounds, not the race
+            last = rounds
+        else:
+            rounds += 1
+            result = _materialisation_result(status, rounds, timings)
+        end = time.perf_counter()
+        due = 2 * end - start  # the automata's turn lasts as long as this one
 
     def materialisation_answered():
-        if not message and receiver.poll():
-            receive()
-        return bool(message) and isinstance(message[0], EntailmentResult)
+        if result is None and rounds < last and time.perf_counter() >= due:
+            turn()
+        return result is not None
 
-    # the fork start method flushes stdout and stderr before it forks, so the
-    # child's exit does not write the parent's buffered output a second time
-    child = ctx.Process(
-        target=_materialisation_worker,
-        args=(sender, sub, dpre, query, pre_rounds, round_budget),
-        daemon=True,
-    )
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGALRM, signal.SIGINT))
     try:
-        try:
-            child.start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        sender.close()
-        try:
-            red = entail_to_inconsist(sub, list(dpre.facts()), query)
-            answer = not consistent(
-                red.program, list(red.dataset), cancelled=materialisation_answered
-            )
-            result = EntailmentResult(answer, "T5", pre_rounds, "automata", timings)
-        except Exception:
-            # cancelled by the child's answer, or failed: wait for the child
-            if not message:
-                receive()
-            result = message[0]
-            if not isinstance(result, EntailmentResult):
-                raise
-            result.timings = timings
-    finally:
-        if child.pid is not None:  # None when the fork itself failed
-            child.kill()
-            child.join()
-        receiver.close()
+        red = entail_to_inconsist(sub, list(dpre.facts()), query)
+        answer = not consistent(red.program, list(red.dataset), cancelled=materialisation_answered)
+        result = EntailmentResult(answer, "T5", rounds, "automata", timings)
+    except Exception:
+        # cancelled by materialisation's answer, or failed
+        while result is None and rounds < last:
+            turn()
+        if result is None:
+            raise
     timings["race"] = time.perf_counter() - t0
     return result
-
-
-def _materialisation_worker(sender, sub, dpre, query, pre_rounds, round_budget):
-    """The race's child: materialise the fork's copy of `dpre` and send the
-    outcome, as an exception that pickles if it is one."""
-    try:
-        out = materialise(sub, dpre, max_rounds=round_budget, target=query)
-        message = _materialisation_result(out.status, pre_rounds + out.rounds, {})
-    except Exception as e:
-        message = e
-        try:
-            pickle.loads(pickle.dumps(e))
-        except Exception:
-            message = RuntimeError(repr(e))
-    sender.send(message)

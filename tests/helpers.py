@@ -3,6 +3,8 @@ bounded-instance generation for oracle comparisons."""
 
 from __future__ import annotations
 
+import errno
+import multiprocessing.process
 import os
 import random
 from fractions import Fraction
@@ -221,6 +223,17 @@ def block_buffered_env() -> dict:
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def _no_process(*args, **kwargs):
+    raise OSError(errno.EAGAIN, "no process may start")
+
+
+def forbid_processes(monkeypatch):
+    """Make `multiprocessing`'s `Process.start` and `os.fork` raise, so a
+    test fails wherever the code under it starts a process."""
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_process)
+    monkeypatch.setattr(os, "fork", _no_process)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_reduction_unbounded_left():
 
 
 def test_reduction_rejects_doubly_unbounded():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotImplementedError):
         entail_to_inconsist(parse_program(""), [], parse_fact("P(a)@(-inf,+inf)"))
 
 

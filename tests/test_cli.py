@@ -20,7 +20,7 @@ from datalogmtl.cli import main
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import parse_program
 
-from helpers import FIXTURES, block_buffered_env
+from helpers import FIXTURES, block_buffered_env, forbid_processes
 
 
 def run(capsys, *args):
@@ -476,38 +476,69 @@ def test_materialize_timeout_exits_3(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 5
 
 
-def party_files(tmp_path):
+def party_files(tmp_path, fact="Party(a)@[-2,-2]"):
     """Birthday with a rule that looks ahead, so the program propagates both
-    ways and the race forks, and a query only the automata can answer."""
+    ways and races, and a query only the automata can answer."""
     (tmp_path / "party.dmtl").write_text(
         "BOXPLUS[1,1] Bday(X) :- Bday(X) .\nParty(X) :- DIAMONDPLUS[0,1] Bday(X) .\n"
     )
     (tmp_path / "party.dtf").write_text("Bday(a)@[0,0]\n")
     return ("--program", str(tmp_path / "party.dmtl"), "--data", str(tmp_path / "party.dtf"),
-            "--fact", "Party(a)@[-2,-2]")
+            "--fact", fact)
 
 
 def test_race_check_timeout_leaves_no_child(capsys, monkeypatch, tmp_path):
-    # the child never answers, and the budget runs out while the automata run
-    monkeypatch.setattr(pipeline, "_materialisation_worker", lambda *a: time.sleep(60))
+    # the race runs in this process and starts none: the budget runs out
+    # while the automata poll, which runs materialisation's rounds
+    forbid_processes(monkeypatch)
     raced = []
 
-    def automata_outlast_the_budget(*a, **k):
+    def automata_outlast_the_budget(*a, cancelled):
         raced.append(multiprocessing.active_children())
         signal.setitimer(signal.ITIMER_REAL, 0.01)
-        time.sleep(60)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            cancelled()
 
     monkeypatch.setattr(pipeline, "consistent", automata_outlast_the_budget)
     code, out, err = run(capsys, "check", *party_files(tmp_path), "--timeout", "60")
     assert (code, out) == (3, "")
     assert err.startswith("error: wall-clock budget of 60 s exhausted")
-    assert [len(children) for children in raced] == [1]
+    assert raced == [[]]
     assert multiprocessing.active_children() == []
 
 
+def test_race_check_timeout_inside_a_materialisation_round_exits_3(capsys, monkeypatch, tmp_path):
+    # the budget runs out inside a round that the automata's poll runs: the
+    # race must not take the timeout for a failed round
+    outlasting = []
+
+    def automata_poll(*a, cancelled):
+        outlasting.append(True)
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline and not cancelled():
+            pass
+
+    apply_rules = pipeline.apply_rules
+
+    def round_outlasts_the_budget(*a):
+        if outlasting:  # not the pre-materialisation round
+            signal.setitimer(signal.ITIMER_REAL, 0.01)
+            time.sleep(60)
+        return apply_rules(*a)
+
+    monkeypatch.setattr(pipeline, "consistent", automata_poll)
+    monkeypatch.setattr(pipeline, "apply_rules", round_outlasts_the_budget)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", *party_files(tmp_path), "--timeout", "60")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: wall-clock budget of 60 s exhausted")
+    assert time.perf_counter() - t0 < 30
+
+
 def test_one_way_check_timeout_exits_3_with_no_child(capsys, monkeypatch):
-    # birthday propagates forward, so the query finishes here with no fork;
-    # the budget runs out while the automata run
+    # birthday propagates forward, so the query finishes sequentially; the
+    # budget runs out while the automata run
     raced = []
 
     def automata_outlast_the_budget(*a, **k):
@@ -580,9 +611,9 @@ def test_help_documents_grammar(capsys):
 
 
 def test_race_without_an_answer_exits_3(tmp_path):
-    # the automata reject the unbounded BOXMINUS in a rule body and the forked
-    # child never reaches the query, so neither engine answers; the
-    # DIAMONDPLUS makes the program mixed, so the race forks
+    # the automata reject the unbounded BOXMINUS in a rule body and
+    # materialisation never reaches the query, so neither engine answers;
+    # the DIAMONDPLUS makes the program mixed, so it races
     text = "BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) .\n"
     assert propagation(parse_program(text)) == 0
     prog = tmp_path / "p.dmtl"
@@ -601,9 +632,22 @@ def test_race_without_an_answer_exits_3(tmp_path):
     assert "limit:" in done.stderr
 
 
+@pytest.mark.parametrize("mode", [(), ("--sequential",)], ids=["race", "sequential"])
+@pytest.mark.parametrize("files", [
+    lambda tmp_path: ("--program", fix("birthday.dmtl"), "--data", fix("birthday.dtf"),
+                      "--fact", "Bday(a)@(-inf,+inf)"),
+    lambda tmp_path: party_files(tmp_path, "Party(a)@(-inf,+inf)"),
+], ids=["one-way", "mixed"])
+def test_check_of_a_query_unbounded_on_both_sides_exits_3(capsys, tmp_path, files, mode):
+    # materialisation never covers the query, and the automata's reduction
+    # rejects it: an unsupported shape, not malformed input
+    code, out, err = run(capsys, "check", *files(tmp_path), "--max-rounds", "5", *mode)
+    assert (code, out) == (3, "")
+    assert err == "limit: query intervals unbounded on both sides are unsupported\n"
+
+
 def test_race_check_json_through_a_pipe_prints_one_document(tmp_path):
-    # stdout is a block-buffered pipe here, which the race's forked child
-    # inherits; the answer must still come out once
+    # stdout is a block-buffered pipe here; the answer must come out once
     done = subprocess.run(
         [sys.executable, "-m", "datalogmtl.cli", "check", *party_files(tmp_path), "--json"],
         capture_output=True, text=True, env=block_buffered_env(), timeout=30,

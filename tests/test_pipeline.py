@@ -1,23 +1,20 @@
 """End-to-end entailment: fast path, pre-materialisation, which settles
-non-recursive subprograms, sequential finish, and the race between a forked
-materialisation child and the automata."""
+non-recursive subprograms, sequential finish, and the race in one process,
+where the automata's cancellation poll runs materialisation's rounds."""
 
-import errno
 import multiprocessing
-import os
-import signal
-import subprocess
-import sys
+from types import SimpleNamespace
 
 import pytest
 
-from datalogmtl import cli, pipeline
+from datalogmtl import pipeline
+from datalogmtl.automata import Cancelled
 from datalogmtl.intervals import make
 from datalogmtl.pipeline import check_entailment, pre_materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import parse_dataset, parse_fact, parse_program
 
-from helpers import block_buffered_env, load_dataset, load_program
+from helpers import forbid_processes, load_dataset, load_program
 
 
 def store_of(text):
@@ -118,9 +115,9 @@ def test_race_mode_agrees_with_sequential():
 
 
 def test_one_way_race_answers_by_materialisation_when_the_automata_reject_the_program():
-    # the program is forward, so race mode runs the sequential finish in the
-    # caller, with no fork: the automata raise on the unbounded DIAMONDMINUS,
-    # and the finish's rounds derive the target (the forked case is
+    # the program is forward, so race mode runs the sequential finish: the
+    # automata raise on the unbounded DIAMONDMINUS, and the finish's rounds
+    # derive the target (the mixed case is
     # test_race_of_a_mixed_program_waits_for_the_child_when_the_automata_fail)
     prog = parse_program(
         "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), P(X) ."
@@ -133,7 +130,7 @@ def test_one_way_race_answers_by_materialisation_when_the_automata_reject_the_pr
 
 # the automata reject the unbounded BOXMINUS and materialisation never
 # reaches the query, so neither engine answers; the DIAMONDPLUS makes the
-# program mixed, so the race forks
+# program mixed, so it races
 NO_ANSWER_PROGRAM = (
     "BOXPLUS[1,1] P(X) :- P(X) .\nQ(X) :- BOXMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) ."
 )
@@ -159,17 +156,15 @@ def test_queries_leave_the_loaded_store_unchanged():
 
 
 # birthday with a rule that looks ahead, so the program propagates both ways
-# and the race forks; Party(t) never holds at -2, and only the automata can
+# and races; Party(t) never holds at -2, and only the automata can
 # tell, as for Bday(t) at 1/2 on birthday alone
 PARTY_PROGRAM = "BOXPLUS[1,1] Bday(X) :- Bday(X) .\nParty(X) :- DIAMONDPLUS[0,1] Bday(X) ."
 PARTY_QUERY = "Party(t)@[-2,-2]"
 
 
-def test_race_leaves_no_child():
-    r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
-                         parse_fact(PARTY_QUERY))
-    assert r.winner == "automata" and multiprocessing.active_children() == []
-
+def test_race_leaves_no_child(monkeypatch):
+    # neither engine answers, and no process was started on the way
+    forbid_processes(monkeypatch)
     with pytest.raises(NotImplementedError):
         check_entailment(parse_program(NO_ANSWER_PROGRAM), store_of("P(a)@[0,0]"),
                          parse_fact("Q(a)@[5,5]"), round_budget=50)
@@ -177,96 +172,93 @@ def test_race_leaves_no_child():
 
 
 def test_race_ignores_a_child_without_an_answer():
-    # the child runs out of its zero-round budget at once; the automata answer
+    # a zero-round budget leaves materialisation no turn: the automata
+    # answer, and only the pre-materialisation round counts
     r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
                          parse_fact(PARTY_QUERY), round_budget=0)
-    assert (r.answer, r.winner) == (False, "automata")
+    assert (r.answer, r.fact_type, r.rounds, r.winner) == (False, "T5", 1, "automata")
 
 
-def test_race_child_that_dies_gives_no_answer(monkeypatch):
-    monkeypatch.setattr(pipeline, "materialise", lambda *a, **k: os._exit(1))
-    with pytest.raises(NotImplementedError):
-        check_entailment(parse_program(NO_ANSWER_PROGRAM), store_of("P(a)@[0,0]"),
-                         parse_fact("Q(a)@[5,5]"))
-    assert multiprocessing.active_children() == []
+def test_a_mixed_race_answers_in_one_process(monkeypatch):
+    forbid_processes(monkeypatch)
+    party = parse_program(PARTY_PROGRAM)
+    r = check_entailment(party, store_of("Bday(t)@[0,0]"), parse_fact(PARTY_QUERY))
+    assert (r.answer, r.fact_type, r.winner) == (False, "T5", "automata")
+    # both engines can answer this one, so only the answer is pinned
+    r = check_entailment(party, store_of("Bday(t)@[0,0]"), parse_fact("Party(t)@[50,50]"))
+    assert r.answer and "race" in r.timings
+    r = check_entailment(parse_program(MIXED_PROGRAM_THE_AUTOMATA_REJECT), store_of("P(a)@[0,0]"),
+                         parse_fact("P2(a)@[5,5]"))
+    assert (r.answer, r.fact_type, r.winner) == (True, "T4", "materialisation")
 
 
-def _blocked():
-    return signal.pthread_sigmask(signal.SIG_BLOCK, [])
+def test_the_race_runs_materialisation_rounds_in_the_automata_poll(monkeypatch):
+    # automata that only poll get no answer of their own: the rounds run in
+    # their polls derive Party(t)@[5,5], as in sequential mode, after the
+    # pre-materialisation round and five more
+    def poll_until_cancelled(program, dataset, *, cancelled):
+        while not cancelled():
+            pass
+        raise Cancelled()
+
+    monkeypatch.setattr(pipeline, "consistent", poll_until_cancelled)
+    query = parse_fact("Party(t)@[5,5]")
+    r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"), query)
+    assert (r.answer, r.fact_type, r.rounds, r.winner) == (True, "T4", 6, "materialisation")
+    s = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"), query,
+                         sequential=True)
+    assert (s.fact_type, s.rounds) == ("T4", 6)
 
 
-def test_race_reaps_a_child_that_a_signal_interrupts_mid_fork(monkeypatch):
-    # the wall-clock budget running out just after the fork, before
-    # child.start() returns, must still leave the child killed and reaped
-    process = multiprocessing.get_context("fork").Process
-    start = process.start
+def test_a_race_round_runs_once_the_automata_have_run_as_long_as_the_last_one(monkeypatch):
+    # on a clock where a round takes 1 and a poll 1/4, the automata poll
+    # four times per round, and the first poll runs the first round
+    now = [0.0]
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    apply_rules = pipeline.apply_rules
 
-    def interrupted_start(child):
-        start(child)
-        assert signal.SIGALRM in _blocked()
-        raise cli.WallClockExceeded("budget exhausted")
+    def round_taking_1(*args):
+        now[0] += 1
+        return apply_rules(*args)
 
-    monkeypatch.setattr(process, "start", interrupted_start)
-    with pytest.raises(cli.WallClockExceeded):
-        check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
+    ran = []
+
+    def automata(program, dataset, *, cancelled):
+        for _ in range(12):
+            now[0] += 0.25
+            before = now[0]
+            cancelled()
+            ran.append(now[0] > before)
+        return True
+
+    monkeypatch.setattr(pipeline, "apply_rules", round_taking_1)
+    monkeypatch.setattr(pipeline, "consistent", automata)
+    r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
                          parse_fact(PARTY_QUERY))
-    assert multiprocessing.active_children() == []
-    assert signal.SIGALRM not in _blocked()
+    assert [poll for poll, round_ran in enumerate(ran, 1) if round_ran] == [1, 5, 9]
+    assert (r.answer, r.fact_type, r.rounds, r.winner) == (False, "T5", 4, "automata")
 
 
-def test_race_that_cannot_fork_raises_the_fork_error(monkeypatch):
-    def fork_fails(child):
-        raise OSError(errno.EAGAIN, "fork failed")
+def test_an_error_in_a_race_round_ends_only_materialisation_rounds(monkeypatch):
+    # the pre-materialisation round runs; the first round in the race
+    # raises, and no later poll runs another
+    apply_rules, calls = pipeline.apply_rules, []
 
-    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_fails)
-    with pytest.raises(OSError, match="fork failed"):
-        check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
+    def fails_after_one_round(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError("round failed")
+        return apply_rules(*args)
+
+    monkeypatch.setattr(pipeline, "apply_rules", fails_after_one_round)
+    r = check_entailment(parse_program(PARTY_PROGRAM), store_of("Bday(t)@[0,0]"),
                          parse_fact(PARTY_QUERY))
-    assert signal.SIGALRM not in _blocked()
-
-
-class _Unpicklable(Exception):
-    def __init__(self):
-        super().__init__("no")
-        self.hook = lambda: None
-
-
-def test_materialisation_worker_sends_an_unpicklable_error_as_its_repr(monkeypatch):
-    def fail(*args, **kwargs):
-        raise _Unpicklable()
-
-    monkeypatch.setattr(pipeline, "materialise", fail)
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    pipeline._materialisation_worker(sender, None, None, None, 0, 10)
-    message = receiver.recv()
-    assert type(message) is RuntimeError and str(message) == repr(_Unpicklable())
-
-
-def test_race_does_not_repeat_buffered_output():
-    # output still buffered in the parent when the race forks is written
-    # once, also when the child exits on its own (here at once, with no
-    # rounds to run) instead of being killed
-    script = (
-        "from datalogmtl.pipeline import check_entailment\n"
-        "from datalogmtl.store import FactStore\n"
-        "from datalogmtl.syntax import parse_dataset, parse_fact, parse_program\n"
-        "print('before')\n"
-        f"r = check_entailment(parse_program({PARTY_PROGRAM!r}),\n"
-        "    FactStore.from_facts(parse_dataset('Bday(t)@[0,0]')),\n"
-        f"    parse_fact({PARTY_QUERY!r}), round_budget=0)\n"
-        "print(r.winner)\n"
-    )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=block_buffered_env(), timeout=30)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "before\nautomata\n"
+    assert (r.answer, r.fact_type, r.rounds, r.winner) == (False, "T5", 1, "automata")
+    assert len(calls) == 2
 
 
 def test_one_way_programs_answer_without_forking(monkeypatch):
-    def fork_fails(child):
-        raise OSError(errno.EAGAIN, "fork failed")
-
-    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_fails)
+    forbid_processes(monkeypatch)
     birthday = load_program("birthday")
     for query, want in (("Bday(t)@[1/2,1/2]", (False, "T5", "automata")),
                         ("Bday(t)@[5,5]", (True, "T4", "materialisation"))):
@@ -278,18 +270,19 @@ def test_one_way_programs_answer_without_forking(monkeypatch):
     assert (r.answer, r.fact_type, r.winner) == (False, "T5", "automata")
 
 
-def test_race_of_a_mixed_program_waits_for_the_child_when_the_automata_fail(monkeypatch):
-    # the automata raise on the unbounded DIAMONDMINUS, and the forked child
-    # derives the target
-    process = multiprocessing.get_context("fork").Process
-    start, forks = process.start, []
-    monkeypatch.setattr(process, "start", lambda child: forks.append(child) or start(child))
-    prog = parse_program(
-        "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) ."
-    )
-    r = check_entailment(prog, store_of("P(a)@[0,0]"), parse_fact("P2(a)@[5,5]"))
-    assert (r.answer, r.fact_type, r.winner) == (True, "T4", "materialisation")
-    assert len(forks) == 1 and multiprocessing.active_children() == []
+# the automata raise on the unbounded DIAMONDMINUS, and the DIAMONDPLUS makes
+# the program mixed, so only the race's materialisation rounds can answer
+MIXED_PROGRAM_THE_AUTOMATA_REJECT = (
+    "BOXPLUS[1,1] P(X) :- P(X) .\nP2(X) :- DIAMONDMINUS[0,+inf) P(X), DIAMONDPLUS[0,1] P(X) ."
+)
+
+
+def test_race_of_a_mixed_program_waits_for_the_child_when_the_automata_fail():
+    # once the automata raise, materialisation runs its rounds alone and
+    # derives the target, in as many rounds as in sequential mode
+    r = check_entailment(parse_program(MIXED_PROGRAM_THE_AUTOMATA_REJECT), store_of("P(a)@[0,0]"),
+                         parse_fact("P2(a)@[5,5]"))
+    assert (r.answer, r.fact_type, r.rounds, r.winner) == (True, "T4", 6, "materialisation")
 
 
 def test_sequential_birthday_stops_once_the_query_is_out_of_reach():
@@ -324,10 +317,7 @@ def test_an_unbounded_query_stops_at_its_first_uncovered_point(program, query, s
 def test_pre_materialisation_answers_a_recursive_query(monkeypatch, program, data, query, inconsistent, sequential):
     # the first round derives the query, or BOTTOM, which entails every fact:
     # neither finish runs and nothing forks
-    def fork_fails(child):
-        raise OSError(errno.EAGAIN, "fork failed")
-
-    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_fails)
+    forbid_processes(monkeypatch)
     r = check_entailment(parse_program(program), store_of(data), parse_fact(query), sequential=sequential)
     assert (r.answer, r.fact_type, r.rounds, r.winner) == (True, "T4", 1, "materialisation")
     assert r.inconsistent is inconsistent
