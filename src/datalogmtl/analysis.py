@@ -7,16 +7,17 @@ part of every relevant subprogram, since they can fire inconsistency.
 `propagation` classifies a program by the direction in which its rules carry
 facts along the timeline.  `instance_granularity` and `total_reach` measure
 an instance's time scale and its operators' combined reach.  All three read
-`operator_nodes`, the one walk over a metric atom's operators.
+`syntax.operator_nodes`, a filter of `syntax.nodes`, the one walk over a
+metric atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .intervals import Bound, gcd_rationals, is_finite, rational
-from .syntax import BinaryOp, Fact, MetricAtom, Program, UnaryOp
+from .syntax import Fact, MetricAtom, Program, operator_nodes
 
 
 @dataclass(frozen=True)
@@ -89,18 +90,6 @@ def relevant_rules(program: Program, predicate: str) -> Program:
         if any(info.edges[v] & keep for v in comp):
             keep |= comp
     return Program(tuple(r for r in program.rules if r.head_predicate() in keep))
-
-
-def operator_nodes(m: MetricAtom) -> Iterator[UnaryOp | BinaryOp]:
-    """The UnaryOp and BinaryOp nodes of m, outermost first, a left operand
-    before the right one."""
-    if isinstance(m, UnaryOp):
-        yield m
-        yield from operator_nodes(m.sub)
-    elif isinstance(m, BinaryOp):
-        yield m
-        yield from operator_nodes(m.left)
-        yield from operator_nodes(m.right)
 
 
 def propagation(program: Program) -> int:

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .analysis import _operator_bounds, instance_granularity, operator_nodes, total_reach
+from .analysis import _operator_bounds, instance_granularity, total_reach
 from .evaluation import apply_operator, reverse_head
 from .intervals import (
     Bound,
@@ -89,6 +89,8 @@ from .syntax import (
     Rule,
     UnaryOp,
     ground,
+    head_parts,
+    operator_nodes,
     relational_atoms,
 )
 
@@ -108,7 +110,6 @@ class SearchBudgetExceeded(RuntimeError):
 class ReductionOutput:
     program: Program
     dataset: tuple[Fact, ...]
-    fresh_predicate: str
 
 
 def _fresh_predicate(program: Program, dataset: Sequence[Fact]) -> str:
@@ -126,9 +127,10 @@ def entail_to_inconsist(
 ) -> ReductionOutput:
     """Reduce fact entailment to inconsistency of an extended instance.
 
-    Adds BOTTOM :- Q_f, B and Q_f@[p,p], where B holds at the anchor p iff
-    the query atom holds throughout the query interval.  Query intervals
-    unbounded on both sides raise NotImplementedError.
+    Adds BOTTOM :- Q_f, B and Q_f@[p,p], the last fact of the dataset,
+    where B holds at the anchor p iff the query atom holds throughout the
+    query interval.  Query intervals unbounded on both sides raise
+    NotImplementedError.
     """
     rho = query.interval
     m = Rel(query.atom)
@@ -149,14 +151,9 @@ def entail_to_inconsist(
         b = UnaryOp("BOXMINUS", make(0, POS_INF, rho.right_open, True), m)
     else:
         raise NotImplementedError("query intervals unbounded on both sides are unsupported")
-    fresh = _fresh_predicate(program, dataset)
-    qf = RelationalAtom(fresh, ())
+    qf = RelationalAtom(_fresh_predicate(program, dataset), ())
     rule = Rule(Bottom(), (Rel(qf), b))
-    return ReductionOutput(
-        Program(program.rules + (rule,)),
-        tuple(dataset) + (Fact(qf, point(p)),),
-        fresh,
-    )
+    return ReductionOutput(Program(program.rules + (rule,)), tuple(dataset) + (Fact(qf, point(p)),))
 
 
 # ---------------------------------------------------------------- unit ruler
@@ -293,17 +290,14 @@ class _Templates:
             body = tuple(index[lit] for lit in rule.body)
             reaches = tuple(2 * _literal_reach(lit) for lit in rule.body)
             self.margin = max(self.margin, 2 * _literal_reach(rule.head), *reaches)
-            m, boxes = rule.head, []
-            while isinstance(m, UnaryOp):
-                boxes.append(m)
-                m = m.sub
-            if not isinstance(m, Rel):
+            boxes, base = head_parts(rule.head)
+            if not isinstance(base, Rel):
                 self.checks.append((body, None))
                 continue
             region = _offsets(lambda iv: reverse_head(rule.head, [iv])[0].interval)
-            self.checks.append((body, (m.atom.key(), region)))
+            self.checks.append((body, (base.atom.key(), region)))
             fire = _offsets(lambda iv: _firing(boxes, iv))
-            self.by_head.setdefault(m.atom.key(), []).append((body, reaches, fire))
+            self.by_head.setdefault(base.atom.key(), []).append((body, reaches, fire))
 
     def _node(self, m: MetricAtom) -> tuple:
         if isinstance(m, Rel):

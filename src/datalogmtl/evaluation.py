@@ -38,6 +38,7 @@ from .syntax import (
     UnaryOp,
     Variable,
     atom_variables,
+    head_parts,
     relational_atoms,
     substitute,
 )
@@ -210,13 +211,12 @@ def reverse_head(head: MetricAtom, intervals: IntervalList) -> list:
     coalesced list.  `head` is a `Rule`'s head, which `Rule` has checked:
     BOXMINUS and BOXPLUS boxes over BOTTOM or one relational atom.
     """
-    m = head
-    while isinstance(m, UnaryOp):
-        intervals = shift("minus" if m.op == "BOXMINUS" else "plus", intervals, m.interval)
-        m = m.sub
-    if isinstance(m, Bottom):
+    boxes, base = head_parts(head)
+    for box in boxes:
+        intervals = shift("minus" if box.op == "BOXMINUS" else "plus", intervals, box.interval)
+    if isinstance(base, Bottom):
         return [("bottom", iv) for iv in intervals]
-    return [Fact(m.atom, iv) for iv in intervals]
+    return [Fact(base.atom, iv) for iv in intervals]
 
 
 def _join_order(body: tuple[MetricAtom, ...]) -> list[MetricAtom]:

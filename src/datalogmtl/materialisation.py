@@ -63,6 +63,20 @@ def apply_rules(
     return out
 
 
+def round_status(store: FactStore, target: Optional[Fact], grown: Optional[set]) -> Optional[str]:
+    """How materialisation ends at `store`, or None when it goes on:
+    Inconsistent once BOTTOM is derived, TargetEntailed once the target is,
+    Fixpoint once a round grows nothing.  `grown` holds the keys the round
+    that produced `store` grew, or is None before the first round."""
+    if store.contains_bottom:
+        return "Inconsistent"
+    if target is not None and store.entails_fact(target):
+        return "TargetEntailed"
+    if grown is not None and not grown:
+        return "Fixpoint"
+    return None
+
+
 def _new_point_bound(old: list[Interval], new: list[Interval], direction: int):
     """For coalesced lists with `old` covered by `new`: the infimum
     (direction 1) or supremum (-1) of the points that `new` covers and
@@ -123,10 +137,9 @@ def materialise(
     mirror, before the last uncovered target point; a program that
     propagates both ways (0) never stops early.
     """
-    if store.contains_bottom:
-        return MaterialisationOutcome(store, "Inconsistent", 0)
-    if target is not None and store.entails_fact(target):
-        return MaterialisationOutcome(store, "TargetEntailed", 0)
+    status = round_status(store, target, None)
+    if status is not None:
+        return MaterialisationOutcome(store, status, 0)
     direction = propagation(program) if target is not None else 0
     rounds = 0
     changed = None
@@ -136,13 +149,10 @@ def materialise(
         grown: set = set()
         new = apply_rules(program, store, changed, grown, horizon)
         rounds += 1
-        if new.contains_bottom:
-            return MaterialisationOutcome(new, "Inconsistent", rounds)
-        if target is not None and new.entails_fact(target):
-            return MaterialisationOutcome(new, "TargetEntailed", rounds)
-        if not grown:
-            return MaterialisationOutcome(new, "Fixpoint", rounds)
-        if direction and _out_of_reach(store, new, grown, target, direction):
-            return MaterialisationOutcome(new, "OutOfReach", rounds)
+        status = round_status(new, target, grown)
+        if status is None and direction and _out_of_reach(store, new, grown, target, direction):
+            status = "OutOfReach"
+        if status is not None:
+            return MaterialisationOutcome(new, status, rounds)
         store, changed = new, {k[0] for k in grown}
     return MaterialisationOutcome(store, "RoundLimit", rounds)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .analysis import dependency_info, is_recursive, propagation, relevant_rules
 from .automata import consistent, entail_to_inconsist
-from .materialisation import apply_rules, materialise
+from .materialisation import apply_rules, materialise, round_status
 from .store import FactStore
 from .syntax import Fact, Program
 
@@ -66,19 +66,14 @@ def pre_materialise(
 def _steps(program: Program, store: FactStore, target: Fact | None):
     """Delta-driven materialisation rounds from `store`, one per `next`, as
     in `materialise`.  Each yields (store, status, changed): `changed` names
-    the predicates the round grew, and status is Inconsistent,
-    TargetEntailed or Fixpoint on the last round, None before it."""
+    the predicates the round grew, and status is the round's
+    `round_status`, which is None on every round but the last."""
     changed, status = None, None
     while status is None:
         grown: set = set()
         store = apply_rules(program, store, changed, grown)
         changed = {k[0] for k in grown}
-        if store.contains_bottom:
-            status = "Inconsistent"
-        elif target is not None and store.entails_fact(target):
-            status = "TargetEntailed"
-        elif not grown:
-            status = "Fixpoint"
+        status = round_status(store, target, grown)
         yield store, status, changed
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import KeysView, Optional, Sequence, Union
+from typing import Iterator, KeysView, Optional, Sequence, Union
 
 from .intervals import (
     EMPTY,
@@ -79,14 +79,11 @@ class RelationalAtom:
 
     def key(self) -> tuple[str, tuple[str, ...]]:
         # built once per atom object and kept outside the fields, so ==,
-        # hash and repr ignore it, and __getstate__ leaves it out of pickles
+        # hash and repr ignore it
         k = self.__dict__.get("_key")
         if k is None:
             k = self.__dict__["_key"] = (self.predicate, tuple(a.name for a in self.args))
         return k
-
-    def __getstate__(self):
-        return {"predicate": self.predicate, "args": self.args}
 
     def __str__(self):
         if not self.args:
@@ -152,25 +149,36 @@ def _paren(m: MetricAtom) -> str:
     return str(m)
 
 
-def atom_variables(m: MetricAtom) -> set[Variable]:
-    if isinstance(m, Rel):
-        return m.atom.variables()
-    if isinstance(m, UnaryOp):
-        return atom_variables(m.sub)
-    if isinstance(m, BinaryOp):
-        return atom_variables(m.left) | atom_variables(m.right)
-    return set()
+def nodes(m: MetricAtom) -> Iterator[MetricAtom]:
+    """m and every metric atom nested in it, in preorder: a node before its
+    operands, a left operand before the right one, so relational atoms come
+    in reading order and operators outermost first."""
+    stack = [m]
+    while stack:
+        n = stack.pop()
+        yield n
+        if isinstance(n, UnaryOp):
+            stack.append(n.sub)
+        elif isinstance(n, BinaryOp):
+            stack += (n.right, n.left)
 
 
 def relational_atoms(m: MetricAtom) -> list[RelationalAtom]:
     """All relational atoms nested anywhere inside m, in reading order."""
+    # a plain atom skips the walk: rounds, joins and rule checks call this often
     if isinstance(m, Rel):
         return [m.atom]
-    if isinstance(m, UnaryOp):
-        return relational_atoms(m.sub)
-    if isinstance(m, BinaryOp):
-        return relational_atoms(m.left) + relational_atoms(m.right)
-    return []
+    return [n.atom for n in nodes(m) if isinstance(n, Rel)]
+
+
+def atom_variables(m: MetricAtom) -> set[Variable]:
+    return {v for a in relational_atoms(m) for v in a.variables()}
+
+
+def operator_nodes(m: MetricAtom) -> Iterator[UnaryOp | BinaryOp]:
+    """The UnaryOp and BinaryOp nodes of m, outermost first, a left operand
+    before the right one."""
+    return (n for n in nodes(m) if isinstance(n, (UnaryOp, BinaryOp)))
 
 
 def substitute(m: MetricAtom, sigma: dict[Variable, Constant]) -> MetricAtom:
@@ -184,13 +192,19 @@ def substitute(m: MetricAtom, sigma: dict[Variable, Constant]) -> MetricAtom:
     return m
 
 
+def head_parts(head: MetricAtom) -> tuple[list[UnaryOp], MetricAtom]:
+    """A head's boxes, outermost first, and the atom under them."""
+    boxes = []
+    while isinstance(head, UnaryOp):
+        boxes.append(head)
+        head = head.sub
+    return boxes, head
+
+
 def is_valid_head(m: MetricAtom) -> bool:
     """Heads are Bottom, Rel, or (nested) boxes over those."""
-    if isinstance(m, (Bottom, Rel)):
-        return True
-    if isinstance(m, UnaryOp) and m.op in ("BOXMINUS", "BOXPLUS"):
-        return is_valid_head(m.sub)
-    return False
+    boxes, base = head_parts(m)
+    return isinstance(base, (Bottom, Rel)) and all(b.op in ("BOXMINUS", "BOXPLUS") for b in boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +235,8 @@ class Rule:
         return out
 
     def head_predicate(self) -> Optional[str]:
-        m = self.head
-        while isinstance(m, UnaryOp):
-            m = m.sub
-        if isinstance(m, Rel):
-            return m.atom.predicate
-        return None  # Bottom
+        base = head_parts(self.head)[1]
+        return base.atom.predicate if isinstance(base, Rel) else None  # Bottom
 
     def body_predicates(self) -> set[str]:
         out = set()

@@ -72,7 +72,7 @@ def test_reduction_punctual_query():
     rule = red.program.rules[-1]
     assert rule.head_predicate() is None
     qf, b = rule.body
-    assert qf.atom.predicate == red.fresh_predicate
+    assert qf.atom == red.dataset[-1].atom
     assert b == Rel(parse_fact("Bday(t)@[0,0]").atom)
     assert red.dataset[-1].interval == point(2)
 
@@ -114,7 +114,7 @@ def test_reduction_rejects_doubly_unbounded():
 def test_reduction_fresh_predicate_avoids_collisions():
     prog = parse_program("P(X) :- QF(X) .")
     red = entail_to_inconsist(prog, facts_of("QF1(a)@[0,1]"), parse_fact("P(a)@[0,0]"))
-    assert red.fresh_predicate not in {"QF", "QF1"}
+    assert red.dataset[-1].atom.predicate not in {"QF", "QF1"}
 
 
 # -- unit ruler

@@ -1,6 +1,7 @@
 """Parser, printer, safety checking, grounding, and arity checking."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,14 +21,20 @@ from datalogmtl.syntax import (
     SyntaxFault,
     UnaryOp,
     Variable,
+    atom_variables,
     check_arities,
     ground,
+    head_parts,
     is_predicate_name,
+    is_valid_head,
+    nodes,
+    operator_nodes,
     parse_dataset,
     parse_fact,
     parse_program,
     print_dataset,
     print_program,
+    relational_atoms,
 )
 
 from helpers import rand_fact, rand_program
@@ -60,6 +67,48 @@ def test_parse_unsafe_rule_rejected():
 def test_parse_forbidden_head_operator():
     with pytest.raises(SyntaxFault):
         parse_program("DIAMONDMINUS[0,1] P(X) :- Q(X) .")
+
+
+@pytest.mark.parametrize(
+    "text, preorder",
+    [
+        (
+            "(P(X) SINCE[0,1] DIAMONDMINUS[1,2] Q(a)) UNTIL[0,3] BOXPLUS[0,1] R(X,Y)",
+            ["UNTIL", "SINCE", "P(X)", "DIAMONDMINUS", "Q(a)", "BOXPLUS", "R(X,Y)"],
+        ),
+        (
+            "BOXMINUS[0,1] P(X) SINCE[0,1] (DIAMONDPLUS[0,1] Q(X) UNTIL[0,1] R(X,Y))",
+            ["SINCE", "BOXMINUS", "P(X)", "UNTIL", "DIAMONDPLUS", "Q(X)", "R(X,Y)"],
+        ),
+    ],
+)
+def test_walk_reads_atoms_in_printed_order_and_operators_outermost_first(text, preorder):
+    m = parse_program(f"Out :- {text} .").rules[0].body[0]
+    # each node before its operands, a left operand before the right one
+    assert [str(n) if isinstance(n, Rel) else n.op for n in nodes(m)] == preorder
+    assert [str(a) for a in relational_atoms(m)] == re.findall(r"\w+\([^()]*\)", str(m))
+    assert [n.op for n in operator_nodes(m)] == [x for x in preorder if "(" not in x]
+    assert atom_variables(m) == {Variable("X"), Variable("Y")}
+    assert list(nodes(Bottom())) == [Bottom()] and relational_atoms(Bottom()) == []
+
+
+def test_head_parts_splits_nested_boxes():
+    rule = parse_program("BOXMINUS[1,1] BOXPLUS[0,2] H(X) :- G(X) .").rules[0]
+    boxes, base = head_parts(rule.head)
+    assert [(b.op, b.interval) for b in boxes] == [("BOXMINUS", make(1, 1)), ("BOXPLUS", make(0, 2))]
+    assert base == Rel(RelationalAtom("H", (Variable("X"),)))
+    assert rule.head_predicate() == "H" and is_valid_head(rule.head)
+    assert head_parts(Bottom()) == ([], Bottom())
+
+
+def test_is_valid_head_rejects_a_diamond_box():
+    atom = Rel(RelationalAtom("H", (Variable("X"),)))
+    head = UnaryOp("BOXMINUS", make(1, 1), UnaryOp("DIAMONDPLUS", make(0, 2), atom))
+    assert [b.op for b in head_parts(head)[0]] == ["BOXMINUS", "DIAMONDPLUS"]
+    assert not is_valid_head(head)
+    assert not is_valid_head(UnaryOp("BOXPLUS", make(0, 1), BinaryOp("SINCE", make(0, 1), atom, atom)))
+    with pytest.raises(SyntaxFault, match="forbidden operator in rule head"):
+        parse_program("BOXMINUS[1,1] DIAMONDPLUS[0,2] H(X) :- G(X) .")
 
 
 def test_parse_negative_operator_bound_rejected():
