@@ -92,27 +92,22 @@ def _since(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
         out.extend(right)
     rho_pos = _positive_part(rho)
     if not rho_pos.is_empty:
-        d_left, d_right = rho_pos.left, rho_pos.right
-        d_left_open, d_right_open = rho_pos.left_open, rho_pos.right_open
-        for t1, near in _sweep(left, right):
+        d_left, d_right, d_left_open, d_right_open = rho_pos
+        for (start, cap, _, _), near in _sweep(left, right):
             # witnesses may sit at the (possibly excluded) left endpoint of
             # t1 but strictly before its right endpoint; the result point may
             # coincide with t1's right endpoint even when t1 is right-open.
             # Each pair's candidate is built from its bounds directly: the
             # witnesses w = t2 & [t1.left, t1.right), shifted by rho_pos,
-            # capped at (-inf, t1.right].
-            start, start_open = t1.left, _inf_open(t1.left)
-            cap, cap_open = t1.right, _inf_open(t1.right)
-            for t2 in near:
-                if t2.left > start:
-                    wl, wl_open = t2.left, t2.left_open
-                elif t2.left < start:
+            # capped at (-inf, t1.right].  t1's ends are start and cap, and
+            # w starts as t2's ends.
+            start_open, cap_open = _inf_open(start), _inf_open(cap)
+            for wl, wr, wl_open, wr_open in near:
+                if wl < start:
                     wl, wl_open = start, start_open
-                else:
-                    wl, wl_open = start, start_open or t2.left_open
-                if t2.right < cap:
-                    wr, wr_open = t2.right, t2.right_open
-                else:
+                elif wl == start:
+                    wl_open = wl_open or start_open
+                if cap <= wr:
                     wr, wr_open = cap, True
                 if wr < wl or (wr == wl and (wl_open or wr_open)):
                     continue
@@ -177,24 +172,25 @@ def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
     out: IntervalList = []
     i = j = 0
     while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x.left < y.left:
-            left, left_open = y.left, y.left_open
-        elif y.left < x.left:
-            left, left_open = x.left, x.left_open
+        xl, xr, xl_open, xr_open = a[i]
+        yl, yr, yl_open, yr_open = b[j]
+        if xl < yl:
+            left, left_open = yl, yl_open
+        elif yl < xl:
+            left, left_open = xl, xl_open
         else:
-            left, left_open = x.left, x.left_open or y.left_open
+            left, left_open = xl, xl_open or yl_open
         # advance the cursor whose interval ends first; on equal right
         # bounds either may go, as neither meets the other's successor
-        if x.right < y.right:
-            right, right_open = x.right, x.right_open
+        if xr < yr:
+            right, right_open = xr, xr_open
             i += 1
-        elif y.right < x.right:
-            right, right_open = y.right, y.right_open
+        elif yr < xr:
+            right, right_open = yr, yr_open
             j += 1
         else:
-            right, right_open = x.right, x.right_open or y.right_open
-            if x.right_open <= y.right_open:
+            right, right_open = xr, xr_open or yr_open
+            if xr_open <= yr_open:
                 i += 1
             else:
                 j += 1

@@ -4,20 +4,25 @@ Finite endpoints are exact rationals in one canonical form: an `int` when the
 value is integral, a `fractions.Fraction` only when it is not (see
 `rational`), so inputs whose endpoints are all integers never build a
 Fraction.  The infinite ones are the two float constants NEG_INF and POS_INF,
-so bounds compare with the built-in operators.  All interval values are
-immutable; the empty interval is the single module-level EMPTY object.
-The list kernels `shift` and `reflect` map a coalesced list to a coalesced
-list in one pass, and `coalesce` builds one, in one pass when its input
-comes in order.
+so bounds compare with the built-in operators.
+
+An `Interval` is an immutable named 4-tuple (left, right, left_open,
+right_open): it is built at tuple cost, it equals and hashes as that tuple,
+and the kernels unpack it in one step.  Intervals do not order (`<` raises
+TypeError); sorting goes through `sort_key`.  The empty interval is the
+single module-level EMPTY object.  The list kernels `shift` and `reflect`
+map a coalesced list to a coalesced list in one pass, and `coalesce` builds
+one, in one pass when its input comes in order; each builds every output
+interval once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Union
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional, Union
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -54,8 +59,7 @@ def bound_add(a: Bound, b: Bound) -> Bound:
     return rational(a + b)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     left: Bound
     right: Bound
     left_open: bool
@@ -70,8 +74,7 @@ class Interval:
         return self is not EMPTY and self.left == self.right
 
     def sort_key(self):
-        # left bound, closed-before-open, right bound, closed-before-open
-        return (self.left, self.left_open, self.right, self.right_open)
+        return _SORT_KEY(self)
 
     def __repr__(self):
         if self is EMPTY:
@@ -79,6 +82,18 @@ class Interval:
         lb = "(" if self.left_open else "["
         rb = ")" if self.right_open else "]"
         return f"{lb}{_fmt_bound(self.left)},{_fmt_bound(self.right)}{rb}"
+
+    # tuple order would compare endpoints field by field, which is no order
+    # on intervals; with no order defined, `<` raises TypeError
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+# (left, left_open, right, right_open): left bound, closed before open, right
+# bound, closed before open; one C call, so coalesce sorts by it directly
+_SORT_KEY = itemgetter(0, 2, 1, 3)
 
 
 def _fmt_bound(b: Bound) -> str:
@@ -186,30 +201,38 @@ def shift(kind: str, intervals: list[Interval], rho: Interval) -> list[Interval]
     lo_fixed = widen if dl_open else None
     ro_fixed = widen if dr_open else None
     out: list[Interval] = []
-    for t in intervals:
-        left, lo, right, ro = t.left, t.left_open, t.right, t.right_open
+    # the last result is built only once no later one merges into it
+    pending = False
+    for left, right, lo, ro in intervals:
         if left.__class__ is not float:
             if dl_inf:
                 left, lo = dl, True
             else:
-                left = rational(left + dl)
+                left += dl
+                if left.__class__ is Fraction:  # an int sum is canonical already
+                    left = rational(left)
                 lo = lo if lo_fixed is None else lo_fixed
         if right.__class__ is not float:
             if dr_inf:
                 right, ro = dr, True
             else:
-                right = rational(right + dr)
+                right += dr
+                if right.__class__ is Fraction:
+                    right = rational(right)
                 ro = ro if ro_fixed is None else ro_fixed
         if right < left or (left == right and (lo or ro)):
             continue
-        if out:
-            prev = out[-1]
+        if pending:
             # rights grow along the list too (or both are +inf), so a merged
             # result keeps the earlier left and the later right
-            if prev.right > left or (prev.right == left and not (prev.right_open and lo)):
-                out[-1] = Interval(prev.left, right, prev.left_open, ro)
+            if run_right > left or (run_right == left and not (run_ro and lo)):
+                run_right, run_ro = right, ro
                 continue
-        out.append(Interval(left, right, lo, ro))
+            out.append(Interval(run_left, run_right, run_lo, run_ro))
+        run_left, run_right, run_lo, run_ro = left, right, lo, ro
+        pending = True
+    if pending:
+        out.append(Interval(run_left, run_right, run_lo, run_ro))
     return out
 
 
@@ -217,10 +240,7 @@ def reflect(intervals: list[Interval]) -> list[Interval]:
     """A coalesced list mirrored in time, itself coalesced: each point t
     becomes -t, so each interval's ends are negated and swapped, and an
     infinite bound becomes the opposite POS_INF/NEG_INF constant."""
-    return [
-        Interval(negate(iv.right), negate(iv.left), iv.right_open, iv.left_open)
-        for iv in reversed(intervals)
-    ]
+    return [Interval(negate(r), negate(l), ro, lo) for l, r, lo, ro in reversed(intervals)]
 
 
 def intersect(i1: Interval, i2: Interval) -> Interval:
@@ -245,15 +265,7 @@ def union_if_coalescable(i1: Interval, i2: Interval) -> Optional[Interval]:
     """i1 ∪ i2 when it is itself an interval, otherwise None."""
     if i1.is_empty or i2.is_empty:
         raise ValueError("union_if_coalescable requires non-empty inputs")
-    if i2.sort_key() < i1.sort_key():
-        i1, i2 = i2, i1
-    return _union_ordered(i1, i2)
-
-
-def _union_ordered(a: Interval, b: Interval) -> Optional[Interval]:
-    """union_if_coalescable for non-empty a and b with a's left end not
-    after b's (closed before open on equal bounds); a itself when it covers
-    b."""
+    a, b = (i2, i1) if i2.sort_key() < i1.sort_key() else (i1, i2)
     # gap iff a ends strictly before b starts, or they touch at a point
     # covered by neither side
     if a.right < b.left:
@@ -321,14 +333,19 @@ def coalesce(intervals: Iterable[Interval]) -> list[Interval]:
     for iv in items:
         if iv is EMPTY:
             continue
+        left, right, lo, ro = iv
         if out:
-            prev = out[-1]
-            if iv.left < prev.left or (iv.left == prev.left and prev.left_open and not iv.left_open):
-                rest = sorted([*out, iv, *items], key=Interval.sort_key)
-                return coalesce(rest)
-            merged = _union_ordered(prev, iv)
-            if merged is not None:
-                out[-1] = merged
+            if left < last_left or (left == last_left and last_lo and not lo):
+                return coalesce(sorted([*out, iv, *items], key=_SORT_KEY))
+            # union_if_coalescable on the last item, which starts no later:
+            # they merge unless it ends before iv starts or they touch at a
+            # point neither covers; the merged end is the later one, closed
+            # when either is closed there
+            if last_right > left or (last_right == left and not (last_ro and lo)):
+                if last_right < right or (last_right == right and last_ro and not ro):
+                    last_right, last_ro = right, ro
+                    out[-1] = Interval(last_left, right, last_lo, ro)
                 continue
         out.append(iv)
+        last_left, last_right, last_lo, last_ro = left, right, lo, ro
     return out

@@ -48,11 +48,16 @@ def apply_rules(
     for rule in program.rules:
         if changed is not None and changed.isdisjoint(rule.body_predicates()):
             continue
+        atom = None
         for derived in evaluate_rule(rule, store):
             if isinstance(derived, tuple):
                 bottoms.append(derived[1])
-            else:
-                by_key.setdefault(derived.atom.key(), []).append(derived.interval)
+                continue
+            # the facts of one substitution come in a run on one atom object
+            if derived.atom is not atom:
+                atom = derived.atom
+                ivs = by_key.setdefault(atom.key(), [])
+            ivs.append(derived.interval)
     if bottoms:
         out.mark_bottom(*bottoms)
     for key, ivs in by_key.items():

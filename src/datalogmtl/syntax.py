@@ -238,11 +238,15 @@ class Rule:
         base = head_parts(self.head)[1]
         return base.atom.predicate if isinstance(base, Rel) else None  # Bottom
 
-    def body_predicates(self) -> set[str]:
-        out = set()
-        for b in self.body:
-            out |= {a.predicate for a in relational_atoms(b)}
-        return out
+    def body_predicates(self) -> frozenset[str]:
+        # built once per rule object and kept outside the fields, as
+        # RelationalAtom.key() is: rounds, analyses and the automata ask often
+        preds = self.__dict__.get("_body_predicates")
+        if preds is None:
+            preds = self.__dict__["_body_predicates"] = frozenset(
+                a.predicate for b in self.body for a in relational_atoms(b)
+            )
+        return preds
 
     def __str__(self):
         body = ", ".join(str(b) for b in self.body)
@@ -274,17 +278,31 @@ class Program:
         return "\n".join(str(r) for r in self.rules)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Fact:
     """A ground atom over a non-empty interval.  A plain record: the parser
     rejects a non-ground atom or an empty interval at the edge, and the
-    reasoner builds facts only from ground atoms and non-empty intervals."""
+    reasoner builds facts only from ground atoms and non-empty intervals.
+
+    Frozen, and built through its slots' own setters rather than a frozen
+    dataclass's `__init__`, which costs half as much again: the rules build
+    one per derived interval.  Not a tuple, so a Fact is told apart from a
+    ("bottom", interval) marker by `isinstance(d, tuple)`."""
 
     atom: RelationalAtom
     interval: Interval
 
+    def __init__(self, atom: RelationalAtom, interval: Interval):
+        _set_atom(self, atom)
+        _set_interval(self, interval)
+
     def __str__(self):
         return f"{self.atom}@{self.interval}"
+
+
+# the slots' setters, which the frozen class's __setattr__ does not guard
+_set_atom = Fact.atom.__set__
+_set_interval = Fact.interval.__set__
 
 
 # ---------------------------------------------------------------------------

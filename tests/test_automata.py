@@ -3,6 +3,7 @@ window checks, span search, tail loops, and the top-level consistency
 check."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,10 @@ from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
     BinaryOp,
     Bottom,
+    Fact,
+    Program,
     Rel,
+    RelationalAtom,
     Rule,
     Top,
     UnaryOp,
@@ -56,6 +60,10 @@ from helpers import (
     justifiable_reference,
     load_dataset,
     load_program,
+    rand_bounded_instance,
+    rand_bounded_literal,
+    rand_op_interval,
+    wrap_literals_in_rules,
 )
 from test_materialisation import clip_store, fixture_and_criterion_6_instances, naive_materialise
 
@@ -819,6 +827,32 @@ def test_state_budget_raises():
     red = birthday_reduction("1/2")
     with pytest.raises(SearchBudgetExceeded):
         consistent(red.program, list(red.dataset), max_states=2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_consistent_agrees_with_materialisation_under_a_bottom_rule(seed):
+    # criterion 6's instances, plus BOTTOM over their two heads, one of them
+    # boxed: every instance keeps a component with a BOTTOM rule, so each
+    # verdict comes from a search (criterion 6's reductions mostly keep none).
+    # The programs are not recursive, so materialisation decides them too.
+    rng = random.Random(seed)
+    verdicts = []
+    for _ in range(200):
+        facts, atoms = rand_bounded_instance(rng)
+        facts = [
+            Fact(f.atom, make(f.interval.left % 8, f.interval.left % 8 + rng.randint(0, 3)))
+            for f in facts
+        ]
+        lits = [rand_bounded_literal(rng, atoms, depth=1) for _ in range(2)]
+        box = rng.choice(("BOXMINUS", "BOXPLUS"))
+        boxed = UnaryOp(box, rand_op_interval(rng, hi=4), Rel(RelationalAtom("H1", ())))
+        bottom = Rule(Bottom(), (Rel(RelationalAtom("H0", ())), boxed))
+        program = Program(wrap_literals_in_rules(lits).rules + (bottom,))
+        out = materialise(program, FactStore.from_facts(facts))
+        assert out.status in ("Fixpoint", "Inconsistent")
+        verdicts.append(consistent(program, facts))
+        assert verdicts[-1] == (out.status != "Inconsistent"), program
+    assert 20 <= sum(verdicts) <= 180  # both verdicts are common
 
 
 # -- the split into ground components

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, no function
 takes a parameter it never reads, every parameter default is overridden by
-some call but not by every call, every dataclass field is read, and the CLI
+some call but not by every call, every record field is read, and the CLI
 imports nothing outside the standard library."""
 
 import ast
@@ -273,10 +273,35 @@ def test_every_top_level_definition_is_named_outside_itself():
     assert [name for name in flagged if name.count(".") == 1 and name.split(".")[0] in package] == []
 
 
+def _record_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a record class: the annotated names of a dataclass, a
+    NamedTuple class or a class that declares `__slots__`, and the names in
+    its `__slots__`.  [] for any other class."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+    named_tuple = any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+    slots = [
+        name.value
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        for name in getattr(stmt.value, "elts", [])
+    ]
+    if not (dataclass or named_tuple or slots):
+        return []
+    annotated = [
+        stmt.target.id
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    return list(dict.fromkeys(annotated + slots))
+
+
 def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:
-    """`module.Class.field` for each field of a dataclass in `defining`
+    """`module.Class.field` for each field of a record class in `defining`
     (module name -> source) that no source in `reading` reads as an
-    attribute."""
+    attribute.  Records are dataclasses, NamedTuple classes and classes
+    with `__slots__` (see `_record_fields`)."""
     read = {
         n.attr
         for source in reading
@@ -286,18 +311,8 @@ def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:
     out = []
     for module, source in defining.items():
         for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-                continue
-            out += [
-                f"{module}.{node.name}.{stmt.target.id}"
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id not in read
-            ]
+            if isinstance(node, ast.ClassDef):
+                out += [f"{module}.{node.name}.{f}" for f in _record_fields(node) if f not in read]
     return sorted(out)
 
 
@@ -311,13 +326,26 @@ def test_scan_finds_unread_fields():
             "    hidden: int = 0\n"
             "class Plain:\n"
             "    unread: int\n"
+            "class T(NamedTuple):\n"
+            "    shown: int\n"
+            "    tuple_hidden: int\n"
+            "class S:\n"
+            "    __slots__ = ('shown', 'slot_hidden')\n"
+            "    annotated_hidden: int\n"
         )
     }
     reading = ["print(d.shown)\nd.written = 1\n"]
-    assert unread_fields(defining, reading) == ["a.D.hidden", "a.D.written"]
+    assert unread_fields(defining, reading) == [
+        "a.D.hidden",
+        "a.D.written",
+        "a.S.annotated_hidden",
+        "a.S.slot_hidden",
+        "a.T.tuple_hidden",
+    ]
 
 
 def test_every_dataclass_field_is_read():
+    # dataclasses, NamedTuple classes and __slots__ records alike
     defining = {p.stem: p.read_text() for p in MODULES}
     assert unread_fields(defining, [p.read_text() for p in CALLERS]) == []
 

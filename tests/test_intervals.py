@@ -1,6 +1,7 @@
 """Interval primitives: the five endpoint operations, intersection,
 coalescing, subset, and rational gcd."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -232,3 +233,44 @@ def test_sort_key_order():
     ivs = [make(0, 5, True, False), make(0, 3), make(0, 5), point(0)]
     ordered = sorted(ivs, key=Interval.sort_key)
     assert ordered == [point(0), make(0, 3), make(0, 5), make(0, 5, True, False)]
+
+
+# -- value semantics: an Interval is an immutable value, whatever its class
+
+
+VALUES = [
+    (make(0, 5, True, False), "(0,5]"),
+    (normalize(NEG_INF, Fraction(3, 2), True, False), "(-inf,3/2]"),
+    (normalize(Fraction(-1, 3), POS_INF, False, True), "[-1/3,+inf)"),
+    (point(7), "[7,7]"),
+    (EMPTY, "EMPTY"),
+]
+
+
+@pytest.mark.parametrize("iv, text", VALUES, ids=[t for _, t in VALUES])
+def test_interval_is_a_value(iv, text):
+    copy = Interval(iv.left, iv.right, iv.left_open, iv.right_open)
+    assert copy == iv and not copy != iv
+    assert hash(iv) == hash((iv.left, iv.right, iv.left_open, iv.right_open))
+    assert repr(iv) == str(iv) == text
+    assert pickle.loads(pickle.dumps(iv)) == iv
+    for field in ("left", "right", "left_open", "right_open"):
+        with pytest.raises(AttributeError):
+            setattr(iv, field, 0)
+
+
+def test_normalize_returns_the_empty_object_itself():
+    assert normalize(3, 2, False, False) is EMPTY
+    assert normalize(POS_INF, POS_INF, True, True) is EMPTY
+    assert make(2, 2, True, False) is EMPTY
+    assert EMPTY.is_empty and not Interval(POS_INF, NEG_INF, True, True).is_empty
+
+
+def test_intervals_do_not_order():
+    # sorting goes through sort_key; the field tuple's order is no interval order
+    with pytest.raises(TypeError):
+        make(0, 1) < make(2, 3)
+    with pytest.raises(TypeError):
+        make(0, 1) >= make(2, 3)
+    with pytest.raises(TypeError):
+        sorted([make(2, 3), make(0, 1)])

@@ -1,5 +1,6 @@
 """Parser, printer, safety checking, grounding, and arity checking."""
 
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from datalogmtl import syntax
 from datalogmtl.bench import GeneratorSpec, generate_dataset
-from datalogmtl.intervals import make
+from datalogmtl.intervals import Interval, make
 from datalogmtl.syntax import (
     BinaryOp,
     Bottom,
@@ -298,3 +299,44 @@ def test_rule_str_is_parseable():
 def test_empty_body_rejected():
     with pytest.raises(SyntaxFault):
         Rule(Rel(RelationalAtom("P", ())), ())
+
+
+# -- Fact value semantics
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        (
+            "P(a,b)@[0,1/2)",
+            "Fact(atom=RelationalAtom(predicate='P', args=(Constant(name='a'), Constant(name='b'))), "
+            "interval=[0,1/2))",
+        ),
+        ("Q@(-inf,3]", "Fact(atom=RelationalAtom(predicate='Q', args=()), interval=(-inf,3])"),
+    ],
+)
+def test_fact_is_a_value(text, shown):
+    fact = parse_fact(text)
+    atom, iv = fact.atom, fact.interval
+    copy = Fact(
+        RelationalAtom(atom.predicate, atom.args),
+        Interval(iv.left, iv.right, iv.left_open, iv.right_open),
+    )
+    assert copy == fact and not copy != fact and copy is not fact
+    assert fact != Fact(fact.atom, make(100, 101))
+    assert hash(fact) == hash((fact.atom, fact.interval))
+    assert repr(fact) == shown
+    assert str(fact) == text
+    assert pickle.loads(pickle.dumps(fact)) == fact
+    for field in ("atom", "interval"):
+        with pytest.raises(AttributeError):
+            setattr(fact, field, None)
+        with pytest.raises(AttributeError):
+            delattr(fact, field)
+
+
+def test_fact_is_not_a_tuple():
+    # rule evaluation tells a fact from a ("bottom", interval) marker this way
+    fact = parse_fact("P(a)@[0,1]")
+    assert not isinstance(fact, tuple)
+    assert fact != (fact.atom, fact.interval)
