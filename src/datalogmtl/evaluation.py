@@ -1,15 +1,25 @@
-"""Semantics of ground metric atoms over a fact store.
+"""Semantics of metric atoms over a fact store, and rule evaluation.
 
-apply_operator computes where a ground literal holds in the least model of
-the store alone; merge_intervals is the n-way sorted intersection used for
-temporal joins; evaluate_rule combines both with an index-nested-loop
-substitution search and reverse head application.
+apply_operator computes where a literal holds in the least model of the
+store alone, the literal ground or its variables bound by name;
+merge_intervals is the n-way sorted intersection used for temporal joins;
+evaluate_rule combines both with an index-nested-loop search and reverse
+head application.
+
+Each rule is compiled once into a `Plan`, kept on the rule object: variable
+slots, numbered in sorted variable-name order; join steps over the needed
+atoms, then the optional ones, each a predicate and an argument pattern of
+slots and constant names; the head slots no needed atom binds; and the key
+of a non-ground head atom.  The search (`substitutions`) yields rows, lists
+of constant names indexed by slot, which `FactStore.join` extends without
+building a term or a dict per candidate, and each body literal is evaluated
+as written, its leaves bound through the row.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .intervals import (
     FULL_LINE,
@@ -23,11 +33,10 @@ from .intervals import (
     reflect,
     shift,
 )
-from .store import FactStore
+from .store import AtomKey, FactStore
 from .syntax import (
     BinaryOp,
     Bottom,
-    Constant,
     Fact,
     MetricAtom,
     Program,
@@ -40,7 +49,6 @@ from .syntax import (
     atom_variables,
     head_parts,
     relational_atoms,
-    substitute,
 )
 
 IntervalList = list[Interval]
@@ -54,8 +62,15 @@ _UNARY_KIND = {
 }
 
 
-def apply_operator(literal: MetricAtom, store: FactStore) -> IntervalList:
-    """Coalesced intervals where the ground literal holds over the store.
+def apply_operator(
+    literal: MetricAtom, store: FactStore, binding: Optional[dict[str, Optional[str]]] = None
+) -> IntervalList:
+    """Coalesced intervals where the literal holds over the store.
+
+    The literal is ground, or `binding` maps each of its variable names to
+    a constant name (None for a variable left unbound, so its atom holds
+    nowhere): a `Rel` leaf is read from the store under its key with the
+    names replaced, and no grounded literal is built.
 
     A unary operator shifts its operand's whole coalesced list in one pass
     (`intervals.shift`); SINCE and UNTIL sweep their two operand lists.
@@ -66,12 +81,13 @@ def apply_operator(literal: MetricAtom, store: FactStore) -> IntervalList:
     if isinstance(literal, Bottom):
         return list(store.bottom_intervals)
     if isinstance(literal, Rel):
-        return list(store.intervals_for(literal.atom.key()))
+        key = literal.atom.key()
+        return list(store.intervals_for(_ground_key(key, binding) if binding else key))
     if isinstance(literal, UnaryOp):
-        return shift(_UNARY_KIND[literal.op], apply_operator(literal.sub, store), literal.interval)
+        return shift(_UNARY_KIND[literal.op], apply_operator(literal.sub, store, binding), literal.interval)
     if isinstance(literal, BinaryOp):
-        left = apply_operator(literal.left, store)
-        right = apply_operator(literal.right, store)
+        left = apply_operator(literal.left, store, binding)
+        right = apply_operator(literal.right, store, binding)
         if literal.op == "SINCE":
             return _since(literal.interval, left, right)
         return _until(literal.interval, left, right)
@@ -199,9 +215,10 @@ def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
     return out
 
 
-def reverse_head(head: MetricAtom, intervals: IntervalList) -> list:
+def reverse_head(head: MetricAtom, intervals: IntervalList, atom: Optional[RelationalAtom] = None) -> list:
     """Map a coalesced body list through the head's box operators, one
-    `shift` per box, and build the derivations on the head's one atom.
+    `shift` per box, and build the derivations on the head's one atom, or
+    on `atom`, the head's atom grounded, when it is given.
 
     Returns Facts, or ("bottom", interval) pairs for a BOTTOM head, over a
     coalesced list.  `head` is a `Rule`'s head, which `Rule` has checked:
@@ -212,14 +229,8 @@ def reverse_head(head: MetricAtom, intervals: IntervalList) -> list:
         intervals = shift("minus" if box.op == "BOXMINUS" else "plus", intervals, box.interval)
     if isinstance(base, Bottom):
         return [("bottom", iv) for iv in intervals]
-    return [Fact(base.atom, iv) for iv in intervals]
-
-
-def _join_order(body: tuple[MetricAtom, ...]) -> list[MetricAtom]:
-    """Written order, with constant-only literals first (cheap selectivity)."""
-    fixed = [b for b in body if not any(a.variables() for a in relational_atoms(b))]
-    open_ = [b for b in body if any(a.variables() for a in relational_atoms(b))]
-    return fixed + open_
+    atom = atom or base.atom
+    return [Fact(atom, iv) for iv in intervals]
 
 
 def _needed_atoms(m: MetricAtom) -> list[RelationalAtom]:
@@ -236,63 +247,104 @@ def _needed_atoms(m: MetricAtom) -> list[RelationalAtom]:
     return relational_atoms(m)
 
 
-def substitutions(rule: Rule, store: FactStore) -> Iterable[dict[Variable, Constant]]:
-    """Backtracking index-nested-loop search over the body's needed atoms,
-    then over the other relational atoms that have a variable still open.
+class Plan(NamedTuple):
+    """A rule compiled for evaluation (`plan`).  A row holds a constant
+    name per variable slot, None while the slot is open; a pattern holds a
+    slot number or a constant name per argument."""
 
-    Those optional atoms may lack facts while their literal holds, so each
-    may also leave its open variables unbound.  An atom with an unbound
-    variable names no stored key (variables are capitalised, stored
-    constants never are), so it holds nowhere.  A head variable left unbound
-    ranges over every constant of the store and the rule.  A match and a skip
-    can give the same substitution; the store merges what both derive.
-    """
-    needed: list[RelationalAtom] = []
-    for literal in _join_order(rule.body):
-        needed.extend(_needed_atoms(literal))
+    names: tuple[str, ...]  # the variable name of each slot, sorted
+    steps: tuple[tuple[str, tuple], ...]  # (predicate, pattern): needed atoms, then optional ones
+    needed: int  # how many of the steps are needed atoms
+    open_head: tuple[int, ...]  # head slots that no needed atom binds
+    head: Optional[AtomKey]  # the key of a non-ground head atom, variable names and all
+
+
+def plan(rule: Rule) -> Plan:
+    """The rule's plan, compiled on first use and kept on the rule object,
+    outside its fields, as `Rule.body_predicates()` is."""
+    compiled = rule.__dict__.get("_plan")
+    if compiled is not None:
+        return compiled
+    names = tuple(sorted(v.name for v in rule.variables()))
+    slot = {name: i for i, name in enumerate(names)}
+    # written order, with constant-only literals first (cheap selectivity)
+    ordered = sorted(rule.body, key=lambda literal: bool(atom_variables(literal)))
+    needed = [a for literal in ordered for a in _needed_atoms(literal)]
     bound = set().union(*(a.variables() for a in needed))
     optional = [
-        a
-        for literal in rule.body
-        for a in relational_atoms(literal)
-        if not a.variables() <= bound
+        a for literal in rule.body for a in relational_atoms(literal) if not a.variables() <= bound
     ]
-    patterns = needed + optional
-    open_head = sorted(atom_variables(rule.head) - bound, key=lambda v: v.name)
-    domain: list[Constant] = []
+    steps = tuple(
+        (a.predicate, tuple(slot[t.name] if isinstance(t, Variable) else t.name for t in a.args))
+        for a in needed + optional
+    )
+    open_head = tuple(sorted(slot[v.name] for v in atom_variables(rule.head) - bound))
+    base = head_parts(rule.head)[1]
+    head = base.atom.key() if isinstance(base, Rel) and base.atom.variables() else None
+    compiled = rule.__dict__["_plan"] = Plan(names, steps, len(needed), open_head, head)
+    return compiled
 
-    def search(idx: int, sigma: dict[Variable, Constant]):
-        if idx == len(patterns):
-            yield from complete(sigma)
+
+def _ground_key(key: AtomKey, binding: dict[str, Optional[str]]) -> AtomKey:
+    """An atom key with each variable name replaced by its binding."""
+    return key[0], tuple([binding.get(name, name) for name in key[1]])
+
+
+def substitutions(rule: Rule, store: FactStore) -> Iterator[list]:
+    """The rows of the rule's plan: a backtracking index-nested-loop search
+    (`FactStore.join`) over the body's needed atoms, then over the other
+    relational atoms that have a slot still open.
+
+    Those optional atoms may lack facts while their literal holds, so each
+    may also leave its open slots unbound.  An atom with an unbound slot
+    names no stored key, so it holds nowhere.  A head slot left unbound
+    ranges over the store's `domain`, its constants and the rule's.  A match
+    and a skip can give the same row; the store merges what both derive.
+    Rows are read, never written, once yielded.
+    """
+    compiled = plan(rule)
+    steps, needed, domain = compiled.steps, compiled.needed, []
+
+    def search(idx: int, row: list):
+        if idx == len(steps):
+            yield from complete(row)
             return
-        pattern = patterns[idx]
-        if idx < len(needed) or not pattern.variables() <= sigma.keys():
-            for extended, _intervals in store.match(pattern, sigma):
+        predicate, pattern = steps[idx]
+        if idx < needed or any(type(p) is int and row[p] is None for p in pattern):
+            for extended in store.join(predicate, pattern, row):
                 yield from search(idx + 1, extended)
-        if idx >= len(needed):
-            yield from search(idx + 1, sigma)
+        if idx >= needed:
+            yield from search(idx + 1, row)
 
-    def complete(sigma: dict[Variable, Constant]):
-        missing = [v for v in open_head if v not in sigma]
+    def complete(row: list):
+        missing = [s for s in compiled.open_head if row[s] is None]
         if missing and not domain:
-            names = store.constants() | Program((rule,)).constants()
-            domain.extend(Constant(c) for c in sorted(names))
+            domain.extend(sorted(store.domain | store.constants() | Program((rule,)).constants()))
         for combo in itertools.product(domain, repeat=len(missing)):
-            yield {**sigma, **dict(zip(missing, combo))}
+            full = row.copy()
+            for s, name in zip(missing, combo):
+                full[s] = name
+            yield full
 
-    yield from search(0, {})
+    yield from search(0, [None] * len(compiled.names))
 
 
 def evaluate_rule(rule: Rule, store: FactStore) -> list:
     """One-step consequences of a rule over a store snapshot.
 
-    Returns a list of Facts and ("bottom", interval) markers: per
-    substitution, the coalesced body list mapped through the head by one
-    `reverse_head` call.
+    Runs the rule's plan: per row of `substitutions`, the body literals are
+    evaluated as written, their `Rel` leaves bound by the row's names, and
+    the coalesced body list is mapped through the head by one
+    `reverse_head` call, on the head atom grounded from the row.  Returns a
+    list of Facts and ("bottom", interval) markers.
     """
+    compiled = plan(rule)
     out = []
-    for sigma in substitutions(rule, store):
-        body = merge_intervals(apply_operator(substitute(lit, sigma), store) for lit in rule.body)
+    for row in substitutions(rule, store):
+        binding = dict(zip(compiled.names, row))
+        body = merge_intervals(apply_operator(lit, store, binding) for lit in rule.body)
         if body:
-            out += reverse_head(substitute(rule.head, sigma), body)
+            head = compiled.head
+            atom = None if head is None else RelationalAtom.from_key(_ground_key(head, binding))
+            out += reverse_head(rule.head, body, atom)
     return out

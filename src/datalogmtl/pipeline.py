@@ -119,7 +119,10 @@ def check_entailment(
     timings["analysis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dpre, status, pre_rounds = pre_materialise(sub, store, target=query)
+    # open head variables range over the automata's domain (`substitutions`)
+    start = store.snapshot()
+    start.domain = frozenset(program.constants() | store.constants() | {a.name for a in query.atom.args})
+    dpre, status, pre_rounds = pre_materialise(sub, start, target=query)
     timings["pre_materialisation" if recursive else "materialisation"] = time.perf_counter() - t0
     result = _materialisation_result(status, pre_rounds, timings, recursive)
     if result is not None:

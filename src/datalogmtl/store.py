@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .intervals import NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
-from .syntax import Constant, Fact, RelationalAtom, Variable
+from .syntax import Fact, RelationalAtom
 
 AtomKey = tuple[str, tuple[str, ...]]
 
@@ -27,6 +27,10 @@ class FactStore:
         # (predicate, position, constant) -> set of atom keys
         self.arg_index: dict[tuple[str, int, str], set[AtomKey]] = {}
         self.bottom_intervals: list[Interval] = []
+        # constant names an open head variable ranges over, beside the
+        # stored ones and its rule's (`evaluation.substitutions`): the
+        # pipeline sets the constants of the program, the data and the query
+        self.domain: frozenset[str] = frozenset()
 
     @property
     def contains_bottom(self) -> bool:
@@ -72,47 +76,42 @@ class FactStore:
                 return True
         return False
 
-    def match(
-        self,
-        pattern: RelationalAtom,
-        partial: dict[Variable, Constant],
-    ) -> Iterator[tuple[dict[Variable, Constant], list[Interval]]]:
-        """Extensions of `partial` grounding `pattern` to a stored atom.  The
-        index fixes the pattern's constants and bound variables, so a
-        candidate key is dropped only when a free variable that occurs twice
-        takes two values on it."""
+    def join(self, predicate: str, pattern: tuple, row: list) -> Iterator[list]:
+        """Extensions of `row` grounding `pattern` to a stored atom of
+        `predicate`.  The pattern gives, per argument, a slot number or a
+        constant name; the row gives, per slot, a constant name or None
+        while the slot is open.  The index fixes the constants and bound
+        slots, so a candidate key is dropped only when an open slot that
+        occurs twice takes two values on it.  A fully bound pattern yields
+        `row` itself; every other extension is a new list."""
         bound: list[tuple[int, str]] = []
-        for pos, term in enumerate(pattern.args):
-            if isinstance(term, Constant):
-                bound.append((pos, term.name))
-            elif term in partial:
-                bound.append((pos, partial[term].name))
+        for pos, p in enumerate(pattern):
+            name = row[p] if type(p) is int else p
+            if name is not None:
+                bound.append((pos, name))
 
-        if len(bound) == len(pattern.args):
-            key = (pattern.predicate, tuple(c for _, c in bound))
-            if key in self.atoms:
-                yield partial, self.atoms[key]
+        if len(bound) == len(pattern):
+            if (predicate, tuple(name for _, name in bound)) in self.atoms:
+                yield row
             return
 
         if bound:
-            candidate_sets = [
-                self.arg_index.get((pattern.predicate, pos, c), set()) for pos, c in bound
-            ]
+            candidate_sets = [self.arg_index.get((predicate, pos, name), set()) for pos, name in bound]
             candidates = set.intersection(*candidate_sets)
         else:
-            candidates = self.by_predicate.get(pattern.predicate, set())
+            candidates = self.by_predicate.get(predicate, set())
 
         for key in sorted(candidates):
-            sigma = dict(partial)
-            for term, const in zip(pattern.args, key[1]):
-                if isinstance(term, Variable):
-                    prev = sigma.get(term)
+            extended = row.copy()
+            for p, name in zip(pattern, key[1]):
+                if type(p) is int:
+                    prev = extended[p]
                     if prev is None:
-                        sigma[term] = Constant(const)
-                    elif prev.name != const:
+                        extended[p] = name
+                    elif prev != name:
                         break
             else:
-                yield sigma, self.atoms[key]
+                yield extended
 
     def constants(self) -> set[str]:
         out = set()
@@ -122,8 +121,7 @@ class FactStore:
 
     def facts(self) -> Iterator[Fact]:
         for key in sorted(self.atoms):
-            pred, consts = key
-            atom = RelationalAtom(pred, tuple(Constant(c) for c in consts))
+            atom = RelationalAtom.from_key(key)
             for iv in self.atoms[key]:
                 yield Fact(atom, iv)
 
@@ -139,6 +137,7 @@ class FactStore:
         s.by_predicate = {k: set(v) for k, v in self.by_predicate.items()}
         s.arg_index = {k: set(v) for k, v in self.arg_index.items()}
         s.bottom_intervals = list(self.bottom_intervals)
+        s.domain = self.domain
         return s
 
     def equals(self, other: "FactStore") -> bool:

@@ -16,7 +16,7 @@ decimals (1.25, converted exactly).  Infinite endpoints are written -inf /
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterator, KeysView, Optional, Sequence, Union
 
@@ -84,6 +84,13 @@ class RelationalAtom:
         if k is None:
             k = self.__dict__["_key"] = (self.predicate, tuple(a.name for a in self.args))
         return k
+
+    @classmethod
+    def from_key(cls, key: tuple[str, tuple[str, ...]]) -> "RelationalAtom":
+        """The ground atom whose key is `key`, built with that key kept."""
+        atom = cls(key[0], tuple(map(Constant, key[1])))
+        atom.__dict__["_key"] = key
+        return atom
 
     def __str__(self):
         if not self.args:
@@ -303,6 +310,20 @@ class Fact:
 # the slots' setters, which the frozen class's __setattr__ does not guard
 _set_atom = Fact.atom.__set__
 _set_interval = Fact.interval.__set__
+
+
+def _fact_setattr(self, name, _value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _fact_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# dataclass's frozen guards test the class that `slots=True` replaces, so on
+# CPython 3.11 a name other than a field's reached `super()` and raised
+# TypeError; these guard every name
+Fact.__setattr__, Fact.__delattr__ = _fact_setattr, _fact_delattr
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from datalogmtl import cli, materialisation, pipeline
 from datalogmtl.analysis import propagation
 from datalogmtl.automata import SearchBudgetExceeded, _Engine
 from datalogmtl.cli import main
+from datalogmtl.dense_grid import GridOracle
 from datalogmtl.store import FactStore
-from datalogmtl.syntax import parse_program
+from datalogmtl.syntax import ground, parse_dataset, parse_fact, parse_program
 
 from helpers import FIXTURES, block_buffered_env, forbid_processes
 
@@ -128,6 +129,49 @@ def test_materialize_notes_inconsistency_on_stderr(capsys, tmp_path):
                          "--data", str(tmp_path / "d.dtf"))
     assert (code, out) == (0, "P(a)@[0,1]\nP(b)@[3,4]\n")
     assert err == "note: inconsistent, BOTTOM derived on [0,1], [3,4]\n"
+
+
+# An open head variable, Y below, ranges over every constant of the program,
+# the data and the query, as in the automata's grounding: k only the query
+# names, and m only the second rule.
+OPEN_HEAD = "H(X,Y) :- P(X,Y) SINCE[0,1] Q(X) .\n"
+OPEN_HEAD_DATA = "Q(a)@[0,0]\nR(b)@[3,3]\n"
+
+
+def oracle_entails(program_text, data_text, query_text):
+    """Whether the grid oracle's model over the program, data and query
+    constants covers the query."""
+    program, facts, query = parse_program(program_text), parse_dataset(data_text), parse_fact(query_text)
+    constants = program.constants() | {a.name for f in [*facts, query] for a in f.atom.args}
+    oracle = GridOracle(program, facts)
+    oracle.materialise(sorted(ground(program, constants), key=str))
+    return set(oracle.cells_covering(query.interval)) <= oracle.model.get(query.atom.key(), set())
+
+
+@pytest.mark.parametrize("mode", [[], ["--sequential"]], ids=["race", "sequential"])
+@pytest.mark.parametrize("program, query, entailed", [
+    (OPEN_HEAD, "H(a,k)@[0,0]", True),
+    (OPEN_HEAD, "H(k,a)@[0,0]", False),
+    (OPEN_HEAD + "W(X) :- H(X,m) .\n", "W(a)@[0,0]", True),
+], ids=["query-constant", "no-witness", "other-rule-constant"])
+def test_open_head_variables_range_over_every_constant(capsys, tmp_path, mode, program, query, entailed):
+    (tmp_path / "p.dmtl").write_text(program)
+    (tmp_path / "d.dtf").write_text(OPEN_HEAD_DATA)
+    assert oracle_entails(program, OPEN_HEAD_DATA, query) is entailed
+    code, out, _ = run(capsys, "check", "--program", str(tmp_path / "p.dmtl"),
+                       "--data", str(tmp_path / "d.dtf"), "--fact", query, *mode)
+    assert (code, out) == (0, f"{str(entailed).lower()}\n")
+
+
+def test_materialize_ranges_open_head_variables_over_every_program_constant(capsys, tmp_path):
+    (tmp_path / "p.dmtl").write_text(OPEN_HEAD + "W(X) :- H(X,m) .\n")
+    (tmp_path / "d.dtf").write_text(OPEN_HEAD_DATA)
+    code, out, _ = run(capsys, "materialize", "--program", str(tmp_path / "p.dmtl"),
+                       "--data", str(tmp_path / "d.dtf"))
+    assert code == 0
+    assert out.splitlines() == [
+        "H(a,a)@[0,0]", "H(a,b)@[0,0]", "H(a,m)@[0,0]", "Q(a)@[0,0]", "R(b)@[3,3]", "W(a)@[0,0]",
+    ]
 
 
 def test_materialize_json_does_not_format_the_store(capsys, monkeypatch):

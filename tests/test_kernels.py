@@ -1,16 +1,17 @@
 """List-at-a-time interval kernels against their per-interval references:
 `shift` against one endpoint operation per interval and a sorted coalesce,
 `coalesce`'s in-order pass against sorting first, `reflect` against
-negating each point, and `evaluate_rule` and `apply_rules` against one head
-mapping per body interval; and the cached atom key, which must leave atoms
-and facts as they were."""
+negating each point, and `evaluate_rule` and `apply_rules` against the
+rule's groundings, each mapped through the head one body interval at a
+time; and the cached atom key, which must leave atoms and facts as they
+were."""
 
 import pickle
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from datalogmtl.evaluation import apply_operator, evaluate_rule, merge_intervals, substitutions
+from datalogmtl.evaluation import Plan, apply_operator, evaluate_rule, merge_intervals, plan
 from datalogmtl.intervals import (
     EMPTY,
     NEG_INF,
@@ -33,15 +34,13 @@ from datalogmtl.syntax import (
     Constant,
     Fact,
     Program,
-    Rel,
     RelationalAtom,
     Rule,
     UnaryOp,
-    Variable,
+    ground,
     parse_dataset,
     parse_fact,
     parse_program,
-    substitute,
 )
 
 SHIFTS = ("plus", "minus", "circleplus", "circleminus")
@@ -120,12 +119,14 @@ def reverse_head_reference(head, interval):
 
 
 def evaluate_rule_reference(rule, store):
-    """evaluate_rule with one head mapping per body interval."""
+    """evaluate_rule over the rule's groundings by the store's and the
+    rule's constants, each ground body evaluated by apply_operator and
+    mapped through the head one body interval at a time."""
+    program = Program((rule,))
     out = []
-    for sigma in substitutions(rule, store):
-        body = merge_intervals(apply_operator(substitute(lit, sigma), store) for lit in rule.body)
-        head = substitute(rule.head, sigma)
-        out += [reverse_head_reference(head, iv) for iv in body]
+    for ground_rule in ground(program, store.constants() | program.constants()):
+        body = merge_intervals(apply_operator(lit, store) for lit in ground_rule.body)
+        out += [reverse_head_reference(ground_rule.head, iv) for iv in body]
     return out
 
 
@@ -263,26 +264,39 @@ def test_coalesce_matches_sorting_first(items):
 
 # -- evaluate_rule and apply_rules
 
-BODIES = (
-    "P(X)",
-    "DIAMONDMINUS[0,2] P(X)",
-    "BOXMINUS[0,1] P(X)",
-    "P(X), DIAMONDPLUS[1/2,2] Q(X)",
-    "BOXPLUS[0,1] Q(X)",
-    "P(X) SINCE[0,2] Q(X)",
-    "P(X) UNTIL[1,3] Q(X)",
+RULES = (
+    ("H(X)", "P(X)"),
+    ("H(X)", "DIAMONDMINUS[0,2] P(X)"),
+    ("H(X)", "BOXMINUS[0,1] P(X)"),
+    ("H(X)", "P(X), DIAMONDPLUS[1/2,2] Q(X)"),
+    ("H(X)", "BOXPLUS[0,1] Q(X)"),
+    ("H(X)", "P(X) SINCE[0,2] Q(X)"),
+    ("H(X)", "P(X) UNTIL[1,3] Q(X)"),
+    # a two-atom join on a shared variable
+    ("H(X)", "E(X,Y), DIAMONDMINUS[0,1] P(Y)"),
+    # a repeated variable
+    ("H(X)", "E(X,X)"),
+    # a constant argument
+    ("H(X)", "E(X,a), Q(X)"),
+    # a variable only under the left operand of SINCE[0,...]: an optional atom
+    ("H(X)", "P(Y) SINCE[0,2] Q(X)"),
+    # an open head variable, bound by no needed atom, and one that ranges
+    # over a constant only the rule names
+    ("H(X,Y)", "E(X,Y) SINCE[0,1] Q(X)"),
+    ("H(X,Y)", "E(c,Y) SINCE[0,1] Q(X)"),
 )
 
 
 @st.composite
 def rules(draw):
-    """A rule over P and Q with an H(X) or BOTTOM head under up to two
+    """A rule over P, Q and E with its H head or BOTTOM under up to two
     BOXMINUS/BOXPLUS operators."""
-    body = parse_program(f"H(X) :- {draw(st.sampled_from(BODIES))} .").rules[0].body
-    head = Bottom() if draw(st.booleans()) else Rel(RelationalAtom("H", (Variable("X"),)))
+    head_text, body_text = draw(st.sampled_from(RULES))
+    rule = parse_program(f"{head_text} :- {body_text} .").rules[0]
+    head = Bottom() if draw(st.booleans()) else rule.head
     for _ in range(draw(st.integers(0, 2))):
         head = UnaryOp(draw(st.sampled_from(("BOXMINUS", "BOXPLUS"))), draw(rhos()), head)
-    return Rule(head, body)
+    return Rule(head, rule.body)
 
 
 @st.composite
@@ -291,9 +305,16 @@ def stores(draw):
     for pred in ("P", "Q"):
         for c in ("a", "b"):
             by_key[(pred, (c,))] = draw(st.lists(intervals(), max_size=6))
+    for args in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")):
+        by_key[("E", args)] = draw(st.lists(intervals(), max_size=3))
     return FactStore.from_intervals(by_key)
 
 
+# Y ranges over c, which only the rule names
+@example(
+    parse_program("H(X,Y) :- E(c,Y) SINCE[0,1] Q(X) .").rules[0],
+    FactStore.from_intervals({("Q", ("a",)): [make(0, 1)]}),
+)
 @given(rules(), stores())
 @settings(max_examples=200, deadline=None)
 def test_evaluate_rule_matches_one_head_mapping_per_interval(rule, store):
@@ -322,6 +343,28 @@ def test_many_bottom_intervals_are_marked_at_once():
     out = apply_rules(program, store)
     assert out.bottom_intervals == want
     assert len(want) == 100 and want[-1] == make(396, 797)
+
+
+# -- the compiled rule plan
+
+
+def test_a_rule_plan_is_compiled_once_in_a_fixed_order():
+    text = "H(Z,Y) :- E(Y,X) SINCE[0,1] Q(Z), E(Z,a), P(b) ."
+    rule = parse_program(text).rules[0]
+    before = repr(rule), hash(rule)
+    compiled = plan(rule)
+    # slots in sorted name order; the constant-only literal joins first, the
+    # SINCE[0,1] literal needs only its right operand, and its left atom
+    # joins last, as an optional step
+    assert compiled == Plan(
+        names=("X", "Y", "Z"),
+        steps=(("P", ("b",)), ("Q", (2,)), ("E", (2, "a")), ("E", (1, 0))),
+        needed=3,
+        open_head=(1,),
+        head=("H", ("Z", "Y")),
+    )
+    assert plan(rule) is compiled
+    assert (repr(rule), hash(rule)) == before and rule == parse_program(text).rules[0]
 
 
 # -- the cached atom key

@@ -11,10 +11,7 @@ from datalogmtl.intervals import make, normalize, point
 from datalogmtl.materialisation import materialise
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
-    Constant,
     Fact,
-    RelationalAtom,
-    Variable,
     parse_dataset,
     parse_fact,
     print_dataset,
@@ -59,50 +56,50 @@ def test_entails_fact():
     assert not FactStore().entails_fact(fact("P(a)@[0,1]"))
 
 
+# join patterns give a slot number or a constant name per argument; rows
+# give a constant name per slot, None while it is open
+
+
 def test_match_with_bound_argument():
     s = FactStore.from_facts([fact("edge(a,b)@[0,1]"), fact("edge(a,c)@[2,3]"),
                               fact("edge(b,c)@[4,5]")])
-    pat = RelationalAtom("edge", (Constant("a"), Variable("Y")))
     results = sorted(
-        (sigma[Variable("Y")].name, ivs[0]) for sigma, ivs in s.match(pat, {})
+        (y, s.intervals_for(("edge", ("a", y)))[0]) for [y] in s.join("edge", ("a", 0), [None])
     )
     assert results == [("b", make(0, 1)), ("c", make(2, 3))]
 
 
 def test_match_fully_bound():
     s = FactStore.from_facts([fact("edge(a,b)@[0,1]")])
-    pat = RelationalAtom("edge", (Constant("a"), Constant("b")))
-    out = list(s.match(pat, {}))
-    assert len(out) == 1 and out[0][0] == {}
+    row = []
+    out = list(s.join("edge", ("a", "b"), row))
+    assert out == [[]] and out[0] is row
+    assert list(s.join("edge", ("a", "c"), row)) == []
 
 
 def test_match_absent_predicate():
-    assert list(FactStore().match(RelationalAtom("q", (Variable("X"),)), {})) == []
+    assert list(FactStore().join("q", (0,), [None])) == []
 
 
 def test_match_respects_partial_substitution():
     s = FactStore.from_facts([fact("edge(a,b)@[0,1]"), fact("edge(a,c)@[2,3]")])
-    pat = RelationalAtom("edge", (Variable("X"), Variable("Y")))
-    partial = {Variable("Y"): Constant("c")}
-    out = list(s.match(pat, partial))
-    assert len(out) == 1 and out[0][0][Variable("X")] == Constant("a")
+    # slot 0 is X, slot 1 is Y, bound to c
+    out = list(s.join("edge", (0, 1), [None, "c"]))
+    assert out == [["a", "c"]]
 
 
 def test_match_rejects_a_repeated_variable_with_two_values():
     s = FactStore.from_facts(parse_dataset(
         "P(a,a)@[0,1]\nP(a,b)@[0,1]\nP(b,b)@[0,1]\nQ(a,b,a)@[0,1]\nQ(a,b,b)@[0,1]"
     ))
-    X, Y = Variable("X"), Variable("Y")
-
-    def names(pattern, partial):
-        return [{v.name: c.name for v, c in sigma.items()} for sigma, _ in s.match(pattern, partial)]
-
-    assert names(RelationalAtom("P", (X, X)), {}) == [{"X": "a"}, {"X": "b"}]
-    assert names(RelationalAtom("Q", (X, Constant("b"), X)), {}) == [{"X": "a"}]
-    assert names(RelationalAtom("P", (X, Y)), {X: Constant("a")}) == [
-        {"X": "a", "Y": "a"},
-        {"X": "a", "Y": "b"},
-    ]
+    # slot 0 is X, slot 1 is Y
+    assert list(s.join("P", (0, 0), [None, None])) == [["a", None], ["b", None]]
+    assert list(s.join("Q", (0, "b", 0), [None])) == [["a"]]
+    assert list(s.join("P", (0, 1), ["a", None])) == [["a", "a"], ["a", "b"]]
+    # the input row is left as it was
+    row = [None, None]
+    list(s.join("P", (0, 1), row))
+    assert row == [None, None]
 
 
 def test_equality_order_independent():
