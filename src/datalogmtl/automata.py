@@ -112,25 +112,17 @@ class ReductionOutput:
     dataset: tuple[Fact, ...]
 
 
-def _fresh_predicate(program: Program, dataset: Sequence[Fact]) -> str:
-    used = program.predicates() | {f.atom.predicate for f in dataset}
-    if "QF" not in used:
-        return "QF"
-    n = 1
-    while f"QF{n}" in used:
-        n += 1
-    return f"QF{n}"
-
-
 def entail_to_inconsist(
     program: Program, dataset: Sequence[Fact], query: Fact
 ) -> ReductionOutput:
     """Reduce fact entailment to inconsistency of an extended instance.
 
-    Adds BOTTOM :- Q_f, B and Q_f@[p,p], the last fact of the dataset,
-    where B holds at the anchor p iff the query atom holds throughout the
-    query interval.  Query intervals unbounded on both sides raise
-    NotImplementedError.
+    Adds BOTTOM :- $anchor, B and $anchor@[p,p], the last fact of the
+    dataset, where B holds at the anchor p iff the query atom holds
+    throughout the query interval.  The anchor's predicate `$anchor` is
+    fixed, and no parsed program, dataset or query can name it: the
+    tokenizer reads no `$`, so a printed reduction does not parse.  Query intervals
+    unbounded on both sides raise NotImplementedError.
     """
     rho = query.interval
     m = Rel(query.atom)
@@ -151,9 +143,9 @@ def entail_to_inconsist(
         b = UnaryOp("BOXMINUS", make(0, POS_INF, rho.right_open, True), m)
     else:
         raise NotImplementedError("query intervals unbounded on both sides are unsupported")
-    qf = RelationalAtom(_fresh_predicate(program, dataset), ())
-    rule = Rule(Bottom(), (Rel(qf), b))
-    return ReductionOutput(Program(program.rules + (rule,)), tuple(dataset) + (Fact(qf, point(p)),))
+    anchor = RelationalAtom("$anchor", ())
+    rule = Rule(Bottom(), (Rel(anchor), b))
+    return ReductionOutput(Program(program.rules + (rule,)), tuple(dataset) + (Fact(anchor, point(p)),))
 
 
 # ---------------------------------------------------------------- unit ruler

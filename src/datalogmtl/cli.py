@@ -64,7 +64,10 @@ def _seconds(text: str) -> float:
 
 
 def _rounds(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative number of rounds, got {text!r}")
     return value
@@ -302,6 +305,11 @@ def _dispatch(args) -> int:
             except (TypeError, ValueError, ZeroDivisionError) as e:
                 raise ValueError(f"generator spec field {name!r} is malformed: {e}") from None
 
+        def integer(v):
+            if type(v) is not int:  # not bool, which Python's int admits
+                raise ValueError(f"expected an integer, got {json.dumps(v)}")
+            return v
+
         def rational(v):
             return Fraction(str(v))
 
@@ -310,13 +318,13 @@ def _dispatch(args) -> int:
             return make(lo, hi, False, False)
 
         spec = benchmod.GeneratorSpec(
-            predicates=field("predicates", lambda v: tuple((p, int(a)) for p, a in v)),
-            constant_pool=field("constant_pool", int),
-            fact_count=field("fact_count", int),
+            predicates=field("predicates", lambda v: tuple((p, integer(a)) for p, a in v)),
+            constant_pool=field("constant_pool", integer),
+            fact_count=field("fact_count", integer),
             endpoint_range=field("endpoint_range", closed_range),
             max_interval_length=field("max_interval_length", rational),
             granularity=field("granularity", rational),
-            seed=field("seed", int) if args.seed is None else args.seed,
+            seed=field("seed", integer) if args.seed is None else args.seed,
         )
         facts = benchmod.generate_dataset(spec)
         text = print_dataset(facts)

@@ -221,8 +221,8 @@ def reverse_head(head: MetricAtom, intervals: IntervalList, atom: Optional[Relat
     on `atom`, the head's atom grounded, when it is given.
 
     Returns Facts, or ("bottom", interval) pairs for a BOTTOM head, over a
-    coalesced list.  `head` is a `Rule`'s head, which `Rule` has checked:
-    BOXMINUS and BOXPLUS boxes over BOTTOM or one relational atom.
+    coalesced list.  `head` is a `Rule`'s head, which the parser has
+    checked: BOXMINUS and BOXPLUS boxes over BOTTOM or one relational atom.
     """
     boxes, base = head_parts(head)
     for box in boxes:

@@ -172,7 +172,8 @@ def nodes(m: MetricAtom) -> Iterator[MetricAtom]:
 
 def relational_atoms(m: MetricAtom) -> list[RelationalAtom]:
     """All relational atoms nested anywhere inside m, in reading order."""
-    # a plain atom skips the walk: rounds, joins and rule checks call this often
+    # a plain atom skips the walk: the automata read every ground rule's atoms,
+    # most of them plain; the parser's rule check calls this once per rule
     if isinstance(m, Rel):
         return [m.atom]
     return [n.atom for n in nodes(m) if isinstance(n, Rel)]
@@ -220,20 +221,13 @@ def is_valid_head(m: MetricAtom) -> bool:
 
 @dataclass(frozen=True)
 class Rule:
+    """A head over a non-empty body.  A plain record, as `Fact` is: the
+    parser rejects an empty body, a head with a forbidden operator or a head
+    variable outside the body at the edge, and the reasoner builds rules only
+    from rules the parser has checked."""
+
     head: MetricAtom
     body: tuple[MetricAtom, ...]
-
-    def __post_init__(self):
-        if not self.body:
-            raise SyntaxFault("rule body must be non-empty")
-        if not is_valid_head(self.head):
-            raise SyntaxFault(f"forbidden operator in rule head: {self.head}")
-        missing = atom_variables(self.head) - set().union(
-            *(atom_variables(b) for b in self.body)
-        )
-        if missing:
-            names = ", ".join(sorted(v.name for v in missing))
-            raise SyntaxFault(f"unsafe rule: head variable(s) {names} not in body")
 
     def variables(self) -> set[Variable]:
         out = atom_variables(self.head)
@@ -532,12 +526,14 @@ class _Parser:
         while self.peek().text == ",":
             self.next()
             body.append(self.parse_metric_atom())
-        self.expect(".")
-        t = self.tokens[self.pos - 1]
-        try:
-            return Rule(head, tuple(body))
-        except SyntaxFault as e:
-            raise SyntaxFault(str(e), t.line, t.column) from None
+        end = self.expect(".")
+        if not is_valid_head(head):
+            raise SyntaxFault(f"forbidden operator in rule head: {head}", end.line, end.column)
+        missing = atom_variables(head).difference(*map(atom_variables, body))
+        if missing:
+            names = ", ".join(sorted(v.name for v in missing))
+            raise SyntaxFault(f"unsafe rule: head variable(s) {names} not in body", end.line, end.column)
+        return Rule(head, tuple(body))
 
     def parse_fact(self) -> Fact:
         atom = self.parse_relational_atom()

@@ -35,7 +35,9 @@ from datalogmtl.syntax import (
     Top,
     UnaryOp,
     Variable,
+    atom_variables,
     ground,
+    is_valid_head,
     parse_dataset,
     parse_program,
 )
@@ -157,6 +159,14 @@ def rand_rule(rng: random.Random) -> Rule:
     for b in body:
         body_vars |= atom_variables(b)
     return Rule(rand_head(rng, body_vars), body)
+
+
+def assert_checked(rule: Rule):
+    """What the parser checks of each rule it reads, and the reasoner trusts
+    of each rule it builds from checked ones: a non-empty body, a valid
+    head, and no head variable outside the body."""
+    assert rule.body and is_valid_head(rule.head), rule
+    assert atom_variables(rule.head) <= set().union(*map(atom_variables, rule.body)), rule
 
 
 def rand_program(rng: random.Random, max_rules=3) -> Program:

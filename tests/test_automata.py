@@ -47,13 +47,18 @@ from datalogmtl.syntax import (
     RelationalAtom,
     Rule,
     Top,
+    SyntaxFault,
     UnaryOp,
+    is_predicate_name,
     parse_dataset,
     parse_fact,
     parse_program,
+    print_dataset,
+    print_program,
 )
 
 from helpers import (
+    assert_checked,
     check_window_reference,
     consistent_one_engine,
     ground_instance,
@@ -120,9 +125,38 @@ def test_reduction_rejects_doubly_unbounded():
 
 
 def test_reduction_fresh_predicate_avoids_collisions():
+    # the anchor's name is one no input can hold, so a printed reduction
+    # does not read back as another instance
     prog = parse_program("P(X) :- QF(X) .")
     red = entail_to_inconsist(prog, facts_of("QF1(a)@[0,1]"), parse_fact("P(a)@[0,0]"))
-    assert red.dataset[-1].atom.predicate not in {"QF", "QF1"}
+    anchor = red.dataset[-1].atom
+    assert anchor == red.program.rules[-1].body[0].atom
+    assert anchor.predicate not in {"QF", "QF1"} and not is_predicate_name(anchor.predicate)
+    with pytest.raises(SyntaxFault, match="unexpected character '\\$'"):
+        parse_program(print_program(red.program))
+    with pytest.raises(SyntaxFault, match="unexpected character '\\$'"):
+        parse_dataset(print_dataset(red.dataset))
+
+
+@pytest.mark.parametrize(
+    "query", ["Bday(t)@[2,2]", "Bday(t)@[1,3]", "Bday(t)@(1,3]", "Bday(t)@[3,+inf)", "Bday(t)@(-inf,0]"]
+)
+def test_reduction_rule_is_checked(query):
+    red = entail_to_inconsist(load_program("birthday"), load_dataset("birthday"), parse_fact(query))
+    assert_checked(red.program.rules[-1])
+
+
+@pytest.mark.parametrize(
+    "query", ["FullProfessor(a)@[0,1]", "Chair(b)@[3,+inf)", "Chair(b)@[3,5]", "FullProfessor(b)@(-inf,4]"]
+)
+def test_engine_keeps_checked_rules(query):
+    # the engine rescales its ground rules without a check: each rule it
+    # keeps must still be one the parser would accept
+    red = entail_to_inconsist(load_program("professor"), load_dataset("professor"), parse_fact(query))
+    eng = _Engine(*ground_instance(red.program, red.dataset))
+    assert eng.ground_rules
+    for rule in eng.ground_rules:
+        assert_checked(rule)
 
 
 # -- unit ruler

@@ -453,6 +453,14 @@ GOOD_SPEC = {
         ({"fact_count": "many"}, "fact_count"),
         ({"constant_pool": 0}, "constant_pool"),
         ({"max_interval_length": -1}, "max_interval_length"),
+        # integer fields take JSON integers only, not numbers that truncate
+        # or values that Python's int converts
+        ({"constant_pool": 2.7}, "constant_pool"),
+        ({"fact_count": True}, "fact_count"),
+        ({"seed": "3"}, "seed"),
+        ({"seed": 1.0}, "seed"),
+        ({"predicates": [["P", 1.5]]}, "predicates"),
+        ({"predicates": [["P", False]]}, "predicates"),
     ],
 )
 def test_generate_malformed_spec_exit_2(capsys, tmp_path, change, field):
@@ -608,6 +616,21 @@ def test_check_over_a_span_longer_than_the_recursion_limit(capsys, mode):
     assert (code, out.strip()) == (0, "false"), err
 
 
+@pytest.mark.parametrize("mode", [(), ("--sequential",)], ids=["race", "sequential"])
+@pytest.mark.parametrize("query", ["QF@[5,5]", "QG@[5,5]"])
+def test_query_cannot_meet_the_reduction_anchor(capsys, tmp_path, mode, query):
+    # the reduction's anchor once took the first of QF, QF1, ... that the
+    # program and the data left unused, so a query on QF met its own anchor
+    # and read as entailed; QG is the control
+    (tmp_path / "p.dmtl").write_text("BOXPLUS[1,1] P(a) :- P(a) .\nBOTTOM :- P(a), Never(a) .\n")
+    (tmp_path / "d.dtf").write_text("P(a)@[0,0]\n")
+    code, out, err = run(capsys, "check", "--program", str(tmp_path / "p.dmtl"), "--data",
+                         str(tmp_path / "d.dtf"), "--fact", query, "--max-rounds", "5", "--json", *mode)
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["answer"], report["fact_type"], report["winner"]) == (False, "T5", "automata")
+
+
 @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x"])
 def test_timeout_must_be_positive_seconds(capsys, seconds):
     code, _, err = run(capsys, "consistency", "--program", fix("birthday.dmtl"),
@@ -621,10 +644,11 @@ def test_timeout_must_be_positive_seconds(capsys, seconds):
     ("materialize", []),
 ])
 def test_max_rounds_must_not_be_negative(capsys, command, extra):
-    code, out, err = run(capsys, command, "--program", fix("birthday.dmtl"),
-                         "--data", fix("birthday.dtf"), "--max-rounds", "-3", *extra)
-    assert (code, out) == (1, "")
-    assert "argument --max-rounds: expected a non-negative number of rounds, got '-3'" in err
+    for rounds in ("-3", "abc", "1.5"):
+        code, out, err = run(capsys, command, "--program", fix("birthday.dmtl"),
+                             "--data", fix("birthday.dtf"), "--max-rounds", rounds, *extra)
+        assert (code, out) == (1, "")
+        assert f"argument --max-rounds: expected a non-negative number of rounds, got '{rounds}'" in err
 
 
 @pytest.mark.parametrize("line", ["BOTTOM@[2,3]", "TOP(a)@[0,1]"])

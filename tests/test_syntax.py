@@ -19,7 +19,6 @@ from datalogmtl.syntax import (
     Program,
     Rel,
     RelationalAtom,
-    Rule,
     SyntaxFault,
     UnaryOp,
     Variable,
@@ -39,7 +38,7 @@ from datalogmtl.syntax import (
     relational_atoms,
 )
 
-from helpers import rand_fact, rand_program
+from helpers import assert_checked, rand_fact, rand_program
 
 
 def test_parse_simple_rule():
@@ -64,6 +63,28 @@ def test_parse_box_head():
 def test_parse_unsafe_rule_rejected():
     with pytest.raises(SyntaxFault):
         parse_program("P(X) :- DIAMONDPLUS[0,1] Q(Y) .")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # each fault is reported at the rule's closing `.`
+        (
+            "P(a) :- Q(a) .\n  H(X) :- DIAMONDPLUS[0,1] Q(Y)\n   .",
+            "line 3, column 4: unsafe rule: head variable(s) X not in body",
+        ),
+        (
+            "P(a) :- Q(a) .\nDIAMONDMINUS[0,1] P(X) :- Q(X) .",
+            "line 2, column 32: forbidden operator in rule head: DIAMONDMINUS[0,1] P(X)",
+        ),
+        ("H(X,Z) :- Q(Y) .", "line 1, column 16: unsafe rule: head variable(s) X, Z not in body"),
+    ],
+    ids=["unsafe", "diamond-head", "two-unsafe"],
+)
+def test_rule_checks_report_their_position(text, message):
+    with pytest.raises(SyntaxFault) as exc:
+        parse_program(text)
+    assert str(exc.value) == message
 
 
 def test_parse_forbidden_head_operator():
@@ -264,6 +285,16 @@ def test_ground_counts():
     assert ground(prog3, {"a", "b"}) == set(prog3.rules)
 
 
+def test_ground_yields_checked_rules():
+    # `Rule` checks nothing itself: each ground copy of a checked rule must
+    # keep what the parser checked
+    rng = random.Random(27)
+    for _ in range(200):
+        prog = parse_program(print_program(rand_program(rng)))
+        for rule in ground(prog, prog.constants() | {"a", "b"}):
+            assert_checked(rule)
+
+
 def test_check_arities_conflict():
     prog = parse_program("P(X) :- Q(X) .")
     facts = parse_dataset("Q(a,b)@[0,1]")
@@ -298,8 +329,9 @@ def test_rule_str_is_parseable():
 
 
 def test_empty_body_rejected():
-    with pytest.raises(SyntaxFault):
-        Rule(Rel(RelationalAtom("P", ())), ())
+    with pytest.raises(SyntaxFault) as exc:
+        parse_program("P :- .")
+    assert str(exc.value) == "line 1, column 6: expected a metric atom, got '.'"
 
 
 # -- Fact value semantics
