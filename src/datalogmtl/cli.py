@@ -76,7 +76,11 @@ def _rounds(text: str) -> int:
 @contextlib.contextmanager
 def _wall_clock(seconds):
     """Raise WallClockExceeded in the main thread once `seconds` of wall
-    time have passed, through SIGALRM, so only on POSIX systems."""
+    time have passed, through SIGALRM, so only on POSIX systems.
+
+    The alarm repeats every 0.05 s until the block ends: an exception
+    that the handler raises inside a gc callback goes to
+    `sys.unraisablehook`, not to the command, so one alarm can be lost."""
     if seconds is None:
         yield
         return
@@ -85,7 +89,7 @@ def _wall_clock(seconds):
         raise WallClockExceeded(f"wall-clock budget of {seconds:g} s exhausted")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.05)
     try:
         yield
     finally:

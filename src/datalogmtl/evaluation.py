@@ -25,6 +25,8 @@ from .intervals import (
     FULL_LINE,
     Interval,
     POS_INF,
+    _SORT_KEY,
+    _build,
     bound_add,
     coalesce,
     intersect,
@@ -76,13 +78,13 @@ def apply_operator(
     (`intervals.shift`); SINCE and UNTIL sweep their two operand lists.
     Operands are evaluated through this module's `apply_operator`.
     """
+    if isinstance(literal, Rel):
+        key = literal.atom.key()
+        return list(store.intervals_for(_ground_key(key, binding) if binding else key))
     if isinstance(literal, Top):
         return [FULL_LINE]
     if isinstance(literal, Bottom):
         return list(store.bottom_intervals)
-    if isinstance(literal, Rel):
-        key = literal.atom.key()
-        return list(store.intervals_for(_ground_key(key, binding) if binding else key))
     if isinstance(literal, UnaryOp):
         return shift(_UNARY_KIND[literal.op], apply_operator(literal.sub, store, binding), literal.interval)
     if isinstance(literal, BinaryOp):
@@ -103,9 +105,6 @@ def _since(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
     """t holds iff some t' with t - t' in rho satisfies the right side and
     the left side holds throughout (t', t)."""
     out: IntervalList = []
-    if not rho.left_open and rho.left == 0:
-        # witness t' = t: the open gap (t', t) is empty
-        out.extend(right)
     rho_pos = _positive_part(rho)
     if not rho_pos.is_empty:
         d_left, d_right, d_left_open, d_right_open = rho_pos
@@ -137,7 +136,12 @@ def _since(rho: Interval, left: IntervalList, right: IntervalList) -> IntervalLi
                 # an infinite end here is already open: it comes from an
                 # open end of w, rho_pos or the cap
                 if lo < hi or (lo == hi and not (lo_open or hi_open)):
-                    out.append(Interval(lo, hi, lo_open, hi_open))
+                    out.append(_build((lo, hi, lo_open, hi_open)))
+    if not rho.left_open and rho.left == 0:
+        # witness t' = t, where the open gap (t', t) is empty: `right` holds
+        # too.  Both runs are sorted, so the sort is one merge, and coalesce
+        # takes its one-pass path.
+        return coalesce(sorted([*right, *out], key=_SORT_KEY))
     return coalesce(out)
 
 
@@ -211,7 +215,7 @@ def _intersect_lists(a: IntervalList, b: IntervalList) -> IntervalList:
             else:
                 j += 1
         if left < right or (left == right and not (left_open or right_open)):
-            out.append(Interval(left, right, left_open, right_open))
+            out.append(_build((left, right, left_open, right_open)))
     return out
 
 
@@ -300,14 +304,20 @@ def substitutions(rule: Rule, store: FactStore) -> Iterator[list]:
     names no stored key, so it holds nowhere.  A head slot left unbound
     ranges over the store's `domain`, its constants and the rule's.  A match
     and a skip can give the same row; the store merges what both derive.
-    Rows are read, never written, once yielded.
+    A row with every head slot bound is yielded as the search built it, so
+    one list may be yielded more than once: rows are read, never written,
+    once yielded.
     """
     compiled = plan(rule)
-    steps, needed, domain = compiled.steps, compiled.needed, []
+    steps, needed, open_head, domain = compiled.steps, compiled.needed, compiled.open_head, []
 
     def search(idx: int, row: list):
         if idx == len(steps):
-            yield from complete(row)
+            missing = [s for s in open_head if row[s] is None]
+            if missing:
+                yield from complete(row, missing)
+            else:
+                yield row
             return
         predicate, pattern = steps[idx]
         if idx < needed or any(type(p) is int and row[p] is None for p in pattern):
@@ -316,9 +326,8 @@ def substitutions(rule: Rule, store: FactStore) -> Iterator[list]:
         if idx >= needed:
             yield from search(idx + 1, row)
 
-    def complete(row: list):
-        missing = [s for s in compiled.open_head if row[s] is None]
-        if missing and not domain:
+    def complete(row: list, missing: list[int]):
+        if not domain:
             domain.extend(sorted(store.domain | store.constants() | Program((rule,)).constants()))
         for combo in itertools.product(domain, repeat=len(missing)):
             full = row.copy()
@@ -336,7 +345,8 @@ def evaluate_rule(rule: Rule, store: FactStore) -> list:
     evaluated as written, their `Rel` leaves bound by the row's names, and
     the coalesced body list is mapped through the head by one
     `reverse_head` call, on the head atom grounded from the row.  Returns a
-    list of Facts and ("bottom", interval) markers.
+    list of Facts and ("bottom", interval) markers: per row, one coalesced
+    run, on an atom object built for that row unless the head is ground.
     """
     compiled = plan(rule)
     out = []

@@ -7,20 +7,24 @@ Fraction.  The infinite ones are the two float constants NEG_INF and POS_INF,
 so bounds compare with the built-in operators.
 
 An `Interval` is an immutable named 4-tuple (left, right, left_open,
-right_open): it is built at tuple cost, it equals and hashes as that tuple,
-and the kernels unpack it in one step.  Intervals do not order (`<` raises
-TypeError); sorting goes through `sort_key`.  The empty interval is the
-single module-level EMPTY object.  The list kernels `shift` and `reflect`
-map a coalesced list to a coalesced list in one pass, and `coalesce` builds
-one, in one pass when its input comes in order; each builds every output
-interval once.
+right_open): it equals and hashes as that tuple, and the kernels unpack it
+in one step.  Intervals do not order (`<` raises TypeError); sorting goes
+through `sort_key`.  The empty interval is the single module-level EMPTY
+object.  The list kernels `shift` and `reflect` map a coalesced list to a
+coalesced list in one pass, and `coalesce` builds one, in one pass when its
+input comes in order; each builds every output interval once.
+
+`Interval(left, right, left_open, right_open)` is the public constructor.
+The kernels here and in `evaluation` build through `_build` instead,
+`tuple.__new__` bound to Interval: one C call, with no Python-level
+`__new__`, for endpoints they have already checked.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -95,6 +99,11 @@ class Interval(NamedTuple):
 # bound, closed before open; one C call, so coalesce sorts by it directly
 _SORT_KEY = itemgetter(0, 2, 1, 3)
 
+# The kernels' builder, `_build((left, right, left_open, right_open))` (see
+# the module docstring): it checks nothing, so its callers pass the
+# canonical endpoints of a non-empty interval.
+_build = partial(tuple.__new__, Interval)
+
 
 def _fmt_bound(b: Bound) -> str:
     if b.__class__ is float:
@@ -121,7 +130,7 @@ def normalize(left: Bound, right: Bound, left_open: bool, right_open: bool) -> I
         return EMPTY
     if left == right and (left_open or right_open):
         return EMPTY
-    return Interval(left, right, left_open, right_open)
+    return _build((left, right, left_open, right_open))
 
 
 def make(left, right, left_open=False, right_open=False) -> Interval:
@@ -228,11 +237,11 @@ def shift(kind: str, intervals: list[Interval], rho: Interval) -> list[Interval]
             if run_right > left or (run_right == left and not (run_ro and lo)):
                 run_right, run_ro = right, ro
                 continue
-            out.append(Interval(run_left, run_right, run_lo, run_ro))
+            out.append(_build((run_left, run_right, run_lo, run_ro)))
         run_left, run_right, run_lo, run_ro = left, right, lo, ro
         pending = True
     if pending:
-        out.append(Interval(run_left, run_right, run_lo, run_ro))
+        out.append(_build((run_left, run_right, run_lo, run_ro)))
     return out
 
 
@@ -240,7 +249,7 @@ def reflect(intervals: list[Interval]) -> list[Interval]:
     """A coalesced list mirrored in time, itself coalesced: each point t
     becomes -t, so each interval's ends are negated and swapped, and an
     infinite bound becomes the opposite POS_INF/NEG_INF constant."""
-    return [Interval(negate(r), negate(l), ro, lo) for l, r, lo, ro in reversed(intervals)]
+    return [_build((negate(r), negate(l), ro, lo)) for l, r, lo, ro in reversed(intervals)]
 
 
 def intersect(i1: Interval, i2: Interval) -> Interval:
@@ -273,10 +282,10 @@ def union_if_coalescable(i1: Interval, i2: Interval) -> Optional[Interval]:
     if a.right == b.left and a.right_open and b.left_open:
         return None
     if a.right < b.right:
-        return Interval(a.left, b.right, a.left_open, b.right_open)
+        return _build((a.left, b.right, a.left_open, b.right_open))
     if b.right < a.right or a.right_open <= b.right_open:
         return a
-    return Interval(a.left, a.right, a.left_open, False)
+    return _build((a.left, a.right, a.left_open, False))
 
 
 def subset(i1: Interval, i2: Interval) -> bool:
@@ -344,7 +353,7 @@ def coalesce(intervals: Iterable[Interval]) -> list[Interval]:
             if last_right > left or (last_right == left and not (last_ro and lo)):
                 if last_right < right or (last_right == right and last_ro and not ro):
                     last_right, last_ro = right, ro
-                    out[-1] = Interval(last_left, right, last_lo, ro)
+                    out[-1] = _build((last_left, right, last_lo, ro))
                 continue
         out.append(iv)
         last_left, last_right, last_lo, last_ro = left, right, lo, ro

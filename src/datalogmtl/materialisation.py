@@ -7,8 +7,8 @@ from itertools import zip_longest
 from typing import Callable, Optional
 
 from .analysis import propagation
-from .evaluation import evaluate_rule
-from .intervals import POS_INF, Interval, coalesce, intersect, negate, reflect, subset
+from .evaluation import evaluate_rule, merge_intervals, plan
+from .intervals import POS_INF, Interval, coalesce, negate, reflect, subset
 from .store import FactStore
 from .syntax import Fact, Program
 
@@ -31,7 +31,9 @@ def apply_rules(
 
     Rules are evaluated against the input store; derived facts are inserted
     (and coalesced) into a snapshot of it, so in-round derivations never feed
-    each other.
+    each other.  Each substitution derives one coalesced run
+    (`evaluate_rule`); a key that one run fed takes that run as it is, and
+    only a key that several runs fed is coalesced before insertion.
 
     `changed` names the predicates whose coverage grew in the round that
     produced `store`.  A rule whose body mentions none of them is skipped:
@@ -39,30 +41,41 @@ def apply_rules(
     derives is already stored.  None evaluates every rule, as a first round
     must.  The atom keys whose coverage grows in this round are added to
     `grown` when it is given; an empty `grown` and no BOTTOM mean that the
-    round changed nothing.  With a `horizon`, each derived interval is
-    intersected with it before insertion; BOTTOM intervals are kept whole.
+    round changed nothing.  With a `horizon`, each key's derived list is
+    intersected with it before insertion, which drops the pieces outside
+    it; BOTTOM intervals are kept whole.
     """
     out = store.snapshot()
     by_key: dict = {}
+    # keys whose derived list is not one coalesced run
+    mixed: set = set()
     bottoms: list[Interval] = []
     for rule in program.rules:
         if changed is not None and changed.isdisjoint(rule.body_predicates()):
             continue
+        # one substitution's facts are a coalesced run on one atom object,
+        # built afresh per substitution for a non-ground head; a ground
+        # head gives every substitution the same object, so its runs merge
+        shared = plan(rule).head is None
         atom = None
         for derived in evaluate_rule(rule, store):
             if isinstance(derived, tuple):
                 bottoms.append(derived[1])
                 continue
-            # the facts of one substitution come in a run on one atom object
             if derived.atom is not atom:
                 atom = derived.atom
-                ivs = by_key.setdefault(atom.key(), [])
+                key = atom.key()
+                ivs = by_key.setdefault(key, [])
+                if ivs or shared:
+                    mixed.add(key)
             ivs.append(derived.interval)
     if bottoms:
         out.mark_bottom(*bottoms)
     for key, ivs in by_key.items():
+        if key in mixed:
+            ivs = coalesce(ivs)
         if horizon is not None:
-            ivs = [intersect(iv, horizon) for iv in ivs]
+            ivs = merge_intervals([ivs, [horizon]])
         if out.insert_intervals(key, ivs) and grown is not None:
             grown.add(key)
     return out

@@ -38,15 +38,22 @@ class FactStore:
 
     # -- mutation
 
-    def insert_intervals(self, key: AtomKey, intervals: Iterable[Interval]) -> bool:
-        """Coalesce the union into the stored list in one pass; True iff
-        coverage strictly grew."""
-        old = self.atoms.get(key, [])
+    def insert_intervals(self, key: AtomKey, intervals: list[Interval]) -> bool:
+        """Add a coalesced list to the key's coverage; True iff it strictly
+        grew.  A key that holds nothing takes `intervals` itself, so the
+        caller hands the list over and does not change it afterwards; a key
+        that holds a list gets that list and `intervals` coalesced."""
+        old = self.atoms.get(key)
+        if old is None:
+            if not intervals:
+                return False
+            self.atoms[key] = intervals
+            self._index(key)
+            return True
         merged = coalesce([*old, *intervals])
         if merged == old:
             return False
         self.atoms[key] = merged
-        self._index(key)
         return True
 
     def mark_bottom(self, *intervals: Interval):

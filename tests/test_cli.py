@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, JSON output, and exit codes."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -528,6 +529,39 @@ def test_materialize_timeout_exits_3(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 5
 
 
+def expire_soon():
+    """Bring the running --timeout alarm forward to 0.01 s from now, with
+    the repeat that `_wall_clock` gave it."""
+    signal.setitimer(signal.ITIMER_REAL, 0.01, signal.getitimer(signal.ITIMER_REAL)[1])
+
+
+def test_timeout_lands_after_a_gc_callback_swallows_it(monkeypatch):
+    # the alarm goes off while a gc callback runs, which hands the handler's
+    # exception to sys.unraisablehook; a repeat must still end the block
+    swallowed = []
+    monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: swallowed.append(unraisable.exc_type))
+    slept = []
+
+    def slow_callback(phase, _info):
+        if phase == "start" and not slept:
+            slept.append(True)
+            expire_soon()
+            time.sleep(0.05)
+
+    gc.callbacks.append(slow_callback)
+    try:
+        with pytest.raises(cli.WallClockExceeded), cli._wall_clock(60):
+            gc.collect()
+            deadline = time.monotonic() + 1
+            while time.monotonic() < deadline:
+                pass
+    finally:
+        gc.callbacks.remove(slow_callback)
+    # one alarm at least was lost; other gc callbacks may swallow a repeat
+    assert swallowed and set(swallowed) == {cli.WallClockExceeded}
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 def party_files(tmp_path, fact="Party(a)@[-2,-2]"):
     """Birthday with a rule that looks ahead, so the program propagates both
     ways and races, and a query only the automata can answer."""
@@ -547,7 +581,7 @@ def test_race_check_timeout_leaves_no_child(capsys, monkeypatch, tmp_path):
 
     def automata_outlast_the_budget(*a, cancelled):
         raced.append(multiprocessing.active_children())
-        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        expire_soon()
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             cancelled()
@@ -575,7 +609,7 @@ def test_race_check_timeout_inside_a_materialisation_round_exits_3(capsys, monke
 
     def round_outlasts_the_budget(*a):
         if outlasting:  # not the pre-materialisation round
-            signal.setitimer(signal.ITIMER_REAL, 0.01)
+            expire_soon()
             time.sleep(60)
         return apply_rules(*a)
 
@@ -595,7 +629,7 @@ def test_one_way_check_timeout_exits_3_with_no_child(capsys, monkeypatch):
 
     def automata_outlast_the_budget(*a, **k):
         raced.append(multiprocessing.active_children())
-        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        expire_soon()
         time.sleep(60)
 
     monkeypatch.setattr(pipeline, "consistent", automata_outlast_the_budget)

@@ -3,15 +3,25 @@
 `coalesce`'s in-order pass against sorting first, `reflect` against
 negating each point, and `evaluate_rule` and `apply_rules` against the
 rule's groundings, each mapped through the head one body interval at a
-time; and the cached atom key, which must leave atoms and facts as they
-were."""
+time; every kernel's output built as whole `Interval`s; and the cached
+atom key, which must leave atoms and facts as they were."""
 
 import pickle
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from datalogmtl.evaluation import Plan, apply_operator, evaluate_rule, merge_intervals, plan
+from datalogmtl.evaluation import (
+    Plan,
+    _intersect_lists,
+    _since,
+    _until,
+    apply_operator,
+    evaluate_rule,
+    merge_intervals,
+    plan,
+)
 from datalogmtl.intervals import (
     EMPTY,
     NEG_INF,
@@ -19,6 +29,7 @@ from datalogmtl.intervals import (
     Interval,
     bound_add,
     coalesce,
+    intersect,
     interval_op,
     make,
     normalize,
@@ -42,6 +53,8 @@ from datalogmtl.syntax import (
     parse_fact,
     parse_program,
 )
+
+from test_properties import since_reference, until_reference
 
 SHIFTS = ("plus", "minus", "circleplus", "circleminus")
 
@@ -262,6 +275,57 @@ def test_coalesce_matches_sorting_first(items):
     assert coalesce(iter(items + [EMPTY])) == want
 
 
+# -- the kernels' interval builder
+
+
+def repr_reference(iv):
+    def text(b):
+        return "+inf" if b is POS_INF else "-inf" if b is NEG_INF else str(b)
+
+    return f"{'(' if iv.left_open else '['}{text(iv.left)},{text(iv.right)}{')' if iv.right_open else ']'}"
+
+
+def whole(lst):
+    """Every interval is an `Interval` as the public constructor builds it:
+    its type, fields, hash, repr and sort key."""
+    for iv in lst:
+        assert type(iv) is Interval and hash(iv) == hash(tuple(iv))
+        assert (iv.left, iv.right, iv.left_open, iv.right_open) == tuple(iv)
+        assert repr(iv) == repr_reference(iv)
+        assert iv.sort_key() == (iv.left, iv.left_open, iv.right, iv.right_open)
+    return True
+
+
+@given(st.sampled_from(SHIFTS), rhos(), coalesced_lists, coalesced_lists, coalesce_inputs())
+@settings(max_examples=200, deadline=None)
+def test_kernels_build_whole_intervals(kind, rho, a, b, items):
+    # rho starts at 0 or later, so it is also a SINCE/UNTIL interval
+    cases = [
+        (shift(kind, a, rho), coalesce_reference(op_reference(kind, t, rho) for t in a)),
+        (coalesce(items), coalesce_reference(items)),
+        (reflect(a), [op_reference("minus", point(0), iv) for iv in reversed(a)]),
+        (_since(rho, a, b), since_reference(rho, a, b)),
+        (_until(rho, a, b), until_reference(rho, a, b)),
+        (_intersect_lists(a, b), coalesce_reference(intersect(x, y) for x in a for y in b)),
+    ]
+    for got, want in cases:
+        assert got == want and whole(got)
+
+
+bounds = st.one_of(finite, st.sampled_from((NEG_INF, POS_INF)))
+
+
+@given(bounds, bounds, st.booleans(), st.booleans())
+def test_normalize_builds_a_whole_interval_or_empty(left, right, left_open, right_open):
+    got = normalize(left, right, left_open, right_open)
+    left_open = left_open or left is NEG_INF
+    right_open = right_open or right is POS_INF
+    if left is POS_INF or right is NEG_INF or right < left or (left == right and (left_open or right_open)):
+        assert got is EMPTY
+    else:
+        assert got == (left, right, left_open, right_open) and whole([got])
+
+
 # -- evaluate_rule and apply_rules
 
 RULES = (
@@ -343,6 +407,41 @@ def test_many_bottom_intervals_are_marked_at_once():
     out = apply_rules(program, store)
     assert out.bottom_intervals == want
     assert len(want) == 100 and want[-1] == make(396, 797)
+
+
+# apply_rules stores each derived run as it comes and coalesces a key only
+# when several runs fed it: a ground head gets the same atom object from
+# every substitution, two substitutions can ground one head key, two rules
+# can derive one key, and a horizon can clip a run's ends to nothing
+@pytest.mark.parametrize(
+    "program_text, data, horizon",
+    [
+        ("H(a) :- P(X) .", "P(b)@[0,1]\nP(c)@[0,1]", None),
+        ("H(a) :- P(X) .", "P(b)@[0,1]\nP(c)@[2,3]\nP(d)@[1,2]", None),
+        ("H(X) :- E(X,Y) .", "E(a,b)@[2,3]\nE(a,c)@[0,2]", None),
+        (
+            "H(X) :- P(X) .\nH(X) :- DIAMONDMINUS[1,1] P(X) .",
+            "P(a)@[0,1]\nP(a)@[3,4]\nH(a)@[10,11]",
+            None,
+        ),
+        ("H(X) :- P(X) .", "P(a)@[0,1]\nP(a)@[3,4]\nP(a)@[6,7]", make(1, 6, True, True)),
+        ("H(X) :- P(X) .", "P(a)@[0,1]\nP(a)@[3,4]\nP(a)@[6,7]", make(1, 6)),
+        ("H(X) :- P(X) .", "P(a)@[0,1]", make(1, 2, True, False)),
+    ],
+    ids=["ground head", "ground head out of order", "one key, two rows", "two rules",
+         "open horizon", "closed horizon", "horizon past the run"],
+)
+def test_apply_rules_merges_the_runs_that_meet_on_a_key(program_text, data, horizon):
+    program = parse_program(program_text)
+    store = FactStore.from_facts(parse_dataset(data))
+    out = apply_rules(program, store, horizon=horizon)
+    out.check_invariants()
+    derived = [d for rule in program.rules for d in evaluate_rule_reference(rule, store)]
+    for key, ivs in by_key(derived).items():
+        if horizon is not None:
+            ivs = [intersect(iv, horizon) for iv in ivs]
+        assert out.intervals_for(key) == coalesce_reference(store.intervals_for(key) + ivs)
+    assert set(out.atoms) <= set(store.atoms) | set(by_key(derived))
 
 
 # -- the compiled rule plan
