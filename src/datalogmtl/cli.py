@@ -221,8 +221,6 @@ def _dispatch(args) -> int:
     if args.command == "materialize":
         program, data, _ = _load(args)
         start = FactStore.from_facts(data)
-        # open head variables range over every constant (`substitutions`)
-        start.domain = frozenset(program.constants() | start.constants())
         t0 = time.perf_counter()
         out = materialise(program, start, max_rounds=args.max_rounds)
         coalescing_s = time.perf_counter() - t0

@@ -10,8 +10,8 @@ Each rule is compiled once into a `Plan`, kept on the rule object: variable
 slots, numbered in sorted variable-name order; join steps over the needed
 atoms, then the optional ones, each a predicate and an argument pattern of
 slots and constant names; the head slots no needed atom binds; and the key
-of a non-ground head atom.  The search (`substitutions`) yields rows, lists
-of constant names indexed by slot, which `FactStore.join` extends without
+of the head atom.  The search (`substitutions`) yields rows, lists of
+constant names indexed by slot, which `FactStore.join` extends without
 building a term or a dict per candidate, and each body literal is evaluated
 as written, its leaves bound through the row.
 """
@@ -72,7 +72,8 @@ def apply_operator(
     The literal is ground, or `binding` maps each of its variable names to
     a constant name (None for a variable left unbound, so its atom holds
     nowhere): a `Rel` leaf is read from the store under its key with the
-    names replaced, and no grounded literal is built.
+    names replaced, and no grounded literal is built.  Leaves return the
+    store's own lists, which nobody writes (`store`).
 
     A unary operator shifts its operand's whole coalesced list in one pass
     (`intervals.shift`); SINCE and UNTIL sweep their two operand lists.
@@ -80,11 +81,11 @@ def apply_operator(
     """
     if isinstance(literal, Rel):
         key = literal.atom.key()
-        return list(store.intervals_for(_ground_key(key, binding) if binding else key))
+        return store.intervals_for(_ground_key(key, binding) if binding else key)
     if isinstance(literal, Top):
         return [FULL_LINE]
     if isinstance(literal, Bottom):
-        return list(store.bottom_intervals)
+        return store.bottom_intervals
     if isinstance(literal, UnaryOp):
         return shift(_UNARY_KIND[literal.op], apply_operator(literal.sub, store, binding), literal.interval)
     if isinstance(literal, BinaryOp):
@@ -260,7 +261,7 @@ class Plan(NamedTuple):
     steps: tuple[tuple[str, tuple], ...]  # (predicate, pattern): needed atoms, then optional ones
     needed: int  # how many of the steps are needed atoms
     open_head: tuple[int, ...]  # head slots that no needed atom binds
-    head: Optional[AtomKey]  # the key of a non-ground head atom, variable names and all
+    head: Optional[AtomKey]  # the head atom's key, variable names and all; None for BOTTOM
 
 
 def plan(rule: Rule) -> Plan:
@@ -284,7 +285,7 @@ def plan(rule: Rule) -> Plan:
     )
     open_head = tuple(sorted(slot[v.name] for v in atom_variables(rule.head) - bound))
     base = head_parts(rule.head)[1]
-    head = base.atom.key() if isinstance(base, Rel) and base.atom.variables() else None
+    head = base.atom.key() if isinstance(base, Rel) else None
     compiled = rule.__dict__["_plan"] = Plan(names, steps, len(needed), open_head, head)
     return compiled
 
@@ -346,7 +347,9 @@ def evaluate_rule(rule: Rule, store: FactStore) -> list:
     the coalesced body list is mapped through the head by one
     `reverse_head` call, on the head atom grounded from the row.  Returns a
     list of Facts and ("bottom", interval) markers: per row, one coalesced
-    run, on an atom object built for that row unless the head is ground.
+    run, on an atom object built for that row, ground heads included.  Open
+    head slots range over the store's domain and constants and the rule's
+    (`substitutions`), so not over the program's when called directly.
     """
     compiled = plan(rule)
     out = []

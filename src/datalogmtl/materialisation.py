@@ -7,7 +7,7 @@ from itertools import zip_longest
 from typing import Callable, Optional
 
 from .analysis import propagation
-from .evaluation import evaluate_rule, merge_intervals, plan
+from .evaluation import evaluate_rule, merge_intervals
 from .intervals import POS_INF, Interval, coalesce, negate, reflect, subset
 from .store import FactStore
 from .syntax import Fact, Program
@@ -31,9 +31,12 @@ def apply_rules(
 
     Rules are evaluated against the input store; derived facts are inserted
     (and coalesced) into a snapshot of it, so in-round derivations never feed
-    each other.  Each substitution derives one coalesced run
-    (`evaluate_rule`); a key that one run fed takes that run as it is, and
-    only a key that several runs fed is coalesced before insertion.
+    each other, and the input store is never written.  Each substitution
+    derives one coalesced run on an atom object of its own (`evaluate_rule`);
+    a key that one run fed takes that run as it is, and a key that a second
+    run reaches is coalesced first.  Open head variables range over the
+    constants of `store.domain`, the store and the rule: called directly,
+    not over the rest of the program's, which `materialise` adds.
 
     `changed` names the predicates whose coverage grew in the round that
     produced `store`.  A rule whose body mentions none of them is skipped:
@@ -53,10 +56,6 @@ def apply_rules(
     for rule in program.rules:
         if changed is not None and changed.isdisjoint(rule.body_predicates()):
             continue
-        # one substitution's facts are a coalesced run on one atom object,
-        # built afresh per substitution for a non-ground head; a ground
-        # head gives every substitution the same object, so its runs merge
-        shared = plan(rule).head is None
         atom = None
         for derived in evaluate_rule(rule, store):
             if isinstance(derived, tuple):
@@ -66,7 +65,7 @@ def apply_rules(
                 atom = derived.atom
                 key = atom.key()
                 ivs = by_key.setdefault(key, [])
-                if ivs or shared:
+                if ivs:
                     mixed.add(key)
             ivs.append(derived.interval)
     if bottoms:
@@ -137,8 +136,9 @@ def materialise(
     """Iterate apply_rules until a target is entailed, a fixpoint or the
     round limit is reached, or inconsistency is derived.
 
-    The given store is never written: each round inserts into a snapshot
-    (see apply_rules), so callers need not copy it.
+    The given store is never written (see apply_rules), so callers need not
+    copy it.  Open head variables range over the program's constants too: a
+    snapshot adds those that `store.domain` lacks.
 
     Each round first calls `poll`, when given; what it raises ends the loop.
     A round after the first evaluates only the rules whose body reads a
@@ -155,6 +155,9 @@ def materialise(
     mirror, before the last uncovered target point; a program that
     propagates both ways (0) never stops early.
     """
+    if missing := program.constants() - store.domain:
+        store = store.snapshot()
+        store.domain |= missing
     status = round_status(store, target, None)
     if status is not None:
         return MaterialisationOutcome(store, status, 0)

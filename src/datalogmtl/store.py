@@ -3,7 +3,9 @@
 Per ground relational atom a sorted list of pairwise non-coalescable
 intervals, plus a per-argument index for joins and an inconsistency flag for
 derived BOTTOM intervals.  The store is always fully coalesced, so fact
-entailment reduces to single-interval containment.
+entailment reduces to single-interval containment.  No stored interval
+list is ever written: inserting or marking BOTTOM replaces a list, so
+snapshots and readers share lists, and a list handed in is the store's.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ class FactStore:
         # (predicate, position, constant) -> set of atom keys
         self.arg_index: dict[tuple[str, int, str], set[AtomKey]] = {}
         self.bottom_intervals: list[Interval] = []
-        # constant names an open head variable ranges over, beside the
-        # stored ones and its rule's (`evaluation.substitutions`): the
-        # pipeline sets the constants of the program, the data and the query
+        # constants open head variables range over beside the stored ones and
+        # the rule's (`substitutions`): `materialise` adds its program's, and
+        # `check_entailment` the query's too
         self.domain: frozenset[str] = frozenset()
 
     @property
@@ -40,9 +42,8 @@ class FactStore:
 
     def insert_intervals(self, key: AtomKey, intervals: list[Interval]) -> bool:
         """Add a coalesced list to the key's coverage; True iff it strictly
-        grew.  A key that holds nothing takes `intervals` itself, so the
-        caller hands the list over and does not change it afterwards; a key
-        that holds a list gets that list and `intervals` coalesced."""
+        grew.  A key that holds nothing takes `intervals` itself; a key that
+        holds a list gets a new list, that one and `intervals` coalesced."""
         old = self.atoms.get(key)
         if old is None:
             if not intervals:
@@ -121,10 +122,7 @@ class FactStore:
                 yield extended
 
     def constants(self) -> set[str]:
-        out = set()
-        for _, consts in self.atoms:
-            out |= set(consts)
-        return out
+        return {c for _, consts in self.atoms for c in consts}
 
     def facts(self) -> Iterator[Fact]:
         for key in sorted(self.atoms):
@@ -138,12 +136,13 @@ class FactStore:
     # -- structural operations
 
     def snapshot(self) -> "FactStore":
-        """Independent copy; interval lists are copied, intervals shared."""
+        """Independent copy that shares the interval lists (see the module
+        docstring); the index sets are copied, as `_index` adds to them."""
         s = FactStore.__new__(FactStore)
-        s.atoms = {k: list(v) for k, v in self.atoms.items()}
+        s.atoms = self.atoms.copy()
         s.by_predicate = {k: set(v) for k, v in self.by_predicate.items()}
         s.arg_index = {k: set(v) for k, v in self.arg_index.items()}
-        s.bottom_intervals = list(self.bottom_intervals)
+        s.bottom_intervals = self.bottom_intervals
         s.domain = self.domain
         return s
 

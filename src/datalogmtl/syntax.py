@@ -268,12 +268,8 @@ class Program:
         return out
 
     def constants(self) -> set[str]:
-        out = set()
-        for r in self.rules:
-            for m in (r.head, *r.body):
-                for a in relational_atoms(m):
-                    out |= {t.name for t in a.args if isinstance(t, Constant)}
-        return out
+        atoms = (a for r in self.rules for m in (r.head, *r.body) for a in relational_atoms(m))
+        return {t.name for a in atoms for t in a.args if isinstance(t, Constant)}
 
     def __str__(self):
         return "\n".join(str(r) for r in self.rules)

@@ -175,6 +175,20 @@ def test_materialize_ranges_open_head_variables_over_every_program_constant(caps
     ]
 
 
+def test_library_materialise_gives_the_store_cli_materialize_prints(capsys, tmp_path):
+    # materialise widens the domain by the program's constants itself, so
+    # a library run also derives H(a,m) and W(a)
+    program = OPEN_HEAD + "W(X) :- H(X,m) .\n"
+    (tmp_path / "p.dmtl").write_text(program)
+    (tmp_path / "d.dtf").write_text(OPEN_HEAD_DATA)
+    code, out, _ = run(capsys, "materialize", "--program", str(tmp_path / "p.dmtl"),
+                       "--data", str(tmp_path / "d.dtf"))
+    store = FactStore.from_facts(parse_dataset(OPEN_HEAD_DATA))
+    assert code == 0
+    assert materialisation.materialise(parse_program(program), store).store.dump() == out
+    assert store.domain == frozenset()
+
+
 def test_materialize_json_does_not_format_the_store(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("the store was formatted")

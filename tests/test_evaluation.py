@@ -167,20 +167,33 @@ def test_since_until_with_zero_need_no_left_facts(op):
         ("H(X) :- P(X,Y) SINCE[0,1] Q(X) .", "Q(a)@[0,0]"),
         ("H(X) :- P(X,Y) UNTIL[0,1] Q(X) .", "Q(a)@[0,0]"),
         ("H(X,Y) :- P(X,Y) SINCE[0,1] Q(X) .", "Q(a)@[0,0]\nR(b)@[3,3]"),
+        # m is named only by the second rule, and H(a,m) feeds it
+        ("H(X,Y) :- P(X,Y) SINCE[0,1] Q(X) .\nW(X) :- H(X,m) .", "Q(a)@[0,0]\nR(b)@[3,3]"),
     ],
 )
 def test_left_only_variables_of_since_until_with_zero_need_no_facts(rule, data):
     # Y occurs only under the left operand, which may lack facts while the
-    # literal holds; in the head, Y ranges over every constant
+    # literal holds; in the head, Y ranges over every constant of the
+    # program and the data
     prog = parse_program(rule)
     facts = parse_dataset(data)
     out = materialise(prog, FactStore.from_facts(facts)).store
-    rules = ground(prog, {"a", "b"})
+    rules = ground(prog, prog.constants() | {a.name for f in facts for a in f.atom.args})
     oracle = GridOracle(prog, facts)
     oracle.materialise(sorted(rules, key=str))
     want = {(str(r.head), iv) for r in rules for iv in coalesce(oracle.holds_intervals(r.head))}
-    got = {(str(f.atom), f.interval) for f in out.facts() if f.atom.predicate == "H"}
+    heads = {r.head_predicate() for r in prog.rules}
+    got = {(str(f.atom), f.interval) for f in out.facts() if f.atom.predicate in heads}
     assert want and got == want
+
+
+def test_a_ground_head_starts_a_new_atom_per_row():
+    # every row's run begins at an atom object of its own, so apply_rules
+    # tells two runs on one ground key apart
+    prog = parse_program("H(a) :- P(X) .")
+    out = evaluate_rule(prog.rules[0], store_of("P(b)@[0,1]\nP(c)@[0,1]"))
+    assert [(str(f.atom), f.interval) for f in out] == [("H(a)", make(0, 1))] * 2
+    assert out[0].atom is not out[1].atom
 
 
 def test_evaluate_rule_join_across_arguments():

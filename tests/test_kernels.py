@@ -410,9 +410,9 @@ def test_many_bottom_intervals_are_marked_at_once():
 
 
 # apply_rules stores each derived run as it comes and coalesces a key only
-# when several runs fed it: a ground head gets the same atom object from
-# every substitution, two substitutions can ground one head key, two rules
-# can derive one key, and a horizon can clip a run's ends to nothing
+# when several runs fed it: several substitutions can feed one ground head,
+# two substitutions can ground one head key, two rules can derive one key,
+# and a horizon can clip a run's ends to nothing
 @pytest.mark.parametrize(
     "program_text, data, horizon",
     [

@@ -1,5 +1,6 @@
 """Forward-chaining rounds: apply_rules and the materialise loop."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from datalogmtl.bench import GeneratorSpec, generate_dataset
 from datalogmtl.dense_grid import GridOracle
 from datalogmtl.intervals import NEG_INF, POS_INF, coalesce, make
 from datalogmtl.materialisation import _new_point_bound, apply_rules, materialise
+from datalogmtl.pipeline import check_entailment
 from datalogmtl.store import FactStore
 from datalogmtl.syntax import (
     Bottom,
@@ -450,3 +452,56 @@ def one_way_instances(draw):
 @settings(max_examples=150, deadline=None)
 def test_stop_is_sound_on_one_way_programs(instance):
     assert_stop_is_sound(*instance)
+
+
+# rules beside a one-way program: ground heads, boxed ones, a BOTTOM head,
+# a SINCE from 0 that fires on any P fact longer than a point, and an open
+# head variable whose rule names no constant while another rule names m, so
+# materialise widens the domain on a snapshot
+_CALLER_RULES = (
+    "P(a) :- Q(X) .",
+    "BOXMINUS[0,1] R(b) :- P(X), DIAMONDMINUS[0,2] Q(X) .",
+    "BOXPLUS[1,2] Q(a) :- R(X) SINCE[0,1] P(X) .",
+    "U(X) :- P(X) SINCE[0,1] P(X) .",
+    "S(X,Y) :- T(X,Y) SINCE[0,1] Q(X) .\nW(X) :- S(X,m) .",
+    "BOTTOM :- DIAMONDMINUS[0,1] P(X) .",
+)
+
+
+@st.composite
+def caller_instances(draw):
+    """A one-way instance (`one_way_instances`) with up to three rules of
+    `_CALLER_RULES` added, and a store that may hold BOTTOM intervals and a
+    domain of its own."""
+    program, store, target = draw(one_way_instances())
+    extra = draw(st.lists(st.sampled_from(_CALLER_RULES), max_size=3, unique=True))
+    program = parse_program("\n".join([str(program), *extra]))
+    if draw(st.booleans()):
+        left = draw(st.integers(0, 8))
+        store.mark_bottom(make(left, left + draw(st.integers(0, 2))))
+    store.domain = frozenset(draw(st.sets(st.sampled_from("ak"))))
+    return program, store, target
+
+
+@given(caller_instances(), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_rounds_leave_the_callers_store_unchanged(instance, max_rounds):
+    # snapshots and operator results share the stored lists, so a call that
+    # wrote one in place would change the caller's store
+    program, store, target = instance
+    before = copy.deepcopy(store)
+    calls = (
+        lambda: apply_rules(program, store),
+        lambda: apply_rules(program, store, horizon=make(0, 6)),
+        lambda: materialise(program, store, max_rounds=max_rounds, target=target),
+        lambda: materialise(program, store, max_rounds=max_rounds, horizon=make(-2, 10)),
+        lambda: check_entailment(program, store, target, sequential=True, round_budget=max_rounds),
+        lambda: check_entailment(program, store, target, round_budget=max_rounds),
+    )
+    for call in calls:
+        call()
+        assert store.dump() == before.dump()
+        assert store.bottom_intervals == before.bottom_intervals
+        assert store.domain == before.domain
+        assert store.atoms == before.atoms
+        assert (store.by_predicate, store.arg_index) == (before.by_predicate, before.arg_index)
