@@ -613,8 +613,11 @@ class _Engine:
     def _span_materialise(self, horizon: Interval) -> Optional[FactStore]:
         """The least model of the data, clipped to `horizon` round by round,
         or None on BOTTOM, kept as `must`.  Each round polls once; the bounded
-        horizon and int endpoints admit finitely many stores, so it ends."""
+        horizon and int endpoints admit finitely many stores, so it ends.
+        The start store's domain is the program's constants, so `materialise`
+        has none to add and takes no snapshot for them."""
         start = FactStore.from_facts(Fact(f.atom, intersect(f.interval, horizon)) for f in self.facts)
+        start.domain = frozenset(self.program.constants())
         out = materialise(self.program, start, horizon=horizon, poll=self._poll)
         return None if out.status == "Inconsistent" else out.store
 

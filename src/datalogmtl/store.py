@@ -14,7 +14,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .intervals import NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
+from .intervals import _SORT_KEY, NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
 from .syntax import Fact, RelationalAtom
 
 AtomKey = tuple[str, tuple[str, ...]]
@@ -198,7 +198,22 @@ class FactStore:
 
     @classmethod
     def from_facts(cls, facts: Iterable[Fact]) -> "FactStore":
+        """Store holding the facts' intervals, coalesced per ground atom.
+
+        The intervals are grouped per atom object, and each atom object's
+        group is its key's list, so `key()` runs once per atom object: the
+        parser gives all facts on one ground atom one shared atom.  Each
+        key's list is sorted once, so `coalesce` reads it in one pass."""
+        by_atom: dict[int, list[Interval]] = {}
         by_key: dict[AtomKey, list[Interval]] = {}
+        atoms = []  # holds every atom whose id keys `by_atom`
         for f in facts:
-            by_key.setdefault(f.atom.key(), []).append(f.interval)
+            atom = f.atom
+            lst = by_atom.get(id(atom))
+            if lst is None:
+                atoms.append(atom)
+                lst = by_atom[id(atom)] = by_key.setdefault(atom.key(), [])
+            lst.append(f.interval)
+        for lst in by_key.values():
+            lst.sort(key=_SORT_KEY)
         return cls.from_intervals(by_key)

@@ -18,14 +18,15 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, KeysView, Optional, Sequence, Union
 
 from .intervals import (
-    EMPTY,
     NEG_INF,
     POS_INF,
     Bound,
     Interval,
+    _build,
     is_finite,
     normalize,
     rational,
@@ -366,13 +367,15 @@ def _tokenize(text: str, line: int) -> list[_Token]:
     return tokens
 
 
-# The common dataset line, matched whole without tokens: a non-keyword
-# predicate over name constants, `@`, and an interval with integer endpoints,
-# with no spaces.  The character classes are _TOKEN_RE's.
+# The common dataset line, matched whole without tokens: a predicate over
+# name constants, `@`, and an interval with integer endpoints, with no spaces,
+# from the start of a line to the `\n` that ends it (`re.M`).  The character
+# classes are _TOKEN_RE's.  Groups: the atom's text, the left bracket, the two
+# endpoints and the right bracket.
 _FACT_LINE_RE = re.compile(
-    rf"(?!(?:{'|'.join(KEYWORDS)})\()([A-Za-z_][A-Za-z0-9_]*)"
-    r"\(([a-z_][A-Za-z0-9_]*(?:,[a-z_][A-Za-z0-9_]*)*)\)"
-    r"@([\[(])(-?\d+),(-?\d+)([\])])"
+    r"^([A-Za-z_][A-Za-z0-9_]*\([a-z_][A-Za-z0-9_]*(?:,[a-z_][A-Za-z0-9_]*)*\))"
+    r"@([\[(])(-?\d+),(-?\d+)([\])])$",
+    re.M,
 )
 
 
@@ -556,31 +559,46 @@ def parse_program(text: str) -> Program:
 def parse_dataset(text: str) -> list[Fact]:
     """The facts of a dataset, one per line; blank and `#` lines are skipped.
 
-    A line such as `P(a,b)@[0,5]` (a non-keyword predicate over lowercase or
-    `_` names, integer endpoints, no spaces, a non-empty interval) is read by
-    one pattern match, and lines over the same atom share it.  Every
-    other line, each faulty one included, goes through the full parser, so a
-    fault keeps its message, line and column.
+    One scan of `_FACT_LINE_RE` over the whole text reads each line such as
+    `P(a,b)@[0,5]`: a predicate over lowercase or `_` names, integer
+    endpoints, no spaces, ended by `\n` or the end of the text.  Its atom is
+    built on the first line with that atom's text, and the later ones share
+    it.  Every other line goes through the full parser, one line at a time,
+    so a fault keeps its message, line and column: a matched line whose
+    predicate is a keyword or whose interval is empty, and each line between
+    two matches.  Lines are numbered as `text.splitlines()` splits them; a
+    line ended by another separator (`\r`, `\r\n`, `\x85`, ...) never
+    matches, as `$` stands only before `\n`.
     """
     facts = []
-    atoms: dict[tuple[str, str], RelationalAtom] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _FACT_LINE_RE.fullmatch(line)
-        if m:
-            pred, args, lb, left, right, rb = m.groups()
-            iv = normalize(int(left), int(right), lb == "(", rb == ")")
-            if iv is not EMPTY:
-                atom = atoms.get((pred, args))
-                if atom is None:
-                    atom = atoms[pred, args] = RelationalAtom(pred, tuple(map(Constant, args.split(","))))
-                facts.append(Fact(atom, iv))
-                continue
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        # each line parses on its own, its faults positioned in the dataset
-        facts.append(parse_fact(line, line=lineno))
-    return facts
+    atoms: dict[str, RelationalAtom] = {}
+    lineno = 1  # the number of the line that starts at `pos`
+    pos = 0
+    for m in chain(_FACT_LINE_RE.finditer(text), (None,)):
+        start = len(text) if m is None else m.start()
+        if pos < start:
+            for line in text[pos:start].splitlines():
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    facts.append(parse_fact(line, line=lineno))
+                lineno += 1
+        if m is None:
+            return facts
+        atom_text, lb, left, right, rb = m.groups()
+        atom = atoms.get(atom_text)
+        if atom is None:
+            pred, _, args = atom_text.partition("(")
+            if pred not in KEYWORDS:
+                atom = atoms[atom_text] = RelationalAtom.from_key((pred, tuple(args[:-1].split(","))))
+        left, right = int(left), int(right)
+        if atom is None or right < left or (left == right and (lb == "(" or rb == ")")):
+            # a keyword predicate or an empty interval: the fault is the full
+            # parser's to report
+            facts.append(parse_fact(m.group(), line=lineno))
+        else:
+            facts.append(Fact(atom, _build((left, right, lb == "(", rb == ")"))))
+        lineno += 1
+        pos = m.end() + 1  # past the `\n`
 
 
 def parse_fact(text: str, line: int = 1) -> Fact:
@@ -593,22 +611,31 @@ def parse_fact(text: str, line: int = 1) -> Fact:
 
 
 def check_arities(program: Program, facts: Sequence[Fact]):
-    """Load-time arity consistency check across a program and a dataset."""
+    """Load-time arity consistency check across a program and a dataset.
+
+    The rules' atoms are checked in reading order, then each distinct atom
+    object of the facts once, in order of first use: the parser gives all
+    facts on one ground atom one shared atom, so a dataset costs one check
+    per ground atom, and the first conflict is the one a check of every
+    fact would meet."""
     arity: dict[str, int] = {}
-
-    def check(atom: RelationalAtom):
-        seen = arity.setdefault(atom.predicate, len(atom.args))
-        if seen != len(atom.args):
-            raise SyntaxFault(
-                f"arity conflict for predicate {atom.predicate}: {seen} vs {len(atom.args)}"
-            )
-
     for r in program.rules:
         for m in (r.head, *r.body):
-            for a in relational_atoms(m):
-                check(a)
+            for atom in relational_atoms(m):
+                if arity.setdefault(atom.predicate, len(atom.args)) != len(atom.args):
+                    _arity_conflict(atom, arity)
+    distinct: dict[int, RelationalAtom] = {}
     for f in facts:
-        check(f.atom)
+        distinct[id(f.atom)] = f.atom
+    for atom in distinct.values():
+        if arity.setdefault(atom.predicate, len(atom.args)) != len(atom.args):
+            _arity_conflict(atom, arity)
+
+
+def _arity_conflict(atom: RelationalAtom, arity: dict[str, int]):
+    raise SyntaxFault(
+        f"arity conflict for predicate {atom.predicate}: {arity[atom.predicate]} vs {len(atom.args)}"
+    )
 
 
 def print_program(program: Program) -> str:

@@ -1,6 +1,7 @@
 """Coalesced, indexed fact store: insertion, entailment lookup, pattern
 matching, equality, and invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -133,6 +134,33 @@ def test_from_intervals_coalesces_and_skips_empty_keys():
     assert s.intervals_for(("P", ("a",))) == [make(0, 3)]
     assert ("Q", ("a",)) not in s.atoms
     s.check_invariants()
+
+
+def test_from_facts_merges_atom_objects_that_share_a_key():
+    # two parse_fact calls give two atom objects with one key; their
+    # intervals overlap and come out of order, in every order
+    first, second = parse_fact("P(a)@[5,7]"), parse_fact("P(a)@[0,2]")
+    assert first.atom is not second.atom and first.atom.key() == second.atom.key()
+    facts = [
+        first,
+        second,
+        Fact(first.atom, make(1, 3)),
+        Fact(second.atom, make(6, 9, right_open=True)),
+        Fact(first.atom, make(9, 9)),
+        fact("Q(a)@[0,1]"),
+    ]
+    expected = {
+        ("P", ("a",)): [make(0, 3), make(5, 9)],
+        ("Q", ("a",)): [make(0, 1)],
+    }
+    for order in itertools.permutations(facts):
+        s = FactStore.from_facts(order)
+        s.check_invariants()
+        assert s.atoms == expected
+        by_key = {}
+        for f in order:
+            by_key.setdefault(f.atom.key(), []).append(f.interval)
+        assert s.equals(FactStore.from_intervals(by_key))
 
 
 def test_invariants_reject_an_integral_fraction_bound():

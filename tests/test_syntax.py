@@ -303,6 +303,22 @@ def test_check_arities_conflict():
     check_arities(prog, parse_dataset("Q(a)@[0,1]"))
 
 
+@pytest.mark.parametrize("odd_first", [True, False])
+def test_check_arities_meets_a_conflict_on_the_first_or_last_fact(odd_first):
+    # three facts share one atom object; a distinct atom of the same
+    # predicate with another arity conflicts, first or last
+    shared = parse_dataset("P(a)@[0,1]\nP(a)@[2,3]\nP(a)@[4,5]\n")
+    assert len({id(f.atom) for f in shared}) == 1
+    odd = parse_fact("P(a,b)@[0,1]")
+    facts = [odd, *shared] if odd_first else [*shared, odd]
+    message = "P: 2 vs 1" if odd_first else "P: 1 vs 2"
+    with pytest.raises(SyntaxFault, match=f"arity conflict for predicate {message}"):
+        check_arities(parse_program(""), facts)
+    # the program's atoms come before the facts'
+    with pytest.raises(SyntaxFault, match="arity conflict for predicate P: 1 vs 2"):
+        check_arities(parse_program("Q(X) :- P(X) ."), facts)
+
+
 def test_print_parse_round_trip_fixed():
     text = (
         "BOXMINUS[0,1] ExcHeat(X) :- BOXMINUS[0,1] Temp24(X), DIAMONDMINUS[0,1] Temp41(X) .\n"
