@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .intervals import _SORT_KEY, NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
+from .intervals import NEG_INF, POS_INF, Interval, coalesce, subset, union_if_coalescable
 from .syntax import Fact, RelationalAtom
 
 AtomKey = tuple[str, tuple[str, ...]]
+
+_LEFT = itemgetter(0)  # an interval's left end
 
 
 class FactStore:
@@ -203,7 +206,9 @@ class FactStore:
         The intervals are grouped per atom object, and each atom object's
         group is its key's list, so `key()` runs once per atom object: the
         parser gives all facts on one ground atom one shared atom.  Each
-        key's list is sorted once, so `coalesce` reads it in one pass."""
+        key's list is sorted once, by left end only, so `coalesce` reads it
+        in one pass, unless two intervals start at one point, the open one
+        first: then its one re-sort puts the closed one first."""
         by_atom: dict[int, list[Interval]] = {}
         by_key: dict[AtomKey, list[Interval]] = {}
         atoms = []  # holds every atom whose id keys `by_atom`
@@ -215,5 +220,5 @@ class FactStore:
                 lst = by_atom[id(atom)] = by_key.setdefault(atom.key(), [])
             lst.append(f.interval)
         for lst in by_key.values():
-            lst.sort(key=_SORT_KEY)
+            lst.sort(key=_LEFT)
         return cls.from_intervals(by_key)

@@ -66,6 +66,15 @@ class Variable:
 
 Term = Union[Constant, Variable]
 
+_new = object.__new__
+
+
+def _constant(name: str) -> Constant:
+    """`Constant(name)`, written through its instance dict."""
+    c = _new(Constant)
+    c.__dict__["name"] = name
+    return c
+
 
 @dataclass(frozen=True)
 class RelationalAtom:
@@ -88,9 +97,17 @@ class RelationalAtom:
 
     @classmethod
     def from_key(cls, key: tuple[str, tuple[str, ...]]) -> "RelationalAtom":
-        """The ground atom whose key is `key`, built with that key kept."""
-        atom = cls(key[0], tuple(map(Constant, key[1])))
-        atom.__dict__["_key"] = key
+        """The ground atom whose key is `key`, built with that key kept.
+
+        Written through the instance dicts, as `Interval` is built through
+        `_build` and `Fact` through its slots: a frozen dataclass's
+        `__init__` sets each field through `object.__setattr__`, and the
+        fact readers build one atom per ground atom they meet."""
+        atom = _new(cls)
+        fields = atom.__dict__
+        fields["predicate"] = key[0]
+        fields["args"] = tuple(map(_constant, key[1]))
+        fields["_key"] = key
         return atom
 
     def __str__(self):
@@ -320,51 +337,50 @@ Fact.__setattr__, Fact.__delattr__ = _fact_setattr, _fact_delattr
 # ---------------------------------------------------------------------------
 # Lexer
 
+# One token after the blanks and `#` comments before it.  The last two
+# alternatives match wherever the others fail (after the skip, the next
+# character is no blank and no `#`), so a match never fails and the skip is
+# never backtracked into.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
-  | (?P<inf>[+-]inf\b)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>:-)
-  | (?P<punct>[()\[\],.@])
-  | (?P<sign>[+-])
+    (?:\s|\#[^\n]*)*
+    (?:
+      (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+    | (?P<inf>[+-]inf\b)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<arrow>:-)
+    | (?P<punct>[()\[\],.@])
+    | (?P<sign>[+-])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+# (kind, text, offset into the parsed text)
+_Tok = tuple[str, str, int]
 
 
-def _tokenize(text: str, line: int) -> list[_Token]:
-    """Tokens of `text`, positioned as if it started at `line`, column 1."""
+def _position(text: str, line: int, off: int) -> tuple[int, int]:
+    """The line and column of `text[off]`, `text` starting at `line`,
+    column 1; only `\n` starts a line."""
+    return line + text.count("\n", 0, off), off - text.rfind("\n", 0, off)
+
+
+def _tokenize(text: str, line: int) -> list[_Tok]:
+    """The tokens of `text`, ending with one `eof`.  An unexpected
+    character is reported at its line and column, `text` starting at
+    `line`, before the parser reads any token."""
     tokens = []
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SyntaxFault(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        val = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, val, line, col))
-        newlines = val.count("\n")
-        if newlines:
-            line += newlines
-            col = len(val) - val.rfind("\n")
-        else:
-            col += len(val)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+        off = m.start(kind)
+        if kind == "bad":
+            raise SyntaxFault(f"unexpected character {text[off]!r}", *_position(text, line, off))
+        tokens.append((kind, m[kind], off))
+        if kind == "eof":
+            return tokens
 
 
 # The common dataset line, matched whole without tokens: a predicate over
@@ -378,143 +394,161 @@ _FACT_LINE_RE = re.compile(
     re.M,
 )
 
+# One fact read whole without tokens (`fullmatch`): `_FACT_LINE_RE`'s atom,
+# `@`, and an interval whose endpoints are integers or fractions `n/d`.
+# Groups: the atom's text, the left bracket, the left endpoint's numerator
+# and denominator, the right one's, and the right bracket.
+_FACT_RE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*\([a-z_][A-Za-z0-9_]*(?:,[a-z_][A-Za-z0-9_]*)*\))"
+    r"@([\[(])(-?\d+)(?:/(\d+))?,(-?\d+)(?:/(\d+))?([\])])"
+)
+
 
 def is_predicate_name(name) -> bool:
     """True iff the parser reads `name` back as a predicate name: one name
     token that is not a keyword."""
-    m = _TOKEN_RE.fullmatch(name) if isinstance(name, str) else None
-    return m is not None and m.lastgroup == "name" and name not in KEYWORDS
+    return isinstance(name, str) and _TOKEN_RE.match(name)["name"] == name and name not in KEYWORDS
 
 
 class _Parser:
     def __init__(self, text: str, line: int = 1):
+        self.text = text
+        self.line = line
         self.tokens = _tokenize(text, line)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> _Tok:
         t = self.tokens[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, text: str) -> _Token:
+    def fault(self, msg: str, t: _Tok) -> SyntaxFault:
+        """A fault at token `t`, positioned only now it is raised."""
+        return SyntaxFault(msg, *_position(self.text, self.line, t[2]))
+
+    def expect(self, text: str) -> _Tok:
         t = self.next()
-        if t.text != text:
-            raise SyntaxFault(f"expected {text!r}, got {t.text!r}", t.line, t.column)
+        if t[1] != text:
+            raise self.fault(f"expected {text!r}, got {t[1]!r}", t)
         return t
 
     def fail(self, msg: str):
-        t = self.peek()
-        raise SyntaxFault(msg, t.line, t.column)
+        raise self.fault(msg, self.peek())
 
     # -- rationals and intervals
 
     def parse_rational(self) -> Bound:
         t = self.next()
-        if t.kind != "number":
-            raise SyntaxFault(f"expected a number, got {t.text!r}", t.line, t.column)
-        if t.text.isdecimal():  # a plain integer
-            return int(t.text)
+        kind, text, _ = t
+        if kind != "number":
+            raise self.fault(f"expected a number, got {text!r}", t)
+        if text.isdecimal():  # a plain integer
+            return int(text)
         try:
-            return rational(Fraction(t.text))
+            if "." in text:
+                return rational(Fraction(text))
+            num, _, den = text.partition("/")
+            return rational(Fraction(int(num), int(den)))
         except (ValueError, ZeroDivisionError):
             # the number token also admits 1/0 and 1.5/2
-            raise SyntaxFault(f"not a rational number: {t.text!r}", t.line, t.column) from None
+            raise self.fault(f"not a rational number: {text!r}", t) from None
 
     def parse_interval(self, operator_position: bool = False) -> Interval:
         t = self.next()
-        if t.text not in ("[", "("):
-            raise SyntaxFault(f"expected interval, got {t.text!r}", t.line, t.column)
-        left_open = t.text == "("
+        if t[1] not in ("[", "("):
+            raise self.fault(f"expected interval, got {t[1]!r}", t)
+        left_open = t[1] == "("
         left = self._parse_bound()
         if not is_finite(left) and not left_open:
-            raise SyntaxFault("infinite endpoint requires an open bracket", t.line, t.column)
+            raise self.fault("infinite endpoint requires an open bracket", t)
         self.expect(",")
         right = self._parse_bound()
         t2 = self.next()
-        if t2.text not in ("]", ")"):
-            raise SyntaxFault(f"expected ] or ), got {t2.text!r}", t2.line, t2.column)
-        right_open = t2.text == ")"
+        if t2[1] not in ("]", ")"):
+            raise self.fault(f"expected ] or ), got {t2[1]!r}", t2)
+        right_open = t2[1] == ")"
         if not is_finite(right) and not right_open:
-            raise SyntaxFault("infinite endpoint requires an open bracket", t2.line, t2.column)
+            raise self.fault("infinite endpoint requires an open bracket", t2)
         iv = normalize(left, right, left_open, right_open)
         if iv.is_empty:
-            raise SyntaxFault("empty interval", t.line, t.column)
+            raise self.fault("empty interval", t)
         if operator_position and iv.left < 0:
-            raise SyntaxFault("operator interval must be non-negative", t.line, t.column)
+            raise self.fault("operator interval must be non-negative", t)
         return iv
 
     def _parse_bound(self):
-        t = self.peek()
-        if t.kind == "inf":
+        kind, text, _ = self.peek()
+        if kind == "inf":
             self.next()
-            return POS_INF if t.text.startswith("+") else NEG_INF
-        if t.kind == "sign":
+            return POS_INF if text.startswith("+") else NEG_INF
+        if kind == "sign":
             self.next()
             value = self.parse_rational()
-            return -value if t.text == "-" else value
+            return -value if text == "-" else value
         return self.parse_rational()
 
     # -- atoms
 
     def parse_metric_atom(self) -> MetricAtom:
         left = self._parse_operand()
-        while self.peek().text in BINARY_OPS:
-            op = self.next().text
+        while self.peek()[1] in BINARY_OPS:
+            op = self.next()[1]
             iv = self.parse_interval(operator_position=True)
             right = self._parse_operand()
             left = BinaryOp(op, iv, left, right)
         return left
 
     def _parse_operand(self) -> MetricAtom:
-        t = self.peek()
-        if t.text in UNARY_OPS:
+        kind, text, _ = self.peek()
+        if text in UNARY_OPS:
             self.next()
             iv = self.parse_interval(operator_position=True)
             sub = self._parse_operand()
-            return UnaryOp(t.text, iv, sub)
-        if t.text == "TOP":
+            return UnaryOp(text, iv, sub)
+        if text == "TOP":
             self.next()
             return Top()
-        if t.text == "BOTTOM":
+        if text == "BOTTOM":
             self.next()
             return Bottom()
-        if t.text == "(":
+        if text == "(":
             self.next()
             inner = self.parse_metric_atom()
             self.expect(")")
             return inner
-        if t.kind == "name":
+        if kind == "name":
             return Rel(self.parse_relational_atom())
-        self.fail(f"expected a metric atom, got {t.text!r}")
+        self.fail(f"expected a metric atom, got {text!r}")
 
     def parse_relational_atom(self) -> RelationalAtom:
         t = self.next()
-        if t.kind != "name" or t.text in KEYWORDS:
-            raise SyntaxFault(f"expected predicate name, got {t.text!r}", t.line, t.column)
+        if t[0] != "name" or t[1] in KEYWORDS:
+            raise self.fault(f"expected predicate name, got {t[1]!r}", t)
         args: list[Term] = []
-        if self.peek().text == "(":
+        if self.peek()[1] == "(":
             self.next()
             while True:
                 args.append(self._parse_term())
                 nxt = self.next()
-                if nxt.text == ")":
+                if nxt[1] == ")":
                     break
-                if nxt.text != ",":
-                    raise SyntaxFault(f"expected , or ), got {nxt.text!r}", nxt.line, nxt.column)
-        return RelationalAtom(t.text, tuple(args))
+                if nxt[1] != ",":
+                    raise self.fault(f"expected , or ), got {nxt[1]!r}", nxt)
+        return RelationalAtom(t[1], tuple(args))
 
     def _parse_term(self) -> Term:
         t = self.next()
-        if t.kind == "number":
-            return Constant(t.text)
-        if t.kind != "name":
-            raise SyntaxFault(f"expected a term, got {t.text!r}", t.line, t.column)
-        if t.text[0].isupper():
-            return Variable(t.text)
-        return Constant(t.text)
+        kind, text, _ = t
+        if kind == "number":
+            return Constant(text)
+        if kind != "name":
+            raise self.fault(f"expected a term, got {text!r}", t)
+        if text[0].isupper():
+            return Variable(text)
+        return Constant(text)
 
     # -- rules and facts
 
@@ -522,16 +556,16 @@ class _Parser:
         head = self.parse_metric_atom()
         self.expect(":-")
         body = [self.parse_metric_atom()]
-        while self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.next()
             body.append(self.parse_metric_atom())
         end = self.expect(".")
         if not is_valid_head(head):
-            raise SyntaxFault(f"forbidden operator in rule head: {head}", end.line, end.column)
+            raise self.fault(f"forbidden operator in rule head: {head}", end)
         missing = atom_variables(head).difference(*map(atom_variables, body))
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
-            raise SyntaxFault(f"unsafe rule: head variable(s) {names} not in body", end.line, end.column)
+            raise self.fault(f"unsafe rule: head variable(s) {names} not in body", end)
         return Rule(head, tuple(body))
 
     def parse_fact(self) -> Fact:
@@ -543,7 +577,7 @@ class _Parser:
         return Fact(atom, iv)
 
     def at_eof(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.peek()[0] == "eof"
 
 
 def parse_program(text: str) -> Program:
@@ -563,12 +597,13 @@ def parse_dataset(text: str) -> list[Fact]:
     `P(a,b)@[0,5]`: a predicate over lowercase or `_` names, integer
     endpoints, no spaces, ended by `\n` or the end of the text.  Its atom is
     built on the first line with that atom's text, and the later ones share
-    it.  Every other line goes through the full parser, one line at a time,
-    so a fault keeps its message, line and column: a matched line whose
-    predicate is a keyword or whose interval is empty, and each line between
-    two matches.  Lines are numbered as `text.splitlines()` splits them; a
-    line ended by another separator (`\r`, `\r\n`, `\x85`, ...) never
-    matches, as `$` stands only before `\n`.
+    it.  Every other line goes through `parse_fact`, one line at a time: a
+    matched line whose predicate is a keyword or whose interval is empty,
+    and each line between two matches, such as one with `n/d` endpoints.
+    So a fault keeps the full parser's message, line and column.  Lines are
+    numbered as `text.splitlines()` splits them; a line ended by another
+    separator (`\r`, `\r\n`, `\x85`, ...) never matches `_FACT_LINE_RE`,
+    as `$` stands only before `\n`.
     """
     facts = []
     atoms: dict[str, RelationalAtom] = {}
@@ -596,13 +631,37 @@ def parse_dataset(text: str) -> list[Fact]:
             # parser's to report
             facts.append(parse_fact(m.group(), line=lineno))
         else:
-            facts.append(Fact(atom, _build((left, right, lb == "(", rb == ")"))))
+            fact = _new(Fact)
+            _set_atom(fact, atom)
+            _set_interval(fact, _build((left, right, lb == "(", rb == ")")))
+            facts.append(fact)
         lineno += 1
         pos = m.end() + 1  # past the `\n`
 
 
 def parse_fact(text: str, line: int = 1) -> Fact:
-    """One fact; `line` is the line number its faults report."""
+    """One fact; `line` is the line number its faults report.
+
+    A fact such as `P(a,b)@[1/2,3]` (name constants, integer or `n/d`
+    endpoints, no spaces) is read by `_FACT_RE` alone.  Every other text
+    goes through the full parser, which reports each fault with its message,
+    line and column: so does a matched text whose predicate is a keyword,
+    whose denominator is 0 or whose interval is empty."""
+    m = _FACT_RE.fullmatch(text)
+    if m is not None:
+        atom_text, lb, ln, ld, rn, rd, rb = m.groups()
+        pred, _, args = atom_text.partition("(")
+        try:
+            left = int(ln) if ld is None else rational(Fraction(int(ln), int(ld)))
+            right = int(rn) if rd is None else rational(Fraction(int(rn), int(rd)))
+        except (ValueError, ZeroDivisionError):
+            pass  # `n/0`, or more digits than `int` reads
+        else:
+            if pred not in KEYWORDS and (left < right or (left == right and lb == "[" and rb == "]")):
+                fact = _new(Fact)
+                _set_atom(fact, RelationalAtom.from_key((pred, tuple(args[:-1].split(",")))))
+                _set_interval(fact, _build((left, right, lb == "(", rb == ")")))
+                return fact
     p = _Parser(text, line)
     fact = p.parse_fact()
     if not p.at_eof():

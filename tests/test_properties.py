@@ -4,6 +4,7 @@ and decision invariance under letter pruning."""
 
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -466,6 +467,139 @@ def test_one_scan_reads_a_dataset_as_the_per_line_reader(text):
     for line, f in zip(read, facts, strict=True):
         if syntax._FACT_LINE_RE.fullmatch(line):
             assert shared.setdefault(f.atom.key(), f.atom) is f.atom
+
+
+# The lexer the one-pattern lexer replaced: one token object per match,
+# blanks and comments matched as tokens of their own, the line and column
+# counted as the text is read.
+_TOKEN_BY_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+  | (?P<inf>[+-]inf\b)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<arrow>:-)
+  | (?P<punct>[()\[\],.@])
+  | (?P<sign>[+-])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class _Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _token_by_token(text, line):
+    tokens = []
+    col = 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_BY_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise SyntaxFault(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        val = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, val, line, col))
+        newlines = val.count("\n")
+        if newlines:
+            line += newlines
+            col = len(val) - val.rfind("\n")
+        else:
+            col += len(val)
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+_LEXER_FRAGMENTS = (
+    *("P", "Bday", "x_1", "_a", "SINCE", "inf", "12", "007", "3/2", "1.5", "1.5/2", "0/0"),
+    *("-inf", "+inf", "+info", "-", "+", ":-", ":", "(", ")", "[", "]", ",", ".", "@"),
+    *(" ", "\t", "\n", "\r\n", "\r", "\x85", "# note", "#", "#:- $\t"),
+    *("$", ";", "\u0663"),
+)
+
+
+def _lexed(tokenize, text, line):
+    """`tokenize`'s (kind, text, line, column) per token, or its fault's
+    message and position."""
+    try:
+        return tokenize(text, line)
+    except SyntaxFault as e:
+        return str(e), e.line, e.column
+
+
+def _one_pattern(text, line):
+    return [(kind, tok, *syntax._position(text, line, off)) for kind, tok, off in syntax._tokenize(text, line)]
+
+
+def _by_token(text, line):
+    return [(t.kind, t.text, t.line, t.column) for t in _token_by_token(text, line)]
+
+
+@example("P(a) :-\r\n  Q(a) $", 1)
+@example("# $\n\x85 3/2\t#\r\n ;", 4)
+@given(st.lists(st.sampled_from(_LEXER_FRAGMENTS), max_size=12).map("".join), st.integers(1, 5))
+@settings(max_examples=400)
+def test_one_pattern_lexes_as_the_token_by_token_lexer(text, line):
+    # the same kinds and texts at the same lines and columns, or the same
+    # unexpected character at the same place
+    assert _lexed(_one_pattern, text, line) == _lexed(_by_token, text, line)
+
+
+# Endpoints and intervals at the edge of `parse_fact`'s pattern: `n/d` forms
+# it reads, and forms and faults it leaves to the full parser.
+_FRACTION_ENDPOINTS = (
+    *("1/2", "-3/2", "007/02", "-0/3", "4/2", "0/4", "\u0663/2", "1/\u0663", "10/4"),
+    *("7/0", "0/00", "+1/2", "2.5", "1.5/2", "-0", "+inf", "-inf", "1/-2"),
+)
+_FRACTION_INTERVALS = ("(1/2,1/2]", "[1/2,1/2)", "[1/2,1/2]", "[3/2,1/2]", "(-1/2,+inf)", "[0,+inf)", "[1/2, 1]")
+
+
+@st.composite
+def fact_texts(draw):
+    """A printed random fact, edited as `dataset_lines` edits it, then with
+    up to two edits onto the edge of `parse_fact`'s pattern: an `n/d`
+    endpoint, a whole interval or a numeric constant."""
+    line = draw(dataset_lines())
+    for kind in draw(st.lists(st.sampled_from(("endpoint", "interval", "number")), max_size=2)):
+        m = re.fullmatch(r"(.*)@([\[(])([^,]*),(.*)([\])])", line)
+        if m is None:  # an earlier edit broke the interval already
+            break
+        atom, lb, left, right, rb = m.groups()
+        if kind == "endpoint":
+            new = draw(st.sampled_from(_FRACTION_ENDPOINTS))
+            left, right = (new, right) if draw(st.booleans()) else (left, new)
+        elif kind == "number":
+            atom = re.sub(r"\(\w+", "(1", atom, count=1)
+        line = f"{atom}@{lb}{left},{right}{rb}"
+        if kind == "interval":
+            line = f"{atom}@{draw(st.sampled_from(_FRACTION_INTERVALS))}"
+    return line
+
+
+@example("P(a)@[1/2,7/0]")
+@example("P(a)@[0/00,1]")
+@example("P(a)@[-0/3,4/2]")
+@example("P(a)@[007/02,\u0663/2]")
+@example("P(a)@(1/2,1/2]")
+@example("P(a)@[3/2,1/2]")
+@example("UNTIL(a)@[1/2,1]")
+@example("P(1)@[1/2,1]")
+@example("P(a)@[1/2, 1]")
+@example("P(a)@[1/2,+inf)")
+@given(fact_texts())
+@settings(max_examples=400)
+def test_fact_pattern_agrees_with_the_full_parser(text):
+    # the same fact with the same bound types, or the same fault at the
+    # same line and column
+    assert _outcome(lambda s: [parse_fact(s)], text) == _outcome(_full_parse, text)
 
 
 @given(st.integers(0, 10**9))

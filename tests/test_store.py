@@ -163,6 +163,27 @@ def test_from_facts_merges_atom_objects_that_share_a_key():
         assert s.equals(FactStore.from_intervals(by_key))
 
 
+def test_from_facts_reads_equal_left_ends_in_either_bracket_order():
+    # each key's list is sorted by its left end only, so intervals that
+    # start at one point keep the order they come in; every order of these,
+    # open before closed as well as closed before open, gives one store
+    first, second = parse_fact("P(a)@(0,2]"), parse_fact("P(a)@[0,0]")
+    facts = [
+        first,
+        second,
+        Fact(first.atom, make(Fraction(5, 2), 3, left_open=True)),
+        Fact(second.atom, make(Fraction(5, 2), Fraction(5, 2))),
+        Fact(first.atom, make(4, 6, left_open=True, right_open=True)),
+        Fact(second.atom, make(4, 5)),
+    ]
+    expected = [make(0, 2), make(Fraction(5, 2), 3), make(4, 6, right_open=True)]
+    for order in itertools.permutations(facts):
+        s = FactStore.from_facts(order)
+        s.check_invariants()
+        assert s.atoms == {("P", ("a",)): expected}
+        assert s.equals(FactStore.from_intervals({("P", ("a",)): [f.interval for f in order]}))
+
+
 def test_invariants_reject_an_integral_fraction_bound():
     s = FactStore.from_intervals({("P", ("a",)): [make(0, 2)]})
     s.check_invariants()

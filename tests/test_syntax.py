@@ -1,10 +1,13 @@
 """Parser, printer, safety checking, grounding, and arity checking."""
 
+import importlib.util
 import pickle
 import random
 import re
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,49 @@ def test_fact_lines_skip_the_full_parser(monkeypatch):
     assert parse_dataset(text) == facts
     with pytest.raises(AssertionError, match="full parser"):
         parse_dataset("P0(c1)@[0,1]\nP0(c1)@[0,")
+
+
+def _refuse(*_):
+    raise AssertionError("the full parser was called")
+
+
+def test_half_integral_fact_lines_skip_the_full_parser(monkeypatch):
+    # criterion 8's generator at granularity 1/2: the dataset scan leaves
+    # every line with an `n/d` endpoint to `parse_fact`, whose pattern reads it
+    spec = GeneratorSpec(
+        predicates=tuple((f"P{i}", 1) for i in range(5)),
+        constant_pool=200,
+        fact_count=2500,
+        endpoint_range=make(0, 2000),
+        max_interval_length=Fraction(10),
+        granularity=Fraction(1, 2),
+        seed=88,
+    )
+    facts = generate_dataset(spec)
+    text = print_dataset(facts)
+    assert text.count("/") > 2000
+    monkeypatch.setattr(syntax, "_Parser", _refuse)
+    parsed = parse_dataset(text)
+    assert parsed == facts
+    for f in parsed:
+        for b in (f.interval.left, f.interval.right):
+            assert type(b) is int or (type(b) is Fraction and b.denominator != 1)
+
+
+def test_t5_queries_skip_the_full_parser(monkeypatch):
+    # the benchmark's t5 queries, most of them at half-integral points
+    path = Path(__file__).parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    texts = [q.text for i in range(30) for q in workloads.periodic_instance(7, i).queries]
+    assert len(texts) == 30 and any("/" in t for t in texts)
+    expected = [syntax._Parser(t).parse_fact() for t in texts]
+    monkeypatch.setattr(syntax, "_Parser", _refuse)
+    assert [parse_fact(t) for t in texts] == expected
+    with pytest.raises(AssertionError, match="full parser"):
+        parse_fact("Bday(c1)@(1/2,1/2]")
 
 
 def test_is_predicate_name():
